@@ -9,6 +9,8 @@
 //   - wall time of the clean robust run and of a within-budget faulted run
 //     (FaultPlan::random injects exactly e Byzantine + c unavailable
 //     servers) including Berlekamp-Welch decoding and any retries.
+// Both runs go over a zero-latency SimStarNetwork, so a crashed server
+// costs virtual deadline time, never wall time.
 //
 // `--smoke` shrinks the database so CI can run the full flow in seconds.
 // Emits BENCH_robust.json (see bench_util.h JsonReport) next to the tables.
@@ -36,6 +38,14 @@ struct Budget {
 };
 
 constexpr Budget kBudgets[] = {{0, 0}, {1, 0}, {2, 0}, {2, 2}};
+
+// The faulted runs trust a decode only at the quorum the provisioned e
+// allows (net::decode_quorum).
+net::RobustConfig budget_config(Budget b) {
+  net::RobustConfig rc;
+  rc.byzantine_budget = b.e;
+  return rc;
+}
 
 std::string delta_str(std::uint64_t bytes, std::uint64_t base) {
   if (bytes >= base) return "+" + bench::human_bytes(bytes - base);
@@ -89,7 +99,7 @@ int main(int argc, char** argv) {
       const pir::PolyItPir p(field, pir_n, k, t);
 
       // Clean robust run: no faults, pure redundancy overhead.
-      net::StarNetwork clean_net(k);
+      net::SimStarNetwork clean_net(k, net::SimConfig{});
       crypto::Prg clean_prg("e8-itpir-clean");
       bench::Stopwatch clean_sw;
       const net::RobustResult clean = p.run_robust(clean_net, db, index, spir_seed, clean_prg);
@@ -98,11 +108,11 @@ int main(int argc, char** argv) {
       // Within-budget faulted run: exactly e Byzantine + c unavailable.
       crypto::Prg plan_prg("e8-itpir-plan");
       const net::FaultPlan plan = net::FaultPlan::random(plan_prg, k, b.e, b.c);
-      net::FaultyStarNetwork faulty_net(k, plan);
+      net::SimStarNetwork faulty_net(k, net::SimConfig{}, plan);
       crypto::Prg fault_prg("e8-itpir-fault");
       bench::Stopwatch fault_sw;
       const net::RobustResult faulted =
-          p.run_robust(faulty_net, db, index, spir_seed, fault_prg);
+          p.run_robust(faulty_net, db, index, spir_seed, fault_prg, budget_config(b));
       const double fault_ms = fault_sw.ms();
 
       const bool ok = clean.value == db[index] && faulted.value == db[index] &&
@@ -156,7 +166,7 @@ int main(int argc, char** argv) {
       const std::size_t k = d + 1 + 2 * b.e + b.c;
       const protocols::MultiServerSumSpfe proto(field, sum_n, sum_m, k, t);
 
-      net::StarNetwork clean_net(k);
+      net::SimStarNetwork clean_net(k, net::SimConfig{});
       crypto::Prg clean_prg("e8-sum-clean");
       bench::Stopwatch clean_sw;
       const net::RobustResult clean =
@@ -165,11 +175,11 @@ int main(int argc, char** argv) {
 
       crypto::Prg plan_prg("e8-sum-plan");
       const net::FaultPlan plan = net::FaultPlan::random(plan_prg, k, b.e, b.c);
-      net::FaultyStarNetwork faulty_net(k, plan);
+      net::SimStarNetwork faulty_net(k, net::SimConfig{}, plan);
       crypto::Prg fault_prg("e8-sum-fault");
       bench::Stopwatch fault_sw;
       const net::RobustResult faulted =
-          proto.run_robust(faulty_net, db, indices, spir_seed, fault_prg);
+          proto.run_robust(faulty_net, db, indices, spir_seed, fault_prg, budget_config(b));
       const double fault_ms = fault_sw.ms();
 
       const bool ok = clean.value == expect && faulted.value == expect &&
@@ -256,7 +266,6 @@ int main(int argc, char** argv) {
         cfg.profiles = profiles;
         net::SimStarNetwork net(k, cfg);
         net::RobustConfig rc;
-        rc.timing.enabled = true;
         rc.timing.attempt_timeout_us = 50'000;
         rc.timing.hedge_timeout_us = hedged ? 600 : 0;
         rc.timing.hedge_spares = hedged ? spares : 0;
@@ -375,11 +384,10 @@ int main(int argc, char** argv) {
           net.set_adversary(&*engine);
         }
         net::RobustConfig rc;
-        rc.timing.enabled = true;
+        rc.byzantine_budget = e_budget;
         rc.timing.attempt_timeout_us = 50'000;
         rc.timing.hedge_timeout_us = 600;
         rc.timing.hedge_spares = spares;
-        rc.timing.byzantine_budget = e_budget;
         rc.timing.backoff_seed = meta.fork_seed("backoff-" + std::to_string(q));
         adv_bound_us = rc.timing.attempt_timeout_us + rc.timing.backoff_max_us;
         crypto::Prg prg =

@@ -62,20 +62,6 @@ AdversaryAction AdversaryAction::delay(std::uint64_t delay_us) {
   return a;
 }
 
-const char* adversary_action_name(AdversaryAction::Kind kind) {
-  switch (kind) {
-    case AdversaryAction::Kind::kSendHonest:
-      return "send-honest";
-    case AdversaryAction::Kind::kReplace:
-      return "replace";
-    case AdversaryAction::Kind::kDrop:
-      return "drop";
-    case AdversaryAction::Kind::kDelay:
-      return "delay";
-  }
-  return "?";
-}
-
 AdversaryEngine::AdversaryEngine(std::shared_ptr<AdversaryStrategy> strategy,
                                  std::vector<std::size_t> controlled)
     : strategy_(std::move(strategy)), coalition_(std::move(controlled)) {
@@ -250,7 +236,7 @@ AdversaryAction TargetedStraggleStrategy::on_answer(const LinkView& link, BytesV
   if (q == nullptr || !earliest) return AdversaryAction::honest();
   // A query dispatched well after the coalition's earliest concurrent one is
   // a hedge spare sent to rescue the attempt; that rescue is what we stall.
-  // (Over untimed networks all timestamps are 0 and we stay honest.)
+  // (Queries that land at the same instant leave us honest.)
   if (q->at_us > *earliest && q->at_us - *earliest > spare_gap_us_) {
     return AdversaryAction::delay(straggle_us_);
   }

@@ -16,17 +16,15 @@
 //     so <= e colluders can coordinate (agree on one forged polynomial,
 //     crash in the same instant, compare query arrival times to detect
 //     hedge dispatches);
-//   * the networks (`FaultyStarNetwork`, `SimStarNetwork`) interpose the
-//     engine on the server->client response path: a controlled server's
-//     honest answer can be sent, replaced, dropped, or delayed — decided
-//     per message, after reading it.
+//   * `SimStarNetwork` interposes the engine on the server->client
+//     response path: a controlled server's honest answer can be sent,
+//     replaced, dropped, or delayed — decided per message, after reading
+//     it.
 //
 // Metering contract: a replaced answer is a real transmission (metered at
 // its actual size); a dropped answer is byzantine *silence* — nothing was
 // transmitted, nothing is metered (same as a crashed server); a delayed
-// answer is metered normally and arrives `delay_us` late (over the untimed
-// FaultyStarNetwork, "late" degrades to the one-attempt kDelayHalfRound
-// mark).
+// answer is metered normally and arrives `delay_us` late.
 //
 // Determinism: strategies are pure functions of (local views, coalition
 // state, their own config). No wall clocks, no global randomness — a
@@ -38,7 +36,7 @@
 //                           nonzero delta: every corrupted point lies on a
 //                           common degree-d polynomial — the attack class
 //                           that defeats naive d+1 decoding and the reason
-//                           the early-decode quorum is d + 1 + 2e
+//                           the decode quorum is d + 1 + 2e
 //   crash-at-worst-time     answer honestly until trusted, then all
 //                           colluders go silent in the same attempt —
 //                           *after* swallowing the query, so the client
@@ -79,8 +77,7 @@ struct LinkEvent {
   enum class Dir : std::uint8_t { kQueryIn, kAnswerOut };
   Dir dir = Dir::kQueryIn;
   Bytes payload;
-  // Virtual time the message landed on / left the server's local timeline
-  // (0 over untimed networks).
+  // Virtual time the message landed on / left the server's local timeline.
   std::uint64_t at_us = 0;
   // Per-direction ordinal on this link. One-round star protocols send one
   // query per attempt per queried server, so for them the query ordinal is
@@ -120,7 +117,6 @@ class Coalition {
 
   // Named shared scratch; created zero on first access.
   std::uint64_t& slot(const std::string& key) { return slots_[key]; }
-  bool has_slot(const std::string& key) const { return slots_.count(key) != 0; }
 
  private:
   friend class AdversaryEngine;
@@ -141,8 +137,6 @@ struct AdversaryAction {
   static AdversaryAction drop();
   static AdversaryAction delay(std::uint64_t delay_us);
 };
-
-const char* adversary_action_name(AdversaryAction::Kind kind);
 
 class AdversaryStrategy {
  public:
@@ -169,7 +163,7 @@ struct AdversaryStats {
 };
 
 // Binds one strategy to one coalition and interposes on a star network.
-// The engine outlives the network runs that reference it (the networks hold
+// The engine outlives the network runs that reference it (the network holds
 // a non-owning pointer; tests stack-allocate engine above network).
 class AdversaryEngine {
  public:
@@ -178,7 +172,6 @@ class AdversaryEngine {
 
   bool controls(std::size_t server) const { return coalition_.contains(server); }
   const Coalition& coalition() const { return coalition_; }
-  const AdversaryStrategy& strategy() const { return *strategy_; }
   const LinkView& view(std::size_t server) const { return coalition_.view_of(server); }
   const AdversaryStats& stats(std::size_t server) const;
   AdversaryStats total_stats() const;
@@ -267,8 +260,8 @@ class EquivocateAcrossRetriesStrategy : public AdversaryStrategy {
 // dispatched late — i.e. it is a hedge spare sent to rescue the attempt —
 // and delays its answer by `straggle_us` to defeat the TimingPolicy's
 // rescue. Primaries answer honestly (no budget spent, nothing for the
-// health tracker to demote). Needs virtual timestamps; over untimed
-// networks every arrival time is 0 and the strategy stays honest.
+// health tracker to demote). Needs a gap in arrival times: queries that all
+// land at the same virtual instant leave the strategy honest.
 class TargetedStraggleStrategy : public AdversaryStrategy {
  public:
   TargetedStraggleStrategy(std::uint64_t spare_gap_us, std::uint64_t straggle_us);

@@ -9,9 +9,9 @@
 // round counts such as the 1.5/2.5 rounds of §3.3.2 variant 2, where the
 // server speaks first.
 //
-// The send/receive methods are virtual so a decorator can inject faults
-// underneath an unmodified protocol implementation (see net/fault.h for the
-// adversarial `FaultyStarNetwork`); the base class always delivers
+// The send/receive methods are virtual so a subclass can add time, faults
+// and adversaries underneath an unmodified protocol implementation (see
+// net/sim.h for `SimStarNetwork`); the base class always delivers
 // perfectly.
 #pragma once
 

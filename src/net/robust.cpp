@@ -92,21 +92,15 @@ void drain_star_network(StarNetwork& net) {
     return;
   }
   for (std::size_t s = 0; s < net.num_servers(); ++s) {
-    // Each receive either pops a message, clears a delay mark, or (for a
-    // crashed server) clears the whole queue — so both loops terminate.
-    while (net.server_has_message(s)) {
-      try {
-        net.server_receive(s);
-      } catch (const ServerUnavailable&) {
-      }
-    }
-    while (net.client_has_message(s)) {
-      try {
-        net.client_receive(s);
-      } catch (const ServerUnavailable&) {
-      }
-    }
+    while (net.server_has_message(s)) net.server_receive(s);
+    while (net.client_has_message(s)) net.client_receive(s);
   }
+}
+
+std::optional<crypto::Prg::Seed> attempt_spir_seed(
+    const std::optional<crypto::Prg::Seed>& spir_seed, std::size_t attempt) {
+  if (!spir_seed.has_value() || attempt == 0) return spir_seed;
+  return crypto::Prg(*spir_seed).fork_seed("robust-retry-" + std::to_string(attempt));
 }
 
 namespace detail {

@@ -1,5 +1,5 @@
 // Byzantine/crash-tolerant client driver for the one-round star protocols,
-// with an optional virtual-time availability policy (deadlines, seeded
+// clocked in virtual time over a net::SimStarNetwork (deadlines, seeded
 // exponential backoff, hedged queries).
 //
 // All §3.1-style protocols share one shape: the client sends k independent
@@ -10,16 +10,17 @@
 // Berlekamp–Welch, which additionally corrects up to floor((s-d-1)/2) silent
 // lies among s survivors. A client provisioned with k >= d + 1 + 2e + c
 // servers therefore tolerates any mix of <= e corruptions and <= c crashes
-// (a detected fault costs one point, an undetected one costs two).
+// (a crash or a caught liar costs one point, a silent lie costs two).
 //
 // If an attempt is not decodable the client retries with *fresh randomness*
 // (new curve, new SPIR mask seed — query points are never reused, so the
 // privacy of the retrieved index is preserved across retries; see DESIGN.md
 // "Fault model and robust reconstruction"). After `max_attempts` the driver
 // throws `RobustProtocolError` carrying a `RobustnessReport` with the full
-// per-attempt verdict history — never a wrong value, never a hang.
+// per-attempt verdict history — never a wrong value, never a hang, as long
+// as at most `RobustConfig::byzantine_budget` servers lie.
 //
-// Timed mode (`RobustConfig::timing.enabled` over a `net::SimStarNetwork`):
+// Timing (`RobustConfig::timing`):
 //   * every attempt gets a virtual-time deadline; answers still in flight
 //     when it expires are deadline misses, not mystery hangs;
 //   * retries wait out a seeded exponential backoff (with jitter) in
@@ -32,8 +33,8 @@
 //     whichever answers land first. Every server still sees at most one
 //     point of the attempt's degree-t curve, so t-privacy is untouched
 //     (see DESIGN.md "Time, deadlines, and hedging").
-// Over a plain (untimed) network, or with `timing.enabled == false`, the
-// driver is byte-identical to the untimed robust path.
+// Over a fault-free zero-latency `SimStarNetwork(k, SimConfig{})` with
+// hedging off, the exchange is byte-identical to the plain protocol run.
 #pragma once
 
 #include <algorithm>
@@ -84,7 +85,7 @@ struct ServerReport {
   ServerFate fate = ServerFate::kOk;
   std::string detail;
   // Virtual-time answer latency (receive - attempt start), 0 when the
-  // answer never arrived or the network is untimed.
+  // answer never arrived.
   std::uint64_t answer_us = 0;
   Blame blame = Blame::kNone;
 };
@@ -96,7 +97,7 @@ struct AttemptRecord {
   std::size_t attempt = 0;
   std::vector<ServerReport> verdicts;
   std::string failure_reason;  // empty when the attempt decoded
-  std::uint64_t started_us = 0;  // virtual time; 0 over untimed networks
+  std::uint64_t started_us = 0;  // virtual time
   std::uint64_t ended_us = 0;
 
   std::string summary() const;
@@ -115,17 +116,14 @@ struct RobustnessReport {
   std::string failure_reason;          // empty on success
   std::vector<AttemptRecord> history;  // one record per attempt, in order
   // Virtual time from the first attempt's start to the decode (or to the
-  // terminal failure); 0 over untimed networks.
+  // terminal failure).
   std::uint64_t completion_us = 0;
 
   std::string summary() const;
 };
 
-// Virtual-time availability policy. Only effective when the run's network
-// is a SimStarNetwork; over untimed networks the policy is ignored and the
-// driver behaves exactly like the untimed robust path.
+// Virtual-time availability policy of one robust run.
 struct TimingPolicy {
-  bool enabled = false;
   // Per-attempt deadline: answers not decodable by then fail the attempt.
   std::uint64_t attempt_timeout_us = 20'000;
   // Hedge trigger: a primary that has not answered this long after the
@@ -135,13 +133,6 @@ struct TimingPolicy {
   std::uint64_t hedge_timeout_us = 0;
   // Servers held back as hedge spares (h of the k provisioned).
   std::size_t hedge_spares = 0;
-  // Silent-lie budget the early decode must honor: an in-attempt decode is
-  // trusted only once degree + 1 + 2*byzantine_budget usable answers are
-  // in, because Berlekamp–Welch on s points corrects just
-  // floor((s-d-1)/2) lies — at the bare d+1 quorum a single lie decodes
-  // to a consistent wrong polynomial. Keep this equal to the e used when
-  // provisioning k = d + 1 + 2e + c + spares.
-  std::size_t byzantine_budget = 0;
   // Seeded exponential backoff between attempts: wait
   // min(base * 2^(attempt-1), max) plus uniform jitter of up to
   // jitter_permille/1000 of the wait.
@@ -158,6 +149,12 @@ struct TimingPolicy {
 struct RobustConfig {
   // Query rounds before giving up (>= 1). Each retry re-randomizes.
   std::size_t max_attempts = 3;
+  // Silent-lie budget e: a decode is trusted only at decode_quorum(d, e, b)
+  // usable answers, because Berlekamp–Welch on s points corrects just
+  // floor((s-d-1)/2) lies — at the bare d+1 quorum a single lie decodes to
+  // a consistent wrong polynomial. The never-wrong guarantee holds only
+  // when this is the e used to provision k = d + 1 + 2e + c + spares.
+  std::size_t byzantine_budget = 0;
   TimingPolicy timing;
 };
 
@@ -167,6 +164,16 @@ struct RobustConfig {
 constexpr std::size_t provisioned_servers(std::size_t degree, std::size_t byzantine,
                                           std::size_t crashes, std::size_t spares = 0) {
   return degree + 1 + 2 * byzantine + crashes + spares;
+}
+
+// Usable answers an in-attempt decode waits for: d + 1 + 2(e - min(e, b))
+// for the silent-lie budget e (`byzantine`) and the b (`caught`) servers
+// already blamed kByzantine this attempt (a malformed answer or a rejected
+// query). A caught liar is an erasure — it costs one point, not the two a
+// silent lie costs — so each one frees two points of correction slack.
+constexpr std::size_t decode_quorum(std::size_t degree, std::size_t byzantine,
+                                    std::size_t caught) {
+  return degree + 1 + 2 * (byzantine - std::min(byzantine, caught));
 }
 
 class RobustProtocolError : public ProtocolError {
@@ -186,11 +193,17 @@ struct RobustResult {
   RobustnessReport report;
 };
 
-// Discards every queued message so `net.idle()` holds again, swallowing the
-// ServerUnavailable timeouts thrown while flushing delayed/crashed channels.
-// Over a SimStarNetwork the abandoned messages are discarded without moving
-// the clock (the client does not wait for answers it no longer wants).
+// Discards every queued message so `net.idle()` holds again. Over a
+// SimStarNetwork the abandoned messages are discarded without moving the
+// clock (the client does not wait for answers it no longer wants).
 void drain_star_network(StarNetwork& net);
+
+// The SPIR mask seed every server uses in `attempt`: attempt 0 keeps
+// `spir_seed` itself (so a fault-free robust transcript matches the plain
+// run byte for byte), and each retry forks a fresh one so masks are never
+// reused across query curves. Nullopt when the run has no SPIR seed.
+std::optional<crypto::Prg::Seed> attempt_spir_seed(
+    const std::optional<crypto::Prg::Seed>& spir_seed, std::size_t attempt);
 
 namespace detail {
 
@@ -222,20 +235,29 @@ std::vector<std::size_t> deprioritize_blamed(const std::vector<std::size_t>& ord
 // RobustProtocolError when no attempt decodes.
 template <field::FieldLike F, typename MakeQueries, typename ServerEval, typename ParseAnswer>
 std::pair<typename F::value_type, RobustnessReport> run_robust_star(
-    const F& field, StarNetwork& net, std::size_t degree, const RobustConfig& cfg,
+    const F& field, SimStarNetwork& net, std::size_t degree, const RobustConfig& cfg,
     MakeQueries&& make_queries, ServerEval&& server_eval, ParseAnswer&& parse_answer) {
   using V = typename F::value_type;
   if (cfg.max_attempts == 0) {
     throw InvalidArgument("run_robust_star: max_attempts must be >= 1");
   }
   const std::size_t k = net.num_servers();
-  auto* sim = dynamic_cast<SimStarNetwork*>(&net);
-  const bool timed = sim != nullptr && cfg.timing.enabled;
+  const TimingPolicy& tp = cfg.timing;
+  const std::size_t full_quorum = decode_quorum(degree, cfg.byzantine_budget, 0);
+  if (k < full_quorum) {
+    throw InvalidArgument("run_robust_star: fewer servers than the decode quorum needs");
+  }
+  std::vector<std::size_t> order = detail::resolve_send_order(tp, k);
+  // Hedging never cuts the primaries below the decode quorum.
+  const std::size_t spares =
+      tp.hedge_timeout_us == 0 ? 0 : std::min(tp.hedge_spares, k - full_quorum);
+  const bool hedging = spares > 0;
+  const std::size_t num_primaries = k - spares;
+  const std::uint64_t session_start_us = net.clock().now_us();
 
   RobustnessReport report;
   report.servers = k;
 
-  // --- shared per-attempt machinery -----------------------------------------
   // One server's full exchange on the server side; failures become verdicts.
   const auto server_phase = [&](std::size_t s, std::size_t attempt) {
     try {
@@ -255,131 +277,22 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
                             std::string("server rejected query: ") + e.what(), 0,
                             Blame::kByzantine};
     }
-    // Flush duplicate queries so they cannot shadow the next attempt.
-    while (net.server_has_message(s)) {
-      try {
-        net.server_receive(s);
-      } catch (const ServerUnavailable&) {
-      }
-    }
+    // A duplicated query is never read: it is discarded with everything
+    // else still in flight when the attempt ends.
   };
-
-  if (!timed) {
-    // ------------------- untimed path (byte-identical to PR 4) -------------
-    for (std::size_t attempt = 0; attempt < cfg.max_attempts; ++attempt) {
-      obs::Span attempt_span("robust.attempt");
-      attempt_span.note("attempt=" + std::to_string(attempt));
-      if (attempt > 0) obs::count(obs::Op::kRobustRetry);
-      report.attempts = attempt + 1;
-      report.verdicts.assign(k, ServerReport{});
-      // Stale messages from a previous attempt (delayed answers, duplicates)
-      // must never leak into this attempt's decode.
-      if (attempt > 0) drain_star_network(net);
-
-      std::vector<V> abscissae;
-      const std::vector<Bytes> queries = make_queries(attempt, abscissae);
-      if (queries.size() != k || abscissae.size() != k) {
-        throw InvalidArgument("run_robust_star: make_queries must cover every server");
-      }
-      for (std::size_t s = 0; s < k; ++s) net.client_send(s, queries[s]);
-
-      // Server side: evaluate and reply; a server that never saw its query
-      // or rejected it sends nothing.
-      for (std::size_t s = 0; s < k; ++s) server_phase(s, attempt);
-
-      // Client side: collect whatever arrived.
-      std::vector<V> xs, ys;
-      std::vector<std::size_t> owners;  // survivor -> server index
-      for (std::size_t s = 0; s < k; ++s) {
-        if (report.verdicts[s].fate == ServerFate::kOk) {
-          try {
-            const Bytes answer = net.client_receive(s);
-            const V y = parse_answer(answer);
-            xs.push_back(abscissae[s]);
-            ys.push_back(y);
-            owners.push_back(s);
-          } catch (const DeadlineMiss& e) {
-            report.verdicts[s] = {ServerFate::kUnavailable, e.what(), 0, Blame::kStraggler};
-          } catch (const ServerUnavailable& e) {
-            report.verdicts[s] = {ServerFate::kUnavailable, e.what(), 0, Blame::kCrashed};
-          } catch (const Error& e) {
-            report.verdicts[s] = {ServerFate::kMalformed,
-                                  std::string("unparseable answer: ") + e.what(), 0,
-                                  Blame::kByzantine};
-          }
-        }
-        while (net.client_has_message(s)) {
-          try {
-            net.client_receive(s);
-          } catch (const ServerUnavailable&) {
-          }
-        }
-      }
-
-      if (xs.size() >= degree + 1) {
-        const auto decoding = field::decode_with_erasures(field, xs, ys, degree);
-        if (decoding.has_value()) {
-          for (const std::size_t i : decoding->error_positions()) {
-            report.verdicts[owners[i]] = {ServerFate::kCorrected,
-                                          "answer did not lie on the decoded polynomial", 0,
-                                          Blame::kByzantine};
-          }
-          report.success = true;
-          report.erasures = k - xs.size();
-          report.errors_corrected = decoding->num_errors();
-          report.failure_reason.clear();
-          report.history.push_back({attempt, report.verdicts, "", 0, 0});
-          attempt_span.note("ok erasures=" + std::to_string(report.erasures) +
-                            " corrected=" + std::to_string(report.errors_corrected));
-          drain_star_network(net);
-          return {decoding->eval(field, field.zero()), std::move(report)};
-        }
-        report.failure_reason = "surviving answers not within the correctable error budget (" +
-                                std::to_string(xs.size()) + " of " + std::to_string(k) +
-                                " usable, degree " + std::to_string(degree) + ")";
-      } else {
-        report.failure_reason = "only " + std::to_string(xs.size()) + " of " +
-                                std::to_string(k) + " answers usable; interpolation needs " +
-                                std::to_string(degree + 1);
-      }
-      report.history.push_back({attempt, report.verdicts, report.failure_reason, 0, 0});
-      attempt_span.note("failed: " + report.failure_reason);
-    }
-
-    report.success = false;
-    drain_star_network(net);
-    RobustnessReport thrown = report;
-    throw RobustProtocolError("robust protocol failed after " +
-                                  std::to_string(report.attempts) + " attempt(s)",
-                              std::move(thrown));
-  }
-
-  // --------------------------- timed path ------------------------------------
-  const TimingPolicy& tp = cfg.timing;
-  const std::size_t decode_quorum = degree + 1 + 2 * tp.byzantine_budget;
-  if (k < decode_quorum) {
-    throw InvalidArgument("run_robust_star: fewer servers than the decode quorum needs");
-  }
-  std::vector<std::size_t> order = detail::resolve_send_order(tp, k);
-  // Hedging never cuts the primaries below the decode quorum.
-  const std::size_t spares =
-      tp.hedge_timeout_us == 0 ? 0 : std::min(tp.hedge_spares, k - decode_quorum);
-  const bool hedging = spares > 0;
-  const std::size_t num_primaries = k - spares;
-  const std::uint64_t session_start_us = sim->clock().now_us();
 
   for (std::size_t attempt = 0; attempt < cfg.max_attempts; ++attempt) {
     obs::Span attempt_span("robust.attempt");
-    attempt_span.note("attempt=" + std::to_string(attempt) + " timed");
+    attempt_span.note("attempt=" + std::to_string(attempt));
     if (attempt > 0) {
       obs::count(obs::Op::kRobustRetry);
       const std::uint64_t wait = detail::backoff_wait_us(tp, attempt);
-      sim->clock().advance_by(wait);
+      net.clock().advance_by(wait);
       obs::count(obs::Op::kBackoffWait);
       attempt_span.note("backoff_us=" + std::to_string(wait));
       // Stale in-flight answers from the previous attempt are abandoned
       // without waiting for them.
-      sim->discard_in_flight();
+      net.discard_in_flight();
       // Retries learn from the failed attempt's blame: servers caught lying
       // or crashed go to the back of the order, so this attempt's primaries
       // and hedge spares come from honest-looking replicas first.
@@ -389,7 +302,7 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
     report.verdicts.assign(k, ServerReport{});
     AttemptRecord rec;
     rec.attempt = attempt;
-    rec.started_us = sim->clock().now_us();
+    rec.started_us = net.clock().now_us();
     const std::uint64_t attempt_deadline = rec.started_us + tp.attempt_timeout_us;
 
     std::vector<V> abscissae;
@@ -416,7 +329,7 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
         ys.push_back(y);
         owners.push_back(s);
         collected[s] = 1;
-        report.verdicts[s].answer_us = sim->last_delivery_us() - rec.started_us;
+        report.verdicts[s].answer_us = net.last_delivery_us() - rec.started_us;
         return Collect::kGot;
       } catch (const DeadlineMiss& e) {
         if (timeout_detail != nullptr) *timeout_detail = e.what();
@@ -433,8 +346,16 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
         return Collect::kBad;
       }
     };
+    // The decode quorum so far: servers caught lying this attempt are
+    // erasures and lower it (see decode_quorum).
+    const auto quorum = [&]() {
+      const auto caught = static_cast<std::size_t>(
+          std::count_if(report.verdicts.begin(), report.verdicts.end(),
+                        [](const ServerReport& v) { return v.blame == Blame::kByzantine; }));
+      return decode_quorum(degree, cfg.byzantine_budget, caught);
+    };
     const auto try_decode = [&]() {
-      if (value.has_value() || xs.size() < decode_quorum) return;
+      if (value.has_value() || xs.size() < quorum()) return;
       const auto decoding = field::decode_with_erasures(field, xs, ys, degree);
       if (!decoding.has_value()) return;
       for (const std::size_t i : decoding->error_positions()) {
@@ -456,7 +377,7 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
     const std::uint64_t hedge_deadline =
         hedging ? std::min(attempt_deadline, rec.started_us + tp.hedge_timeout_us)
                 : attempt_deadline;
-    sim->set_deadline(hedge_deadline);
+    net.set_deadline(hedge_deadline);
     std::vector<std::size_t> stragglers;
     for (std::size_t i = 0; i < num_primaries; ++i) {
       const std::size_t s = order[i];
@@ -477,8 +398,8 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
     // deficit left by malformed primaries), spending the points already
     // generated for the spares (fresh and independent — never a reuse).
     std::vector<std::size_t> dispatched;
-    const std::size_t quorum_deficit =
-        xs.size() < decode_quorum ? decode_quorum - xs.size() : 0;
+    const std::size_t need = quorum();
+    const std::size_t quorum_deficit = xs.size() < need ? need - xs.size() : 0;
     const std::size_t hedges_wanted = std::max(stragglers.size(), quorum_deficit);
     if (!value.has_value() && hedging && hedges_wanted > 0) {
       for (std::size_t i = num_primaries; i < k && dispatched.size() < hedges_wanted;
@@ -494,18 +415,18 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
 
       // Wave A: the freshly dispatched spares get their own hedge window —
       // a straggling spare must not stall the quorum either.
-      sim->set_deadline(std::min(attempt_deadline,
-                                 sim->clock().now_us() + tp.hedge_timeout_us));
+      net.set_deadline(std::min(attempt_deadline, net.clock().now_us() + tp.hedge_timeout_us));
       std::vector<std::size_t> pending_spares;
       for (const std::size_t s : dispatched) {
         if (report.verdicts[s].fate != ServerFate::kOk) continue;
         if (value.has_value()) break;
-        if (collect(s, nullptr, nullptr) == Collect::kGot) {
-          obs::count(obs::Op::kHedgeWon);
-          try_decode();
-        } else {
+        const Collect got = collect(s, nullptr, nullptr);
+        if (got == Collect::kTimeout) {
           pending_spares.push_back(s);
+          continue;
         }
+        if (got == Collect::kGot) obs::count(obs::Op::kHedgeWon);
+        try_decode();  // a malformed spare lowers the quorum too
       }
 
       // Wave B: still short of a decode — escalate to the attempt deadline,
@@ -513,7 +434,7 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
       // client wakes on whichever lands first; a fixed escalation order
       // would block head-of-line on one straggler while a faster answer
       // sits ready).
-      sim->set_deadline(attempt_deadline);
+      net.set_deadline(attempt_deadline);
       std::vector<std::size_t> waiting = pending_spares;
       for (const std::size_t s : stragglers) {
         if (collected[s] == 0 && report.verdicts[s].fate == ServerFate::kOk) {
@@ -521,20 +442,21 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
         }
       }
       while (!value.has_value() && !waiting.empty()) {
-        const std::size_t pos = sim->earliest_client_ready(waiting).value_or(0);
+        const std::size_t pos = net.earliest_client_ready(waiting).value_or(0);
         const std::size_t s = waiting[pos];
         waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(pos));
         std::string detail_msg;
         Blame timeout_blame = Blame::kCrashed;
         const Collect got = collect(s, &detail_msg, &timeout_blame);
-        if (got == Collect::kGot) {
-          const bool was_spare =
-              std::find(stragglers.begin(), stragglers.end(), s) == stragglers.end();
-          if (was_spare) obs::count(obs::Op::kHedgeWon);
-          try_decode();
-        } else if (got == Collect::kTimeout) {
+        if (got == Collect::kTimeout) {
           report.verdicts[s] = {ServerFate::kUnavailable, detail_msg, 0, timeout_blame};
+          continue;
         }
+        if (got == Collect::kGot &&
+            std::find(stragglers.begin(), stragglers.end(), s) == stragglers.end()) {
+          obs::count(obs::Op::kHedgeWon);
+        }
+        try_decode();
       }
     }
 
@@ -563,8 +485,8 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
         report.verdicts[s] = {ServerFate::kSpare, "held in reserve; never queried"};
       }
     }
-    sim->set_deadline(SimStarNetwork::kNoDeadline);
-    rec.ended_us = sim->clock().now_us();
+    net.set_deadline(SimStarNetwork::kNoDeadline);
+    rec.ended_us = net.clock().now_us();
 
     const std::size_t queried = num_primaries + dispatched.size();
     if (value.has_value()) {
@@ -577,10 +499,10 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
       attempt_span.note("ok erasures=" + std::to_string(report.erasures) +
                         " corrected=" + std::to_string(report.errors_corrected) +
                         " completion_us=" + std::to_string(report.completion_us));
-      drain_star_network(net);
+      net.discard_in_flight();
       return {*value, std::move(report)};
     }
-    if (xs.size() >= decode_quorum) {
+    if (xs.size() >= quorum()) {
       report.failure_reason = "surviving answers not within the correctable error budget (" +
                               std::to_string(xs.size()) + " of " + std::to_string(queried) +
                               " queried usable, degree " + std::to_string(degree) + ")";
@@ -589,7 +511,7 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
                               std::to_string(queried) +
                               " queried answers usable before the deadline; the decode "
                               "quorum needs " +
-                              std::to_string(decode_quorum);
+                              std::to_string(quorum());
     }
     rec.failure_reason = report.failure_reason;
     rec.verdicts = report.verdicts;
@@ -598,8 +520,8 @@ std::pair<typename F::value_type, RobustnessReport> run_robust_star(
   }
 
   report.success = false;
-  report.completion_us = sim->clock().now_us() - session_start_us;
-  drain_star_network(net);
+  report.completion_us = net.clock().now_us() - session_start_us;
+  net.discard_in_flight();
   RobustnessReport thrown = report;
   throw RobustProtocolError("robust protocol failed after " + std::to_string(report.attempts) +
                                 " attempt(s)",

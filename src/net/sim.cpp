@@ -133,18 +133,34 @@ void SimStarNetwork::discard_in_flight() {
 void SimStarNetwork::enqueue(std::size_t s, Direction direction, const Fault* fault,
                              Bytes message, std::uint64_t depart_us, std::uint64_t ordinal,
                              std::uint64_t extra_us) {
-  const FaultAction action = apply_fault(fault, message);
-  if (action == FaultAction::kDrop) return;
+  // The sender already paid for the transmission; the fault only decides
+  // what (if anything) arrives, and when.
+  std::size_t copies = 1;
+  if (fault != nullptr) {
+    switch (fault->kind) {
+      case FaultKind::kDrop:
+        return;
+      case FaultKind::kCorruptByte:
+        if (!message.empty()) message[fault->byte_index % message.size()] ^= fault->xor_mask;
+        break;
+      case FaultKind::kTruncate:
+        message.resize(std::min(fault->keep_bytes, message.size()));
+        break;
+      case FaultKind::kDuplicate:
+        copies = 2;
+        break;
+      case FaultKind::kDelayHalfRound:
+        extra_us += config_.delay_fault_penalty_us;
+        break;
+    }
+  }
   if (model_.in_outage(s, depart_us)) return;  // link down: transmission lost
-  std::uint64_t ready = depart_us + model_.sample_us(direction, s, ordinal) + extra_us;
-  if (action == FaultAction::kDeliverDelayed) ready += config_.delay_fault_penalty_us;
+  const std::uint64_t ready = depart_us + model_.sample_us(direction, s, ordinal) + extra_us;
   auto& queue = direction == Direction::kClientToServer ? to_server_[s] : to_client_[s];
   auto& stamps =
       direction == Direction::kClientToServer ? to_server_ready_[s] : to_client_ready_[s];
-  queue.push_back(message);
-  stamps.push_back(ready);
-  if (action == FaultAction::kDeliverTwice) {
-    queue.push_back(std::move(message));
+  for (std::size_t i = 0; i < copies; ++i) {
+    queue.push_back(message);
     stamps.push_back(ready);
   }
 }

@@ -1,12 +1,17 @@
-// Deterministic virtual-time network simulation (discrete-event).
+// Deterministic virtual-time network simulation (discrete-event): the one
+// fault-injecting network, and the one `run_robust_star` (net/robust.h)
+// runs over.
 //
-// The fault layer (net/fault.h) models *what* goes wrong on the wire; this
-// layer models *when*. A `SimClock` is a seedless virtual microsecond
+// A `FaultPlan` (net/fault.h) says *what* goes wrong on the wire; this
+// layer adds *when*. A `SimClock` is a seedless virtual microsecond
 // counter that only ever moves forward; a `SimStarNetwork` is a StarNetwork
 // whose messages carry per-message latencies drawn from seeded per-server
 // distributions (base + jitter + occasional straggler multiplier), so
 // stragglers, deadlines, retry policy, and hedged queries become concrete,
-// testable virtual-time behaviours instead of abstract flags.
+// testable virtual-time behaviours instead of abstract flags. With the
+// default `SimConfig{}` every link has zero latency: byte- and
+// metering-identical to a plain StarNetwork, and the clock moves only when
+// the client waits out a deadline for an answer that never comes.
 //
 // Timeline model (one client timeline == the global clock, one timeline per
 // server):
@@ -24,12 +29,12 @@
 //     stays in flight and a later receive with a longer deadline can still
 //     get it — that is how stragglers eventually land and how hedging wins).
 //
-// Fault integration: a FaultPlan applies exactly as in FaultyStarNetwork
-// (same metering contract: the sender pays once per transmission, a crashed
-// server transmits nothing, duplicates are free), except that
-// `kDelayHalfRound` now adds `SimConfig::delay_fault_penalty_us` of latency
-// — a concrete virtual-time delay — instead of the untimed one-attempt
-// bool mark.
+// Fault integration: the metering contract is the sender pays once per
+// transmission (dropped, corrupted and truncated messages at full size),
+// a crashed server transmits nothing, and duplicates are free. Receives on
+// a dead or empty channel throw the typed `ServerUnavailable`, never
+// `ProtocolError`, so robust clients can mark the server as an erasure.
+// `kDelayHalfRound` adds `SimConfig::delay_fault_penalty_us` of latency.
 //
 // Determinism: every latency is sampled by (direction, server, ordinal)
 // from the SimConfig seed, independent of call interleaving and of
@@ -99,8 +104,7 @@ struct SimConfig {
   std::vector<ServerProfile> profiles;       // size k, or empty = default all
   std::vector<std::vector<Outage>> outages;  // per server, or empty
   // Extra latency a FaultKind::kDelayHalfRound adds — large enough to blow
-  // any sane per-attempt deadline, mirroring the untimed "delayed past the
-  // round deadline" semantics.
+  // any sane per-attempt deadline.
   std::uint64_t delay_fault_penalty_us = 1'000'000;
 
   // Same profile for every one of `k` servers.
@@ -137,22 +141,18 @@ class SimStarNetwork : public StarNetwork {
 
   SimClock& clock() { return clock_; }
   const SimClock& clock() const { return clock_; }
-  const LatencyModel& latency_model() const { return model_; }
-  const FaultPlan& plan() const { return plan_; }
 
   // Adaptive adversary interposition (net/adversary.h): controlled servers
   // see every query they receive and decide what to do with every answer
   // they are about to send (send / forge / drop / delay). Non-owning — the
   // engine must outlive the network. Nullptr disables interposition.
   void set_adversary(AdversaryEngine* engine) { adversary_ = engine; }
-  const AdversaryEngine* adversary() const { return adversary_; }
 
   // Deadline applied to subsequent client receives (kNoDeadline = block
   // until the message is ready). Deadlines only gate the client — the
   // driver of the star protocols — because that is where timeout policy
   // lives.
   void set_deadline(std::uint64_t at_us) { deadline_us_ = at_us; }
-  std::uint64_t deadline() const { return deadline_us_; }
 
   // Virtual ready-time of the message most recently handed to the client
   // (for per-server latency observations).

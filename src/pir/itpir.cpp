@@ -179,7 +179,7 @@ std::uint64_t PolyItPir::run(net::StarNetwork& net, std::span<const std::uint64_
   return decode(answers, state);
 }
 
-net::RobustResult PolyItPir::run_robust(net::StarNetwork& net,
+net::RobustResult PolyItPir::run_robust(net::SimStarNetwork& net,
                                         std::span<const std::uint64_t> database,
                                         std::size_t index,
                                         const std::optional<crypto::Prg::Seed>& spir_seed,
@@ -197,20 +197,8 @@ net::RobustResult PolyItPir::run_robust(net::StarNetwork& net,
         return queries;
       },
       [&](std::size_t s, std::size_t attempt, Bytes query) {
-        // All servers of one attempt must share the mask seed; retries use a
-        // fresh one so masks are never reused across query curves.
-        crypto::Prg::Seed derived;
-        const crypto::Prg::Seed* seed = nullptr;
-        if (spir_seed.has_value()) {
-          if (attempt == 0) {
-            seed = &*spir_seed;
-          } else {
-            derived = crypto::Prg(*spir_seed).fork_seed("robust-retry-" +
-                                                        std::to_string(attempt));
-            seed = &derived;
-          }
-        }
-        return answer(s, database, query, seed);
+        const auto seed = net::attempt_spir_seed(spir_seed, attempt);
+        return answer(s, database, query, seed ? &*seed : nullptr);
       },
       [&](const Bytes& ans) {
         Reader r(ans);

@@ -75,10 +75,11 @@ class PolyItPir {
                     std::size_t index, const std::optional<crypto::Prg::Seed>& spir_seed,
                     crypto::Prg& prg) const;
 
-  // Fault-tolerant exchange: tolerates crashed/Byzantine servers up to the
-  // provisioned redundancy (see net/robust.h), retrying with fresh
-  // randomness before throwing net::RobustProtocolError.
-  net::RobustResult run_robust(net::StarNetwork& net, std::span<const std::uint64_t> database,
+  // Fault-tolerant exchange over a virtual-time network: tolerates
+  // crashed/Byzantine servers up to the provisioned redundancy (see
+  // net/robust.h), retrying with fresh randomness before throwing
+  // net::RobustProtocolError.
+  net::RobustResult run_robust(net::SimStarNetwork& net, std::span<const std::uint64_t> database,
                                std::size_t index,
                                const std::optional<crypto::Prg::Seed>& spir_seed,
                                crypto::Prg& prg, const net::RobustConfig& cfg = {}) const;

@@ -160,7 +160,7 @@ std::uint64_t run_star(const Protocol& proto, net::StarNetwork& net,
 // polynomial's degree deg(P)*t (also the SPIR mask degree).
 template <typename Protocol>
 net::RobustResult run_robust_protocol(const Protocol& proto, const field::Fp64& field,
-                                      std::size_t degree, net::StarNetwork& net,
+                                      std::size_t degree, net::SimStarNetwork& net,
                                       std::span<const std::uint64_t> database,
                                       const std::vector<std::size_t>& indices,
                                       const std::optional<crypto::Prg::Seed>& spir_seed,
@@ -180,20 +180,8 @@ net::RobustResult run_robust_protocol(const Protocol& proto, const field::Fp64& 
         return queries;
       },
       [&](std::size_t s, std::size_t attempt, Bytes query) {
-        // All servers of one attempt must share the mask seed; retries use a
-        // fresh one so masks are never reused across query curves.
-        crypto::Prg::Seed derived;
-        const crypto::Prg::Seed* seed = nullptr;
-        if (spir_seed.has_value()) {
-          if (attempt == 0) {
-            seed = &*spir_seed;
-          } else {
-            derived = crypto::Prg(*spir_seed).fork_seed("robust-retry-" +
-                                                        std::to_string(attempt));
-            seed = &derived;
-          }
-        }
-        return proto.answer(s, database, query, seed);
+        const auto seed = net::attempt_spir_seed(spir_seed, attempt);
+        return proto.answer(s, database, query, seed ? &*seed : nullptr);
       },
       [&](const Bytes& ans) {
         Reader r(ans);
@@ -288,7 +276,7 @@ std::uint64_t MultiServerFormulaSpfe::run(net::StarNetwork& net,
 }
 
 net::RobustResult MultiServerFormulaSpfe::run_robust(
-    net::StarNetwork& net, std::span<const std::uint64_t> database,
+    net::SimStarNetwork& net, std::span<const std::uint64_t> database,
     const std::vector<std::size_t>& indices, const std::optional<crypto::Prg::Seed>& spir_seed,
     crypto::Prg& prg, const net::RobustConfig& cfg) const {
   return run_robust_protocol(*this, field_, degree_ * t_, net, database, indices, spir_seed, prg,
@@ -353,7 +341,7 @@ std::uint64_t MultiServerSumSpfe::run(net::StarNetwork& net,
   return run_star(*this, net, database, indices, spir_seed, prg);
 }
 
-net::RobustResult MultiServerSumSpfe::run_robust(net::StarNetwork& net,
+net::RobustResult MultiServerSumSpfe::run_robust(net::SimStarNetwork& net,
                                                  std::span<const std::uint64_t> database,
                                                  const std::vector<std::size_t>& indices,
                                                  const std::optional<crypto::Prg::Seed>& spir_seed,

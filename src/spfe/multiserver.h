@@ -83,7 +83,7 @@ class MultiServerFormulaSpfe {
   // client survives any mix of <= e Byzantine and <= c crashed servers,
   // retrying with fresh randomness before throwing net::RobustProtocolError
   // (see net/robust.h).
-  net::RobustResult run_robust(net::StarNetwork& net, std::span<const std::uint64_t> database,
+  net::RobustResult run_robust(net::SimStarNetwork& net, std::span<const std::uint64_t> database,
                                const std::vector<std::size_t>& indices,
                                const std::optional<crypto::Prg::Seed>& spir_seed,
                                crypto::Prg& prg, const net::RobustConfig& cfg = {}) const;
@@ -129,7 +129,7 @@ class MultiServerSumSpfe {
                     const std::optional<crypto::Prg::Seed>& spir_seed, crypto::Prg& prg) const;
 
   // See MultiServerFormulaSpfe::run_robust.
-  net::RobustResult run_robust(net::StarNetwork& net, std::span<const std::uint64_t> database,
+  net::RobustResult run_robust(net::SimStarNetwork& net, std::span<const std::uint64_t> database,
                                const std::vector<std::size_t>& indices,
                                const std::optional<crypto::Prg::Seed>& spir_seed,
                                crypto::Prg& prg, const net::RobustConfig& cfg = {}) const;

@@ -266,9 +266,8 @@ RobustStatsSession::RobustStatsSession(field::Fp64 field, std::size_t n, std::si
 net::RobustConfig RobustStatsSession::next_query_config() {
   net::RobustConfig cfg;
   cfg.max_attempts = config_.max_attempts;
-  cfg.timing.enabled = true;  // ignored over untimed networks
+  cfg.byzantine_budget = config_.byzantine_budget;
   cfg.timing.attempt_timeout_us = config_.attempt_timeout_us;
-  cfg.timing.byzantine_budget = config_.byzantine_budget;
   cfg.timing.hedge_spares = config_.hedge_spares;
   if (config_.hedge_spares > 0) {
     cfg.timing.hedge_timeout_us =
@@ -284,7 +283,7 @@ net::RobustConfig RobustStatsSession::next_query_config() {
   return cfg;
 }
 
-net::RobustResult RobustStatsSession::run_one(net::StarNetwork& net,
+net::RobustResult RobustStatsSession::run_one(net::SimStarNetwork& net,
                                               std::span<const std::uint64_t> database,
                                               const std::vector<std::size_t>& indices,
                                               const std::optional<crypto::Prg::Seed>& spir_seed) {
@@ -306,17 +305,10 @@ net::RobustResult RobustStatsSession::run_one(net::StarNetwork& net,
 
 void RobustStatsSession::tally_blame(const net::RobustnessReport& report) {
   // Every attempt counts: a liar exposed on attempt 0 stays in the tally
-  // when the retry succeeds. Reports without history (untimed single-shot
-  // paths) contribute their final verdicts once.
-  std::vector<const std::vector<net::ServerReport>*> attempts;
-  if (report.history.empty()) {
-    attempts.push_back(&report.verdicts);
-  } else {
-    for (const net::AttemptRecord& rec : report.history) attempts.push_back(&rec.verdicts);
-  }
-  for (const auto* verdicts : attempts) {
-    for (std::size_t s = 0; s < verdicts->size() && s < blame_.size(); ++s) {
-      switch ((*verdicts)[s].blame) {
+  // when the retry succeeds.
+  for (const net::AttemptRecord& rec : report.history) {
+    for (std::size_t s = 0; s < rec.verdicts.size() && s < blame_.size(); ++s) {
+      switch (rec.verdicts[s].blame) {
         case net::Blame::kNone:
           break;
         case net::Blame::kByzantine:
@@ -333,7 +325,7 @@ void RobustStatsSession::tally_blame(const net::RobustnessReport& report) {
   }
 }
 
-net::RobustResult RobustStatsSession::sum(net::StarNetwork& net,
+net::RobustResult RobustStatsSession::sum(net::SimStarNetwork& net,
                                           std::span<const std::uint64_t> database,
                                           const std::vector<std::size_t>& indices,
                                           const std::optional<crypto::Prg::Seed>& spir_seed) {
@@ -342,7 +334,7 @@ net::RobustResult RobustStatsSession::sum(net::StarNetwork& net,
 }
 
 MeanVarianceResult RobustStatsSession::mean_variance(
-    net::StarNetwork& net, std::span<const std::uint64_t> database,
+    net::SimStarNetwork& net, std::span<const std::uint64_t> database,
     const std::vector<std::size_t>& indices, const std::optional<crypto::Prg::Seed>& spir_seed,
     net::RobustnessReport* sum_report, net::RobustnessReport* squares_report) {
   SPFE_OBS_SPAN("stats.robust_mean_variance");

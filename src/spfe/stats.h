@@ -95,7 +95,7 @@ struct RobustStatsConfig {
   std::size_t max_attempts = 3;
   std::uint64_t attempt_timeout_us = 50'000;
   // The e used when provisioning num_servers: in-attempt decodes wait for
-  // degree + 1 + 2e usable answers (see net::TimingPolicy::byzantine_budget).
+  // net::decode_quorum usable answers (see net::RobustConfig::byzantine_budget).
   std::size_t byzantine_budget = 0;
   // Hedge spares held back per query; 0 disables hedging. The hedge
   // deadline adapts to observed latency: max(hedge_floor_us, the
@@ -128,7 +128,8 @@ struct ServerBlameTally {
 // offenders to hedge-spare duty, and (2) sets its hedge deadline from the
 // latency the deployment actually delivers rather than a static guess.
 // Everything is driven by the session seed — a session replays
-// deterministically over a seeded SimStarNetwork.
+// deterministically over a seeded SimStarNetwork (zero-latency links with
+// `SimConfig{}`).
 class RobustStatsSession {
  public:
   // `num_servers` should come from net::provisioned_servers(t*ceil(log2 n),
@@ -147,7 +148,7 @@ class RobustStatsSession {
 
   // Robust sum of the selected items. Feeds the outcome (success or
   // terminal failure) into the health tracker, then returns or rethrows.
-  net::RobustResult sum(net::StarNetwork& net, std::span<const std::uint64_t> database,
+  net::RobustResult sum(net::SimStarNetwork& net, std::span<const std::uint64_t> database,
                         const std::vector<std::size_t>& indices,
                         const std::optional<crypto::Prg::Seed>& spir_seed);
 
@@ -155,7 +156,7 @@ class RobustStatsSession {
   // and one over the server-side squares view x''_i = x_i^2 (independent
   // query curves). Requires p > m * max(x)^2 for the aggregates to be
   // integer-exact. Optional out-params expose the per-query reports.
-  MeanVarianceResult mean_variance(net::StarNetwork& net,
+  MeanVarianceResult mean_variance(net::SimStarNetwork& net,
                                    std::span<const std::uint64_t> database,
                                    const std::vector<std::size_t>& indices,
                                    const std::optional<crypto::Prg::Seed>& spir_seed,
@@ -166,7 +167,7 @@ class RobustStatsSession {
   // Per-query robust config: fresh backoff seed, health-ranked send order,
   // latency-adaptive hedge deadline.
   net::RobustConfig next_query_config();
-  net::RobustResult run_one(net::StarNetwork& net, std::span<const std::uint64_t> database,
+  net::RobustResult run_one(net::SimStarNetwork& net, std::span<const std::uint64_t> database,
                             const std::vector<std::size_t>& indices,
                             const std::optional<crypto::Prg::Seed>& spir_seed);
   void tally_blame(const net::RobustnessReport& report);

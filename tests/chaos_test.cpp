@@ -9,9 +9,6 @@
 //   * the network drains back to idle either way;
 //   * the same schedule label replays to a byte-identical transcript (and
 //     report) at every SPFE_THREADS setting;
-//   * with timing disabled, a zero-latency SimStarNetwork is byte-identical
-//     to the PR 4 FaultyStarNetwork robust path, and a slack timed run is
-//     byte-identical to the untimed transcript;
 //   * hedging beats head-of-line-blocking stragglers by >= 2x in virtual
 //     completion time (the bench_robust exit-code gate, asserted here on a
 //     deterministic schedule);
@@ -32,6 +29,7 @@
 #include "net/robust.h"
 #include "net/sim.h"
 #include "obs/obs.h"
+#include "recording_net.h"
 #include "spfe/multiserver.h"
 #include "spfe/stats.h"
 
@@ -41,6 +39,7 @@ using spfe::Bytes;
 using spfe::common::ThreadPool;
 using spfe::crypto::Prg;
 using spfe::field::Fp64;
+using spfe::testnet::RecordingNet;
 using namespace spfe::net;
 namespace obs = spfe::obs;
 
@@ -49,25 +48,6 @@ std::vector<std::uint64_t> test_database(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) db[i] = i * i + 3;
   return db;
 }
-
-// Send-transcript recorder (same channel numbering as fault_fuzz_test).
-template <typename Base>
-class RecordingNet : public Base {
- public:
-  template <typename... Args>
-  explicit RecordingNet(Args&&... args) : Base(std::forward<Args>(args)...) {}
-
-  void client_send(std::size_t s, Bytes message) override {
-    log.emplace_back(s, message);
-    Base::client_send(s, std::move(message));
-  }
-  void server_send(std::size_t s, Bytes message) override {
-    log.emplace_back(this->num_servers() + s, message);
-    Base::server_send(s, std::move(message));
-  }
-
-  std::vector<std::pair<std::size_t, Bytes>> log;
-};
 
 struct Outcome {
   bool ok = false;
@@ -113,9 +93,8 @@ Outcome run_schedule(const std::string& label) {
 
   RobustConfig rc;
   rc.max_attempts = 3;
-  rc.timing.enabled = true;
   rc.timing.attempt_timeout_us = 30'000;
-  rc.timing.byzantine_budget = e;  // trust no decode a lie could survive
+  rc.byzantine_budget = e;  // trust no decode a lie could survive
   rc.timing.hedge_spares = spares;
   rc.timing.hedge_timeout_us = spares == 0 ? 0 : 300 + meta.uniform(700);
   rc.timing.backoff_seed = meta.fork_seed("backoff");
@@ -207,81 +186,6 @@ TEST(ChaosSweepTest, TranscriptsAreThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Parity with the PR 4 untimed robust path.
-
-// Timing disabled: a zero-latency SimStarNetwork must be byte-identical to
-// the FaultyStarNetwork under the same fault plan. Plans are byzantine-only:
-// corruption, truncation, and duplication have identical semantics on both
-// networks, while kDelayHalfRound deliberately differs (one-attempt mark vs
-// a concrete latency penalty).
-TEST(ChaosParityTest, UntimedSimMatchesFaultyNetworkByteForByte) {
-  const Fp64 field(Fp64::kMersenne61);
-  const auto db = test_database(64);
-  const std::vector<std::size_t> indices = {5, 41};
-  const std::size_t k = provisioned_servers(6, 1, 0);
-  const spfe::protocols::MultiServerSumSpfe proto(field, 64, 2, k, 1);
-
-  for (std::size_t rep = 0; rep < 8; ++rep) {
-    const std::string label = "parity-" + std::to_string(rep);
-    Prg plan_prg_a(label);
-    Prg plan_prg_b(label);
-    const FaultPlan plan_a = FaultPlan::random(plan_prg_a, k, 1, 0);
-    const FaultPlan plan_b = FaultPlan::random(plan_prg_b, k, 1, 0);
-
-    RecordingNet<FaultyStarNetwork> faulty(k, plan_a);
-    Prg prg_a("proto-" + label);
-    const auto seed_a = prg_a.fork_seed("spir");
-    const RobustResult res_a = proto.run_robust(faulty, db, indices, seed_a, prg_a);
-
-    RecordingNet<SimStarNetwork> sim(k, SimConfig{}, plan_b);
-    Prg prg_b("proto-" + label);
-    const auto seed_b = prg_b.fork_seed("spir");
-    const RobustResult res_b = proto.run_robust(sim, db, indices, seed_b, prg_b);
-
-    EXPECT_EQ(res_a.value, res_b.value) << label;
-    EXPECT_EQ(res_a.report.summary(), res_b.report.summary()) << label;
-    EXPECT_EQ(faulty.log, sim.log) << label;
-    EXPECT_EQ(faulty.stats().client_to_server_bytes, sim.stats().client_to_server_bytes);
-    EXPECT_EQ(faulty.stats().server_to_client_bytes, sim.stats().server_to_client_bytes);
-    EXPECT_EQ(faulty.stats().client_to_server_messages, sim.stats().client_to_server_messages);
-    EXPECT_EQ(faulty.stats().server_to_client_messages, sim.stats().server_to_client_messages);
-    EXPECT_EQ(faulty.stats().half_rounds, sim.stats().half_rounds);
-    EXPECT_EQ(sim.clock().now_us(), 0u) << label;  // zero latency: time stands still
-    EXPECT_TRUE(faulty.idle());
-    EXPECT_TRUE(sim.idle());
-  }
-}
-
-// Timing enabled but slack (no faults, zero latency, hedging off, generous
-// deadline): the timed driver must reproduce the untimed transcript exactly.
-TEST(ChaosParityTest, SlackTimedPathMatchesUntimedTranscript) {
-  const Fp64 field(Fp64::kMersenne61);
-  const auto db = test_database(64);
-  const std::vector<std::size_t> indices = {5, 41};
-  const std::size_t k = provisioned_servers(6, 1, 1);
-  const spfe::protocols::MultiServerSumSpfe proto(field, 64, 2, k, 1);
-
-  RecordingNet<FaultyStarNetwork> untimed(k, FaultPlan{});
-  Prg prg_a("slack-timed");
-  const auto seed_a = prg_a.fork_seed("spir");
-  const RobustResult res_a = proto.run_robust(untimed, db, indices, seed_a, prg_a);
-
-  RecordingNet<SimStarNetwork> timed(k, SimConfig{});
-  RobustConfig rc;
-  rc.timing.enabled = true;
-  rc.timing.attempt_timeout_us = 1'000'000;
-  Prg prg_b("slack-timed");
-  const auto seed_b = prg_b.fork_seed("spir");
-  const RobustResult res_b = proto.run_robust(timed, db, indices, seed_b, prg_b, rc);
-
-  EXPECT_EQ(res_a.value, res_b.value);
-  EXPECT_EQ(res_a.report.summary(), res_b.report.summary());
-  EXPECT_EQ(untimed.log, timed.log);
-  EXPECT_EQ(untimed.stats().half_rounds, timed.stats().half_rounds);
-  EXPECT_EQ(untimed.stats().total_bytes(), timed.stats().total_bytes());
-}
-
-// ---------------------------------------------------------------------------
 // Hedging vs head-of-line blocking (the bench_robust gate, deterministic).
 
 TEST(ChaosHedgeTest, HedgingBeatsStragglersByTwoX) {
@@ -304,8 +208,7 @@ TEST(ChaosHedgeTest, HedgingBeatsStragglersByTwoX) {
   const auto run_once = [&](std::uint64_t hedge_timeout_us) {
     SimStarNetwork net(k, cfg);
     RobustConfig rc;
-    rc.timing.enabled = true;
-    rc.timing.attempt_timeout_us = 300'000;
+      rc.timing.attempt_timeout_us = 300'000;
     rc.timing.hedge_timeout_us = hedge_timeout_us;
     rc.timing.hedge_spares = hedge_timeout_us == 0 ? 0 : spares;
     Prg prg("hedge-gate-run");

@@ -1,15 +1,16 @@
 // Seeded fault-schedule fuzz sweep over the robust multi-server protocols
-// (ctest label: fault-fuzz).
+// (ctest label: fault-fuzz), run over a zero-latency SimStarNetwork.
 //
 // For every (e, c) budget in {0,1,2}^2 the client is provisioned with
-// k = d + 1 + 2e + c servers and run against many random `FaultPlan`s with
-// <= e Byzantine and <= c unavailable servers: the result must equal the
-// honest output exactly and the network must drain back to idle. Plans
-// beyond the budget must yield either the exact honest output (when enough
-// corruptions happen to be *detected*, which makes them cheap erasures) or a
-// typed RobustProtocolError — never a wrong value, never a foreign
-// exception, never a hang. A zero-fault plan must be byte-identical to the
-// plain `run()` transcript.
+// k = d + 1 + 2e + c servers, told `byzantine_budget = e`, and run against
+// many random `FaultPlan`s with <= e Byzantine and <= c unavailable
+// servers: the result must equal the honest output exactly and the network
+// must drain back to idle. Plans beyond the budget must yield either the
+// exact honest output (when enough corruptions happen to be *detected*,
+// which makes them cheap erasures) or a typed RobustProtocolError — never a
+// wrong value, never a foreign exception, never a hang. Two handcrafted
+// regression cells pin the decode-quorum rule at its boundary, and a
+// zero-fault run must be byte-identical to the plain `run()` transcript.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -22,14 +23,16 @@
 #include "field/fp64.h"
 #include "net/fault.h"
 #include "net/robust.h"
+#include "net/sim.h"
 #include "pir/itpir.h"
+#include "recording_net.h"
 #include "spfe/multiserver.h"
 
 namespace {
 
-using spfe::Bytes;
 using spfe::crypto::Prg;
 using spfe::field::Fp64;
+using spfe::testnet::RecordingNet;
 using namespace spfe::net;
 
 // One protocol family at a fixed degree d; `run` builds a k-server instance
@@ -37,7 +40,9 @@ using namespace spfe::net;
 struct ProtocolCase {
   std::string name;
   std::size_t degree;
-  std::function<RobustResult(std::size_t k, StarNetwork& net, Prg& prg)> run;
+  std::function<RobustResult(std::size_t k, SimStarNetwork& net, Prg& prg,
+                             const RobustConfig& rc)>
+      run;
   std::uint64_t expected;
 };
 
@@ -57,10 +62,11 @@ std::vector<ProtocolCase> protocol_cases() {
     const std::vector<std::size_t> indices = {5, 41};
     const std::uint64_t expected = field.add(db[5], db[41]);
     cases.push_back({"sum-spfe", 6,
-                     [field, db, indices](std::size_t k, StarNetwork& net, Prg& prg) {
+                     [field, db, indices](std::size_t k, SimStarNetwork& net, Prg& prg,
+                                          const RobustConfig& rc) {
                        const spfe::protocols::MultiServerSumSpfe proto(field, 64, 2, k, 1);
                        const auto seed = prg.fork_seed("spir");
-                       return proto.run_robust(net, db, indices, seed, prg);
+                       return proto.run_robust(net, db, indices, seed, prg, rc);
                      },
                      expected});
   }
@@ -70,11 +76,12 @@ std::vector<ProtocolCase> protocol_cases() {
     const std::vector<std::size_t> indices = {3, 8};
     const std::uint64_t expected = db[3] & db[8];
     cases.push_back({"formula-spfe", 8,
-                     [field, db, indices](std::size_t k, StarNetwork& net, Prg& prg) {
+                     [field, db, indices](std::size_t k, SimStarNetwork& net, Prg& prg,
+                                          const RobustConfig& rc) {
                        const spfe::protocols::MultiServerFormulaSpfe proto(
                            field, spfe::circuits::Formula::parse("x0 & x1"), 16, k, 1);
                        const auto seed = prg.fork_seed("spir");
-                       return proto.run_robust(net, db, indices, seed, prg);
+                       return proto.run_robust(net, db, indices, seed, prg, rc);
                      },
                      expected});
   }
@@ -83,10 +90,11 @@ std::vector<ProtocolCase> protocol_cases() {
     const auto db = test_database(64, /*bits=*/false);
     const std::size_t index = 23;
     cases.push_back({"poly-itpir", 6,
-                     [field, db, index](std::size_t k, StarNetwork& net, Prg& prg) {
+                     [field, db, index](std::size_t k, SimStarNetwork& net, Prg& prg,
+                                        const RobustConfig& rc) {
                        const spfe::pir::PolyItPir proto(field, 64, k, 1);
                        const auto seed = prg.fork_seed("spir");
-                       return proto.run_robust(net, db, index, seed, prg);
+                       return proto.run_robust(net, db, index, seed, prg, rc);
                      },
                      db[index]});
   }
@@ -96,7 +104,9 @@ std::vector<ProtocolCase> protocol_cases() {
 class FaultFuzzTest : public ::testing::TestWithParam<const char*> {};
 
 // Every plan within the provisioned e/c budget must decode to the exact
-// honest value and leave the network drained.
+// honest value and leave the network drained — including plans whose
+// Byzantine servers get caught (a malformed answer or a rejected query),
+// which leave fewer than d + 1 + 2e usable answers.
 TEST_P(FaultFuzzTest, WithinBudgetAlwaysExact) {
   Prg meta(std::string("within-") + GetParam());
   for (const ProtocolCase& pc : protocol_cases()) {
@@ -107,12 +117,13 @@ TEST_P(FaultFuzzTest, WithinBudgetAlwaysExact) {
           const std::string label = pc.name + "-" + std::to_string(e) + "-" + std::to_string(c) +
                                     "-" + std::to_string(rep);
           Prg plan_prg = meta.fork("plan-" + label);
-          const FaultPlan plan = FaultPlan::random(plan_prg, k, e, c);
-          FaultyStarNetwork net(k, plan);
+          SimStarNetwork net(k, SimConfig{}, FaultPlan::random(plan_prg, k, e, c));
           Prg proto_prg = meta.fork("proto-" + label);
+          RobustConfig rc;
+          rc.byzantine_budget = e;
           RobustResult res;
           try {
-            res = pc.run(k, net, proto_prg);
+            res = pc.run(k, net, proto_prg, rc);
           } catch (const spfe::Error& err) {
             FAIL() << label << ": within-budget plan failed: " << err.what();
           }
@@ -155,11 +166,12 @@ TEST_P(FaultFuzzTest, BeyondBudgetNeverWrong) {
         const std::string label = pc.name + "-ov" + std::to_string(ov.inj_b) +
                                   std::to_string(ov.inj_u) + "-" + std::to_string(rep);
         Prg plan_prg = meta.fork("plan-" + label);
-        const FaultPlan plan = FaultPlan::random(plan_prg, k, ov.inj_b, ov.inj_u);
-        FaultyStarNetwork net(k, plan);
+        SimStarNetwork net(k, SimConfig{}, FaultPlan::random(plan_prg, k, ov.inj_b, ov.inj_u));
         Prg proto_prg = meta.fork("proto-" + label);
+        RobustConfig rc;
+        rc.byzantine_budget = ov.prov_e;
         try {
-          const RobustResult res = pc.run(k, net, proto_prg);
+          const RobustResult res = pc.run(k, net, proto_prg, rc);
           EXPECT_EQ(res.value, pc.expected) << label << ": decoded a wrong value";
         } catch (const RobustProtocolError& err) {
           EXPECT_FALSE(err.report().success) << label;
@@ -180,10 +192,10 @@ TEST_P(FaultFuzzTest, TotalCrashGivesDiagnosticReport) {
     const std::size_t k = pc.degree + 1 + 2 + 1;  // e = 1, c = 1
     FaultPlan plan;
     for (std::size_t s = 0; s < k; ++s) plan.crash_after(s, 1);  // die after the query
-    FaultyStarNetwork net(k, plan);
+    SimStarNetwork net(k, SimConfig{}, plan);
     Prg prg(std::string("overwhelm-") + GetParam());
     try {
-      pc.run(k, net, prg);
+      pc.run(k, net, prg, RobustConfig{});
       FAIL() << pc.name << ": total crash must not decode";
     } catch (const RobustProtocolError& err) {
       const RobustnessReport& rep = err.report();
@@ -204,27 +216,89 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FaultFuzzTest,
                          ::testing::Values("fuzz-seed-1", "fuzz-seed-2", "fuzz-seed-3"));
 
 // ---------------------------------------------------------------------------
-// Zero-fault transcript equivalence: run_robust over an empty FaultPlan must
-// be byte-identical to the plain run() — same values, same metering, same
-// per-channel message bytes in the same order.
+// Decode-quorum regression cells: PolyItPir, n = 64, t = 1 (d = 6),
+// byzantine_budget = the provisioned e.
 
-template <typename Base>
-class RecordingNet : public Base {
- public:
-  template <typename... Args>
-  explicit RecordingNet(Args&&... args) : Base(std::forward<Args>(args)...) {}
-
-  void client_send(std::size_t s, Bytes message) override {
-    log.emplace_back(s, message);
-    Base::client_send(s, std::move(message));
+// Crashes beyond the budget plus one lie within it (k = 9: e = 1, c = 0).
+// Two crashes leave exactly d + 1 answers with the lie among them, and any
+// d + 1 points interpolate, so a decode at the bare quorum is silently
+// wrong. The quorum stays at d + 1 + 2e: a typed error, never a value.
+TEST(FaultFuzzRegressionTest, CrashesOverBudgetWithOneLieFailClosed) {
+  const Fp64 field(Fp64::kMersenne61);
+  const auto db = test_database(64, /*bits=*/false);
+  const std::size_t k = provisioned_servers(6, 1, 0);
+  const spfe::pir::PolyItPir pir(field, 64, k, 1);
+  RobustConfig rc;
+  rc.byzantine_budget = 1;
+  FaultPlan plan;
+  plan.crash_after(0, 1);
+  plan.crash_after(1, 1);
+  for (std::size_t r = 0; r < rc.max_attempts; ++r) {
+    plan.add(Direction::kServerToClient, 2, r, Fault{FaultKind::kCorruptByte, 1, 0x5a, 0});
   }
-  void server_send(std::size_t s, Bytes message) override {
-    log.emplace_back(this->num_servers() + s, message);
-    Base::server_send(s, std::move(message));
+  for (std::size_t i = 0; i < 50; ++i) {
+    const std::string label = "probe-" + std::to_string(i);
+    const std::size_t index = (i * 13 + 5) % 64;
+    SimStarNetwork net(k, SimConfig{}, plan);
+    Prg prg(label);
+    const auto seed = prg.fork_seed("spir");
+    try {
+      const RobustResult res = pir.run_robust(net, db, index, seed, prg, rc);
+      ADD_FAILURE() << label << ": returned " << res.value << " (honest " << db[index]
+                    << ") from d + 1 answers with a lie among them";
+    } catch (const RobustProtocolError& err) {
+      EXPECT_EQ(err.report().attempts, rc.max_attempts) << label;
+      EXPECT_NE(err.report().failure_reason.find("quorum needs 9"), std::string::npos)
+          << label << ": " << err.report().failure_reason;
+    }
+    EXPECT_TRUE(net.idle()) << label;
   }
+}
 
-  std::vector<std::pair<std::size_t, Bytes>> log;
-};
+// A caught liar is an erasure and costs one point (k = 10: e = c = 1).
+// Server 3 truncates every answer and server 5 is dead on arrival, leaving
+// d + 2 usable answers. Charged two points, the caught liar would hold the
+// quorum at d + 1 + 2e and fail closed; as an erasure it lowers the quorum
+// to d + 1, and attempt 1 decodes.
+TEST(FaultFuzzRegressionTest, CaughtLiarCostsOnePoint) {
+  const Fp64 field(Fp64::kMersenne61);
+  const auto db = test_database(64, /*bits=*/false);
+  const std::size_t k = provisioned_servers(6, 1, 1);
+  const spfe::pir::PolyItPir pir(field, 64, k, 1);
+  RobustConfig rc;
+  rc.byzantine_budget = 1;
+  FaultPlan plan;
+  for (std::size_t r = 0; r < rc.max_attempts; ++r) {
+    plan.add(Direction::kServerToClient, 3, r, Fault{FaultKind::kTruncate, 0, 0x01, 3});
+  }
+  plan.crash_after(5, 0);
+  for (std::size_t i = 0; i < 20; ++i) {
+    const std::string label = "caught-liar-" + std::to_string(i);
+    const std::size_t index = (i * 29 + 3) % 64;
+    SimStarNetwork net(k, SimConfig{}, plan);
+    Prg prg(label);
+    const auto seed = prg.fork_seed("spir");
+    RobustResult res;
+    try {
+      res = pir.run_robust(net, db, index, seed, prg, rc);
+    } catch (const RobustProtocolError& err) {
+      FAIL() << label << ": within-budget plan failed: " << err.what();
+    }
+    EXPECT_EQ(res.value, db[index]) << label;
+    EXPECT_EQ(res.report.attempts, 1u) << label;
+    EXPECT_EQ(res.report.erasures, 2u) << label;
+    EXPECT_EQ(res.report.verdicts[3].fate, ServerFate::kMalformed) << label;
+    EXPECT_EQ(res.report.verdicts[3].blame, Blame::kByzantine) << label;
+    EXPECT_EQ(res.report.verdicts[5].fate, ServerFate::kUnavailable) << label;
+    EXPECT_TRUE(net.idle()) << label;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Zero-fault transcript equivalence: run_robust over a fault-free
+// zero-latency SimStarNetwork must be byte-identical to the plain run() —
+// same values, same metering, same per-channel message bytes in the same
+// order.
 
 TEST(ZeroFaultTranscriptTest, RobustRunMatchesPlainRunByteForByte) {
   const Fp64 field(Fp64::kMersenne61);
@@ -237,7 +311,7 @@ TEST(ZeroFaultTranscriptTest, RobustRunMatchesPlainRunByteForByte) {
   const auto plain_seed = plain_prg.fork_seed("spir");
   const std::uint64_t plain_value = proto.run(plain_net, db, indices, plain_seed, plain_prg);
 
-  RecordingNet<FaultyStarNetwork> robust_net(proto.num_servers(), FaultPlan{});
+  RecordingNet<SimStarNetwork> robust_net(proto.num_servers(), SimConfig{});
   Prg robust_prg("zero-fault-transcript");
   const auto robust_seed = robust_prg.fork_seed("spir");
   const RobustResult res = proto.run_robust(robust_net, db, indices, robust_seed, robust_prg);
@@ -272,7 +346,7 @@ TEST(ZeroFaultTranscriptTest, ItPirRobustRunMatchesPlainRun) {
   const std::uint64_t plain_value = proto.run(plain_net, db, 23, plain_seed, plain_prg);
   EXPECT_EQ(plain_value, db[23]);
 
-  RecordingNet<FaultyStarNetwork> robust_net(7, FaultPlan{});
+  RecordingNet<SimStarNetwork> robust_net(7, SimConfig{});
   Prg robust_prg("itpir-zero-fault");
   const auto robust_seed = robust_prg.fork_seed("spir");
   const RobustResult res = proto.run_robust(robust_net, db, 23, robust_seed, robust_prg);

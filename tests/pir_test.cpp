@@ -432,7 +432,7 @@ TEST(PolyItPirRobust, RunRobustSurvivesCrashAndLie) {
   plan.crash_after(2, 0);  // server 2 dead on arrival
   plan.add(net::Direction::kServerToClient, 6, 0,
            net::Fault{net::FaultKind::kCorruptByte, 1, 0x40, 0});  // server 6 lies
-  net::FaultyStarNetwork net(k, plan);
+  net::SimStarNetwork net(k, net::SimConfig{}, plan);
   crypto::Prg prg("itpir-run-robust");
   const auto seed = prg.fork_seed("spir");
   const net::RobustResult res = pir.run_robust(net, db, 29, seed, prg);

@@ -240,10 +240,10 @@ TEST(DecodeWithErasures, BeyondBudgetReturnsNullopt) {
 // The adversary engine's ConsistentLieStrategy (net/adversary.h) corrupts
 // points with one shared offset delta, so every lie sits on the *same*
 // degree-d polynomial P + delta — the attack class no per-point check can
-// see. These tests pin the exact decode boundaries the robust drivers rely
+// see. These tests pin the exact decode boundaries `run_robust_star` relies
 // on: e such lies at d+1+2e are corrected, e+1 fail closed (never a wrong
 // value), and at the bare d+1 interpolation quorum a single lie decodes
-// silently wrong — the reason TimingPolicy::byzantine_budget raises the
+// silently wrong — the reason RobustConfig::byzantine_budget raises the
 // early-decode quorum (tests/adversary_test.cpp witnesses it end-to-end).
 
 TEST(ConsistentLieTightness, ExactlyEConsistentLiesAreCorrected) {

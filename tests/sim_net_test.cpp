@@ -1,5 +1,5 @@
 // Virtual-time network layer: clock/latency/deadline semantics, the PR 6
-// metering invariants re-asserted under the clocked path, the timed robust
+// metering invariants re-asserted under the clocked path, the robust
 // driver's policy helpers, and the session health tracker.
 #include <gtest/gtest.h>
 
@@ -185,8 +185,13 @@ TEST(SimStarNetworkTest, DelayFaultBecomesConcreteLatency) {
   net.client_send(0, Bytes{1});
   net.server_receive(0);
   net.server_send(0, Bytes{2});
+  const CommStats before = net.stats();
   net.set_deadline(4999);
   EXPECT_THROW(net.client_receive(0), ServerUnavailable);  // delayed past it
+  // The miss is a receive-side event: metering is untouched by it.
+  EXPECT_EQ(net.stats().server_to_client_bytes, before.server_to_client_bytes);
+  EXPECT_EQ(net.stats().server_to_client_messages, before.server_to_client_messages);
+  EXPECT_EQ(net.stats().half_rounds, before.half_rounds);
   net.set_deadline(SimStarNetwork::kNoDeadline);
   EXPECT_EQ(net.client_receive(0), Bytes{2});
   EXPECT_EQ(net.clock().now_us(), 5000u);
@@ -229,7 +234,11 @@ TEST(SimStarNetworkTest, EarliestClientReadyPicksArrivalOrder) {
 // PR 6 metering invariants, re-asserted under the clocked path.
 
 TEST(SimMeteringTest, ZeroByteMessagesAreMeteredAsMessages) {
-  SimStarNetwork net(1, SimConfig::uniform(1, ServerProfile{}, seed_of("sim-zero")));
+  // A corrupt fault on an empty payload has no byte to flip: it must not
+  // crash and still delivers the empty message.
+  FaultPlan plan;
+  plan.add(Direction::kClientToServer, 0, 0, Fault{FaultKind::kCorruptByte, 3, 0xFF, 0});
+  SimStarNetwork net(1, SimConfig::uniform(1, ServerProfile{}, seed_of("sim-zero")), plan);
   net.client_send(0, Bytes{});
   EXPECT_EQ(net.stats().client_to_server_messages, 1u);
   EXPECT_EQ(net.stats().client_to_server_bytes, 0u);
@@ -295,6 +304,12 @@ TEST(TimingPolicyTest, ProvisioningHelper) {
   EXPECT_EQ(provisioned_servers(6, 0, 0), 7u);
   EXPECT_EQ(provisioned_servers(6, 1, 2), 11u);
   EXPECT_EQ(provisioned_servers(6, 1, 1, 3), 13u);
+  // A caught liar is an erasure: each one lowers the decode quorum by two,
+  // never below the bare interpolation quorum d+1.
+  EXPECT_EQ(decode_quorum(6, 0, 0), 7u);
+  EXPECT_EQ(decode_quorum(6, 2, 0), 11u);
+  EXPECT_EQ(decode_quorum(6, 2, 1), 9u);
+  EXPECT_EQ(decode_quorum(6, 1, 3), 7u);
 }
 
 TEST(TimingPolicyTest, BackoffIsExponentialCappedAndJittered) {
@@ -330,8 +345,8 @@ TEST(TimingPolicyTest, SendOrderValidation) {
 }
 
 // ---------------------------------------------------------------------------
-// Timed robust exchange over the sum SPFE (small smoke; the chaos sweep
-// exercises the full schedule space).
+// Robust exchange over the sum SPFE (small smoke; the chaos sweep exercises
+// the full schedule space).
 
 TEST(TimedRobustTest, DeadlinesTurnStragglersIntoErasures) {
   const Fp64 field(Fp64::kMersenne61);
@@ -354,7 +369,6 @@ TEST(TimedRobustTest, DeadlinesTurnStragglersIntoErasures) {
   SimStarNetwork net(k, cfg);
 
   RobustConfig rc;
-  rc.timing.enabled = true;
   rc.timing.attempt_timeout_us = 1000;  // straggler needs 3100+
   Prg prg("timed-robust");
   const auto seed = prg.fork_seed("spir");
@@ -393,7 +407,6 @@ TEST(TimedRobustTest, HedgeSparesRescueStragglers) {
   SimStarNetwork net(k, cfg);
 
   RobustConfig rc;
-  rc.timing.enabled = true;
   rc.timing.attempt_timeout_us = 20'000;
   rc.timing.hedge_timeout_us = 500;
   rc.timing.hedge_spares = spares;
@@ -425,7 +438,6 @@ TEST(TimedRobustTest, UnusedSparesAreReportedAsSpares) {
   fast.base_us = 50;
   SimStarNetwork net(k, SimConfig::uniform(k, fast, seed_of("timed-spare")));
   RobustConfig rc;
-  rc.timing.enabled = true;
   rc.timing.attempt_timeout_us = 10'000;
   rc.timing.hedge_timeout_us = 500;
   rc.timing.hedge_spares = 2;
@@ -468,11 +480,10 @@ TEST(TimedRobustTest, ByzantineLieCannotSurviveEarlyDecode) {
   SimStarNetwork net(k, cfg, plan);
 
   RobustConfig rc;
-  rc.timing.enabled = true;
   rc.timing.attempt_timeout_us = 20'000;
   rc.timing.hedge_timeout_us = 500;
   rc.timing.hedge_spares = spares;
-  rc.timing.byzantine_budget = 1;  // provisioned e
+  rc.byzantine_budget = 1;  // provisioned e
   const spfe::protocols::MultiServerSumSpfe proto(field, 64, 2, k, 1);
   Prg prg("timed-lie");
   const auto seed = prg.fork_seed("spir");
@@ -503,7 +514,6 @@ TEST(TimedRobustTest, RetriesBackOffInVirtualTime) {
   SimStarNetwork net(k, SimConfig::uniform(k, fast, seed_of("timed-retry")), plan);
   RobustConfig rc;
   rc.max_attempts = 3;
-  rc.timing.enabled = true;
   rc.timing.attempt_timeout_us = 1'000;
   rc.timing.backoff_base_us = 2'000;
   rc.timing.backoff_max_us = 16'000;
