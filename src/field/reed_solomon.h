@@ -3,7 +3,7 @@
 // Implements the §3.1 fault-tolerance remark: "t' malicious servers can be
 // tolerated by adding 2t' additional servers". The servers' answers lie on a
 // degree-d polynomial; with k >= d + 1 + 2e points of which at most e are
-// corrupted, `berlekamp_welch` recovers the polynomial's value at any point.
+// corrupted, `berlekamp_welch_decode` recovers the polynomial.
 //
 // The robust protocol clients additionally face *erasures* — servers that
 // crashed or whose answers failed to parse. An erasure costs one point, a
@@ -200,18 +200,6 @@ std::optional<RsDecoding<F>> decode_with_erasures(const F& field,
   if (s < d + 1) return std::nullopt;
   const std::size_t e_cap = (s - d - 1) / 2;
   return berlekamp_welch_decode(field, xs, ys, d, e_cap);
-}
-
-// Decodes and evaluates at `at`; nullopt when decoding fails (more errors
-// than the budget).
-template <FieldLike F>
-std::optional<typename F::value_type> berlekamp_welch(
-    const F& field, const std::vector<typename F::value_type>& xs,
-    const std::vector<typename F::value_type>& ys, std::size_t d, std::size_t max_errors,
-    const typename F::value_type& at) {
-  const auto decoding = berlekamp_welch_decode(field, xs, ys, d, max_errors);
-  if (!decoding.has_value()) return std::nullopt;
-  return decoding->eval(field, at);
 }
 
 }  // namespace spfe::field

@@ -1,22 +1,31 @@
 #include "pir/itpir.h"
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "common/secret.h"
 #include "common/serialize.h"
 #include "field/polynomial.h"
-#include "field/reed_solomon.h"
 #include "obs/obs.h"
 
 namespace spfe::pir {
 namespace {
 
-std::size_t index_bits_for(std::size_t n) {
+// One server's answer: a single field element.
+std::uint64_t parse_answer(const field::Fp64& field, BytesView answer) {
+  Reader r(answer);
+  const std::uint64_t y = r.u64();
+  r.expect_done();
+  if (y >= field.modulus()) throw ProtocolError("instance hiding: answer out of field");
+  return y;
+}
+
+}  // namespace
+
+std::size_t selection_bits(std::size_t n) {
   std::size_t l = 0;
   while ((std::size_t(1) << l) < n) ++l;
   return std::max<std::size_t>(l, 1);
 }
-
-}  // namespace
 
 std::uint64_t eval_selection_polynomial(const field::Fp64& f,
                                         std::span<const std::uint64_t> database,
@@ -44,77 +53,103 @@ std::uint64_t eval_selection_polynomial(const field::Fp64& f,
   return acc;
 }
 
-PolyItPir::PolyItPir(field::Fp64 field, std::size_t n, std::size_t num_servers,
-                     std::size_t threshold)
-    : field_(field), n_(n), k_(num_servers), t_(threshold), l_(index_bits_for(n)) {
-  if (n == 0) throw InvalidArgument("PolyItPir: empty database");
-  if (threshold == 0) throw InvalidArgument("PolyItPir: threshold must be >= 1");
-  if (num_servers <= threshold * l_) {
-    throw InvalidArgument("PolyItPir: need more than t*log2(n) servers");
+InstanceHiding::InstanceHiding(field::Fp64 field, std::size_t n, std::size_t m,
+                               std::size_t num_servers, std::size_t threshold,
+                               std::optional<circuits::Formula> formula)
+    : field_(field),
+      formula_(std::move(formula)),
+      n_(n),
+      m_(m),
+      k_(num_servers),
+      t_(threshold),
+      l_(selection_bits(n)),
+      degree_((formula_ ? formula_->arith_degree(l_) : l_) * threshold) {
+  if (n == 0) throw InvalidArgument("instance hiding: empty database");
+  if (m == 0) throw InvalidArgument("instance hiding: need at least one index per query");
+  if (threshold == 0) throw InvalidArgument("instance hiding: threshold must be >= 1");
+  if (num_servers <= degree_) {
+    throw InvalidArgument("instance hiding: need more than deg(P)*t servers");
   }
   if (field.modulus() <= num_servers) {
-    throw InvalidArgument("PolyItPir: field must be larger than the server count");
+    throw InvalidArgument("instance hiding: field must be larger than the server count");
   }
 }
 
-std::size_t PolyItPir::min_servers(std::size_t n, std::size_t threshold) {
-  return threshold * index_bits_for(n) + 1;
-}
-
-std::vector<Bytes> PolyItPir::make_queries(std::size_t /*secret*/ index, ClientState& state,
-                                           crypto::Prg& prg) const {
-  if (index >= n_) throw InvalidArgument("PolyItPir: index out of range");
-  // Encode the index bits into field constants branch-free: the shift
-  // amounts are public (bit position within the l-bit index), and the
-  // 0/1 selection runs through ct_select so the encoding time does not
-  // depend on which record the client wants.
-  std::vector<std::uint64_t> constants(l_);
+std::vector<Bytes> InstanceHiding::make_queries(
+    const std::vector<std::size_t>& /*secret*/ indices, ClientState& state,
+    crypto::Prg& prg) const {
+  if (indices.size() != m_) throw InvalidArgument("instance hiding: need m indices");
+  for (std::size_t j = 0; j < m_; ++j) {
+    if (indices[j] >= n_) throw InvalidArgument("instance hiding: index out of range");
+  }
+  // Encode the index bits into field constants branch-free, block j = bits
+  // of indices[j]: the shift amounts are public (bit position within the
+  // l-bit index), and the 0/1 selection runs through ct_select so the
+  // encoding time does not depend on which records the client wants.
+  std::vector<std::uint64_t> constants(m_ * l_);
   // SPFE_CT_BEGIN(itpir_index_bits)
-  for (std::size_t k = 0; k < l_; ++k) {
-    const std::uint64_t bit = (static_cast<std::uint64_t>(index) >> (l_ - 1 - k)) & 1;
-    constants[k] =
-        common::ct_select_u64(common::ct_mask_from_bit(bit), field_.one(), field_.zero());
+  for (std::size_t j = 0; j < m_; ++j) {
+    for (std::size_t k = 0; k < l_; ++k) {
+      const std::uint64_t bit = (static_cast<std::uint64_t>(indices[j]) >> (l_ - 1 - k)) & 1;
+      constants[j * l_ + k] =
+          common::ct_select_u64(common::ct_mask_from_bit(bit), field_.one(), field_.zero());
+    }
   }
   // SPFE_CT_END
   // Random degree-t curve gamma with gamma(0) = encoded index bits.
   std::vector<field::Polynomial<field::Fp64>> curve;
-  curve.reserve(l_);
-  for (std::size_t k = 0; k < l_; ++k) {
-    curve.push_back(
-        field::Polynomial<field::Fp64>::random_with_constant(field_, t_, constants[k], prg));
+  curve.reserve(constants.size());
+  for (const std::uint64_t c : constants) {
+    curve.push_back(field::Polynomial<field::Fp64>::random_with_constant(field_, t_, c, prg));
   }
-  state.query_points.resize(k_);
+  state.abscissae.resize(k_);
   std::vector<Bytes> msgs;
   msgs.reserve(k_);
   for (std::size_t h = 0; h < k_; ++h) {
     const std::uint64_t alpha = field_.from_u64(h + 1);
-    state.query_points[h] = alpha;
+    state.abscissae[h] = alpha;
     Writer w;
-    for (std::size_t k = 0; k < l_; ++k) w.u64(curve[k].eval(alpha));
+    for (const auto& coord : curve) w.u64(coord.eval(alpha));
     msgs.push_back(w.take());
   }
   return msgs;
 }
 
-Bytes PolyItPir::answer(std::size_t server_id, std::span<const std::uint64_t> database,
-                        BytesView query, const crypto::Prg::Seed* spir_seed) const {
-  if (database.size() != n_) throw InvalidArgument("PolyItPir: database size mismatch");
-  if (server_id >= k_) throw InvalidArgument("PolyItPir: server id out of range");
+Bytes InstanceHiding::answer(std::size_t server_id, std::span<const std::uint64_t> database,
+                             BytesView query, const crypto::Prg::Seed* spir_seed) const {
+  if (database.size() != n_) throw InvalidArgument("instance hiding: database size mismatch");
+  if (server_id >= k_) throw InvalidArgument("instance hiding: server id out of range");
+  if (formula_) {
+    for (const std::uint64_t x : database) {
+      if (x > 1) throw InvalidArgument("instance hiding: formula database entries must be bits");
+    }
+  }
   Reader r(query);
-  std::vector<std::uint64_t> point(l_);
+  std::vector<std::uint64_t> point(m_ * l_);
   for (auto& p : point) {
     p = r.u64();
-    if (p >= field_.modulus()) throw ProtocolError("PolyItPir: query element out of field");
+    if (p >= field_.modulus()) throw ProtocolError("instance hiding: query element out of field");
   }
   r.expect_done();
 
-  std::uint64_t value = eval_selection_polynomial(field_, database, point);
+  // Leaf j = P0 on coordinate block j.
+  std::vector<std::uint64_t> leaves(m_);
+  for (std::size_t j = 0; j < m_; ++j) {
+    leaves[j] = eval_selection_polynomial(
+        field_, database, std::span<const std::uint64_t>(point.data() + j * l_, l_));
+  }
+  std::uint64_t value = field_.zero();
+  if (formula_) {
+    value = formula_->eval_arithmetized(field_, leaves);
+  } else {
+    for (const std::uint64_t leaf : leaves) value = field_.add(value, leaf);
+  }
   if (spir_seed != nullptr) {
-    // Shared masking polynomial R of degree l*t with R(0) = 0: answers still
-    // interpolate to the selected item, but reveal nothing else [25].
+    // Shared masking polynomial R of the answer degree with R(0) = 0:
+    // answers still interpolate to f, but reveal nothing else [25].
     crypto::Prg shared(*spir_seed);
     const auto mask = field::Polynomial<field::Fp64>::random_with_constant(
-        field_, l_ * t_, field_.zero(), shared);
+        field_, degree_, field_.zero(), shared);
     value = field_.add(value, mask.eval(field_.from_u64(server_id + 1)));
   }
   Writer w;
@@ -122,61 +157,95 @@ Bytes PolyItPir::answer(std::size_t server_id, std::span<const std::uint64_t> da
   return w.take();
 }
 
-std::uint64_t PolyItPir::decode(const std::vector<Bytes>& answers,
-                                const ClientState& state) const {
-  if (answers.size() != k_ || state.query_points.size() != k_) {
-    throw InvalidArgument("PolyItPir: need one answer per server");
+std::uint64_t InstanceHiding::decode(const std::vector<Bytes>& answers,
+                                     const ClientState& state) const {
+  if (answers.size() != k_ || state.abscissae.size() != k_) {
+    throw InvalidArgument("instance hiding: need one answer per server");
   }
-  std::vector<std::uint64_t> xs(k_), ys(k_);
-  for (std::size_t h = 0; h < k_; ++h) {
-    Reader r(answers[h]);
-    xs[h] = state.query_points[h];
-    ys[h] = r.u64();
-    r.expect_done();
-    if (ys[h] >= field_.modulus()) throw ProtocolError("PolyItPir: answer out of field");
-  }
-  return field::interpolate_at(field_, xs, ys, field_.zero());
+  std::vector<std::uint64_t> ys(k_);
+  for (std::size_t h = 0; h < k_; ++h) ys[h] = parse_answer(field_, answers[h]);
+  return field::interpolate_at(field_, state.abscissae, ys, field_.zero());
 }
 
-std::uint64_t PolyItPir::decode_with_errors(const std::vector<Bytes>& answers,
-                                            const ClientState& state,
-                                            std::size_t max_errors) const {
-  if (answers.size() != k_ || state.query_points.size() != k_) {
-    throw InvalidArgument("PolyItPir: need one answer per server");
+std::uint64_t InstanceHiding::run(net::StarNetwork& net, std::span<const std::uint64_t> database,
+                                  const std::vector<std::size_t>& indices,
+                                  const std::optional<crypto::Prg::Seed>& spir_seed,
+                                  crypto::Prg& prg) const {
+  if (net.num_servers() != k_) {
+    throw InvalidArgument("instance hiding: network has wrong server count");
   }
-  std::vector<std::uint64_t> xs(k_), ys(k_);
-  for (std::size_t h = 0; h < k_; ++h) {
-    Reader r(answers[h]);
-    xs[h] = state.query_points[h];
-    ys[h] = r.u64();
-    r.expect_done();
-    if (ys[h] >= field_.modulus()) throw ProtocolError("PolyItPir: answer out of field");
+  SPFE_OBS_SPAN("multiserver.run");
+  ClientState state;
+  std::vector<Bytes> received(k_);
+  {
+    SPFE_OBS_SPAN("multiserver.queries");
+    const auto queries = make_queries(indices, state, prg);
+    for (std::size_t h = 0; h < k_; ++h) net.client_send(h, queries[h]);
+    for (std::size_t h = 0; h < k_; ++h) received[h] = net.server_receive(h);
   }
-  const auto result =
-      field::berlekamp_welch(field_, xs, ys, l_ * t_, max_errors, field_.zero());
-  if (!result.has_value()) {
-    throw ProtocolError("PolyItPir: more corrupted answers than the error budget");
+  // The k servers evaluate concurrently (each answer() is pure in shared
+  // state), then enqueue sequentially in server order so CommStats metering
+  // and round detection stay byte-identical to a serial run.
+  const crypto::Prg::Seed* seed = spir_seed ? &*spir_seed : nullptr;
+  std::vector<Bytes> answers(k_);
+  {
+    SPFE_OBS_SPAN("multiserver.answers");
+    common::parallel_for(k_, [&](std::size_t h) {
+      answers[h] = answer(h, database, received[h], seed);
+    });
+    for (std::size_t h = 0; h < k_; ++h) net.server_send(h, std::move(answers[h]));
+    for (std::size_t h = 0; h < k_; ++h) answers[h] = net.client_receive(h);
   }
-  return *result;
+  SPFE_OBS_SPAN("multiserver.decode");
+  return decode(answers, state);
+}
+
+net::RobustResult InstanceHiding::run_robust(net::SimStarNetwork& net,
+                                             std::span<const std::uint64_t> database,
+                                             const std::vector<std::size_t>& indices,
+                                             const std::optional<crypto::Prg::Seed>& spir_seed,
+                                             crypto::Prg& prg,
+                                             const net::RobustConfig& cfg) const {
+  if (net.num_servers() != k_) {
+    throw InvalidArgument("instance hiding: network has wrong server count");
+  }
+  SPFE_OBS_SPAN("multiserver.run_robust");
+  auto [value, report] = net::run_robust_star(
+      field_, net, degree_, cfg,
+      [&](std::size_t /*attempt*/, std::vector<std::uint64_t>& abscissae) {
+        // Fresh curve from `prg` every attempt: query points are never
+        // reused, so retries leak nothing about the selected indices.
+        ClientState state;
+        auto queries = make_queries(indices, state, prg);
+        abscissae = std::move(state.abscissae);
+        return queries;
+      },
+      [&](std::size_t s, std::size_t attempt, Bytes query) {
+        const auto seed = net::attempt_spir_seed(spir_seed, attempt);
+        return answer(s, database, query, seed ? &*seed : nullptr);
+      },
+      [&](const Bytes& ans) { return parse_answer(field_, ans); });
+  return net::RobustResult{value, std::move(report)};
+}
+
+PolyItPir::PolyItPir(field::Fp64 field, std::size_t n, std::size_t num_servers,
+                     std::size_t threshold)
+    : InstanceHiding(field, n, 1, num_servers, threshold, std::nullopt) {}
+
+std::size_t PolyItPir::min_servers(std::size_t n, std::size_t threshold) {
+  return threshold * selection_bits(n) + 1;
+}
+
+std::vector<Bytes> PolyItPir::make_queries(std::size_t index, ClientState& state,
+                                           crypto::Prg& prg) const {
+  return InstanceHiding::make_queries({index}, state, prg);
 }
 
 std::uint64_t PolyItPir::run(net::StarNetwork& net, std::span<const std::uint64_t> database,
                              std::size_t index,
                              const std::optional<crypto::Prg::Seed>& spir_seed,
                              crypto::Prg& prg) const {
-  if (net.num_servers() != k_) throw InvalidArgument("PolyItPir: network has wrong server count");
-  SPFE_OBS_SPAN("itpir.run");
-  ClientState state;
-  const auto queries = make_queries(index, state, prg);
-  for (std::size_t h = 0; h < k_; ++h) net.client_send(h, queries[h]);
-  const crypto::Prg::Seed* seed = spir_seed ? &*spir_seed : nullptr;
-  for (std::size_t h = 0; h < k_; ++h) {
-    net.server_send(h, answer(h, database, net.server_receive(h), seed));
-  }
-  std::vector<Bytes> answers;
-  answers.reserve(k_);
-  for (std::size_t h = 0; h < k_; ++h) answers.push_back(net.client_receive(h));
-  return decode(answers, state);
+  return InstanceHiding::run(net, database, {index}, spir_seed, prg);
 }
 
 net::RobustResult PolyItPir::run_robust(net::SimStarNetwork& net,
@@ -184,30 +253,7 @@ net::RobustResult PolyItPir::run_robust(net::SimStarNetwork& net,
                                         std::size_t index,
                                         const std::optional<crypto::Prg::Seed>& spir_seed,
                                         crypto::Prg& prg, const net::RobustConfig& cfg) const {
-  if (net.num_servers() != k_) throw InvalidArgument("PolyItPir: network has wrong server count");
-  SPFE_OBS_SPAN("itpir.run_robust");
-  auto [value, report] = net::run_robust_star(
-      field_, net, l_ * t_, cfg,
-      [&](std::size_t /*attempt*/, std::vector<std::uint64_t>& abscissae) {
-        // Fresh curve randomness from `prg` on every attempt: query points
-        // are never reused, so retries leak nothing about the index.
-        ClientState state;
-        auto queries = make_queries(index, state, prg);
-        abscissae = std::move(state.query_points);
-        return queries;
-      },
-      [&](std::size_t s, std::size_t attempt, Bytes query) {
-        const auto seed = net::attempt_spir_seed(spir_seed, attempt);
-        return answer(s, database, query, seed ? &*seed : nullptr);
-      },
-      [&](const Bytes& ans) {
-        Reader r(ans);
-        const std::uint64_t y = r.u64();
-        r.expect_done();
-        if (y >= field_.modulus()) throw ProtocolError("PolyItPir: answer out of field");
-        return y;
-      });
-  return net::RobustResult{value, std::move(report)};
+  return InstanceHiding::run_robust(net, database, {index}, spir_seed, prg, cfg);
 }
 
 TwoServerXorPir::TwoServerXorPir(std::size_t n, std::size_t item_bytes)

@@ -1,18 +1,35 @@
-// Information-theoretic multi-server PIR / SPIR.
+// Information-theoretic multi-server PIR / SPIR and the §3.1 engine.
 //
 // Two schemes:
 //
-// 1. PolyItPir — t-private k-server PIR by instance hiding (Beaver–
-//    Feigenbaum [5], the same machinery as §3.1 with f = identity). The
-//    database is the multilinear selection polynomial
+// 1. InstanceHiding — the paper's §3.1 one-round protocol (instance hiding,
+//    Beaver–Feigenbaum [5]; Lemma 1 / Theorem 2), the one engine behind
+//    multi-server PIR and multi-server SPFE. The database is the
+//    multilinear selection polynomial
 //        P0(y_1..y_l) = sum_i x_i * prod_k (y_k if i(k)=1 else 1-y_k),
-//    of total degree l = ceil(log2 n). The client sends each server one
-//    point of a random degree-t curve through the encoded index and
-//    interpolates the answers; k must exceed l*t. For *symmetric* privacy
-//    (SPIR, [25]) the servers add a shared random degree-(l*t) polynomial R
-//    with R(0) = 0, so the client learns only the selected item. The shared
-//    randomness comes from a common PRG seed (the paper's "common random
-//    input ... regarded as an extension of the database").
+//    of total degree l = ceil(log2 n). A query selects m indices; index j
+//    is encoded as l field coordinates (its bits, most significant first),
+//    and the answer polynomial P applies P0 to each coordinate block and
+//    combines the m leaves either by a sum (deg P = l) or by a Boolean
+//    formula's arithmetization (deg P <= l * s for formula size s; the
+//    data must then be bits). With k servers and privacy threshold t,
+//    k > deg(P) * t:
+//      - the client draws a uniform degree-t curve gamma with gamma(0) =
+//        the encoded indices and sends gamma(alpha_h) to server h
+//        (alpha_h = h + 1);
+//      - server h evaluates P at its point gate by gate (never expanding
+//        the exponential monomial form) and replies with one field element
+//        plus, for symmetric privacy (SPIR, [25]), R(alpha_h) for a shared
+//        random degree-(deg(P)*t) polynomial R with R(0) = 0 drawn from a
+//        common PRG seed (the paper's "common random input ... regarded as
+//        an extension of the database");
+//      - the client interpolates P(gamma(w)) at w = 0 (`decode`), or, in
+//        `run_robust`, decodes it through crashes and up to e lies.
+//    Client privacy is information-theoretic against any t (possibly
+//    malicious) servers; database secrecy holds against a semi-honest
+//    client. PolyItPir is the m = 1 sum (f = identity): t-private k-server
+//    PIR/SPIR. spfe/multiserver.h holds the two §3.1 SPFE
+//    parameterizations.
 //
 // 2. TwoServerXorPir — the classic sqrt(n) 2-server scheme: the database is
 //    arranged as a matrix; the client sends one server a uniform row subset
@@ -25,6 +42,7 @@
 #include <optional>
 #include <vector>
 
+#include "circuits/formula.h"
 #include "common/bytes.h"
 #include "crypto/prg.h"
 #include "field/fp64.h"
@@ -33,7 +51,62 @@
 
 namespace spfe::pir {
 
-class PolyItPir {
+// Coordinates per selected index: l = ceil(log2 n), at least 1.
+std::size_t selection_bits(std::size_t n);
+
+class InstanceHiding {
+ public:
+  struct ClientState {
+    std::vector<std::uint64_t> abscissae;  // alpha_h, one per server
+  };
+
+  std::size_t num_servers() const { return k_; }
+
+  // Client: one message per server (m*l field elements — the curve point).
+  std::vector<Bytes> make_queries(const std::vector<std::size_t>& indices, ClientState& state,
+                                  crypto::Prg& prg) const;
+
+  // Server `server_id` (0-based): P at the queried point, one field
+  // element. With a non-null `spir_seed` (the same for every server of one
+  // query) it adds the shared mask R(alpha_h).
+  Bytes answer(std::size_t server_id, std::span<const std::uint64_t> database, BytesView query,
+               const crypto::Prg::Seed* spir_seed) const;
+
+  // Client: interpolates the k answers at 0.
+  std::uint64_t decode(const std::vector<Bytes>& answers, const ClientState& state) const;
+
+  // Full exchange over a k-server network (client drives all roles).
+  std::uint64_t run(net::StarNetwork& net, std::span<const std::uint64_t> database,
+                    const std::vector<std::size_t>& indices,
+                    const std::optional<crypto::Prg::Seed>& spir_seed, crypto::Prg& prg) const;
+
+  // Fault-tolerant exchange (the §3.1 remark): with k >= deg(P)*t + 1 +
+  // 2e + c servers the client survives any mix of <= e Byzantine and <= c
+  // crashed servers, retrying with fresh randomness before throwing
+  // net::RobustProtocolError (see net/robust.h).
+  net::RobustResult run_robust(net::SimStarNetwork& net, std::span<const std::uint64_t> database,
+                               const std::vector<std::size_t>& indices,
+                               const std::optional<crypto::Prg::Seed>& spir_seed,
+                               crypto::Prg& prg, const net::RobustConfig& cfg = {}) const;
+
+ protected:
+  // m indices per query over an n-item database; the leaves are summed, or
+  // combined by `formula` (of arity m) when one is given.
+  InstanceHiding(field::Fp64 field, std::size_t n, std::size_t m, std::size_t num_servers,
+                 std::size_t threshold, std::optional<circuits::Formula> formula);
+
+ private:
+  field::Fp64 field_;
+  std::optional<circuits::Formula> formula_;
+  std::size_t n_;
+  std::size_t m_;
+  std::size_t k_;
+  std::size_t t_;
+  std::size_t l_;
+  std::size_t degree_;  // of the answer polynomial P(gamma(w)): deg(P) * t
+};
+
+class PolyItPir : public InstanceHiding {
  public:
   // Items are elements of `field`; k servers, privacy threshold t.
   // Requires k > t * ceil(log2 n) and field order > k.
@@ -41,63 +114,20 @@ class PolyItPir {
 
   static std::size_t min_servers(std::size_t n, std::size_t threshold);
 
-  std::size_t n() const { return n_; }
-  std::size_t num_servers() const { return k_; }
-  std::size_t threshold() const { return t_; }
-  std::size_t index_bits() const { return l_; }
-  const field::Fp64& field() const { return field_; }
-
-  struct ClientState {
-    std::vector<std::uint64_t> query_points;  // abscissa per server (1..k)
-  };
-
-  // Client: one message per server (l field elements — the curve point).
-  std::vector<Bytes> make_queries(std::size_t index, ClientState& state,
-                                  crypto::Prg& prg) const;
-
-  // Server `server_id` (0-based): evaluates P0 at the queried point.
-  // If `spir_seed` is non-null, adds the shared masking polynomial R(alpha_h)
-  // (symmetric privacy); all servers must use the same seed per query.
-  Bytes answer(std::size_t server_id, std::span<const std::uint64_t> database,
-               BytesView query, const crypto::Prg::Seed* spir_seed) const;
-
-  // Client: interpolates the k answers at 0.
-  std::uint64_t decode(const std::vector<Bytes>& answers, const ClientState& state) const;
-
-  // Fault-tolerant decode: recovers the item even if up to `max_errors`
-  // answers are wrong, provided k >= l*t + 1 + 2*max_errors. Throws
-  // ProtocolError when the answers are beyond that budget.
-  std::uint64_t decode_with_errors(const std::vector<Bytes>& answers, const ClientState& state,
-                                   std::size_t max_errors) const;
-
-  // Full exchange over a k-server network (client drives all roles).
+  // The engine's exchange for one index.
+  std::vector<Bytes> make_queries(std::size_t index, ClientState& state, crypto::Prg& prg) const;
   std::uint64_t run(net::StarNetwork& net, std::span<const std::uint64_t> database,
                     std::size_t index, const std::optional<crypto::Prg::Seed>& spir_seed,
                     crypto::Prg& prg) const;
-
-  // Fault-tolerant exchange over a virtual-time network: tolerates
-  // crashed/Byzantine servers up to the provisioned redundancy (see
-  // net/robust.h), retrying with fresh randomness before throwing
-  // net::RobustProtocolError.
   net::RobustResult run_robust(net::SimStarNetwork& net, std::span<const std::uint64_t> database,
                                std::size_t index,
                                const std::optional<crypto::Prg::Seed>& spir_seed,
                                crypto::Prg& prg, const net::RobustConfig& cfg = {}) const;
-
-  // Upstream bytes per server for one query (for analytic cross-checks).
-  std::size_t query_bytes() const { return l_ * 8; }
-
- private:
-  field::Fp64 field_;
-  std::size_t n_;
-  std::size_t k_;
-  std::size_t t_;
-  std::size_t l_;  // index bits
 };
 
 // Evaluates the multilinear selection polynomial P0 at an arbitrary field
-// point (shared with the §3.1 SPFE engine). `point` holds l field elements,
-// most significant index bit first (the paper's "k-th leftmost bit").
+// point. `point` holds l field elements, most significant index bit first
+// (the paper's "k-th leftmost bit").
 std::uint64_t eval_selection_polynomial(const field::Fp64& f,
                                         std::span<const std::uint64_t> database,
                                         std::span<const std::uint64_t> point);

@@ -6,13 +6,20 @@
 #include "obs/obs.h"
 #include "pir/batch_pir.h"
 #include "pir/cpir.h"
+#include "spfe/detail.h"
 
 namespace spfe::protocols {
 namespace {
 
 using bignum::BigInt;
-
-constexpr std::size_t kStatBits = 40;
+using detail::add_mod;
+using detail::check_blinding_headroom;
+using detail::kStatBits;
+using detail::mask_database;
+using detail::mul_mod;
+using detail::pool_for;
+using detail::read_ct;
+using detail::write_ct;
 
 void check_inputs(std::span<const std::uint64_t> database,
                   const std::vector<std::size_t>& indices, std::uint64_t modulus) {
@@ -29,10 +36,6 @@ void check_inputs(std::span<const std::uint64_t> database,
   }
 }
 
-std::uint64_t add_mod(std::uint64_t a, std::uint64_t b, std::uint64_t u) {
-  return static_cast<std::uint64_t>((static_cast<unsigned __int128>(a) + b) % u);
-}
-
 std::uint64_t sub_mod(std::uint64_t a, std::uint64_t b, std::uint64_t u) {
   return add_mod(a % u, u - b % u, u);
 }
@@ -42,39 +45,11 @@ std::uint64_t pow_mod_u64(std::uint64_t base, std::uint64_t exp, std::uint64_t p
   std::uint64_t result = 1 % p;
   base %= p;
   while (exp != 0) {
-    if (exp & 1) {
-      result = static_cast<std::uint64_t>(static_cast<unsigned __int128>(result) * base % p);
-    }
-    base = static_cast<std::uint64_t>(static_cast<unsigned __int128>(base) * base % p);
+    if (exp & 1) result = mul_mod(result, base, p);
+    base = mul_mod(base, base, p);
     exp >>= 1;
   }
   return result;
-}
-
-// Ensures the statistically blinded plaintexts fit below N.
-void check_blinding_headroom(const he::PaillierPublicKey& pk, const BigInt& bound) {
-  if ((bound << (kStatBits + 2)) >= pk.n()) {
-    throw CryptoError("input selection: Paillier modulus too small for blinding headroom");
-  }
-}
-
-// Fixed-width ciphertext framing (the receiver knows the key size).
-void write_ct(Writer& w, const he::PaillierPublicKey& pk, const BigInt& ct) {
-  w.raw(ct.to_bytes_be_padded(pk.ciphertext_bytes()));
-}
-
-BigInt read_ct(Reader& r, const he::PaillierPublicKey& pk) {
-  return BigInt::from_bytes_be(r.raw(pk.ciphertext_bytes()));
-}
-
-// The pool usable for encrypting under `pk`, or null (meaning: draw from
-// the online PRG). A pool keyed differently — e.g. a client-key pool at a
-// site that encrypts under the server's deserialized key — never serves.
-he::PaillierRandomnessPool* pool_for(const he::ClientPrecomp& precomp,
-                                     const he::PaillierPublicKey& pk) {
-  return (precomp.paillier != nullptr && precomp.paillier->public_key() == pk)
-             ? precomp.paillier
-             : nullptr;
 }
 
 he::GmRandomnessPool* gm_pool_for(const he::ClientPrecomp& precomp, const he::GmPublicKey& pk) {
@@ -186,20 +161,9 @@ SelectedShares input_selection_poly_mask_client_key(
     // s_0..s_{m-1} and the masked database x'_i = x_i + P_s(i+1) mod p.
     std::vector<std::uint64_t> s(m);
     for (auto& c : s) c = server_prg.uniform(p);
-    std::vector<std::uint64_t> masked(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Horner at point (i+1); the +1 keeps evaluation points nonzero.
-      std::uint64_t acc = 0;
-      for (std::size_t k = m; k-- > 0;) {
-        acc = add_mod(
-            static_cast<std::uint64_t>(static_cast<unsigned __int128>(acc) * ((i + 1) % p) % p),
-            s[k], p);
-      }
-      masked[i] = add_mod(database[i], acc, p);
-    }
 
     Writer w;
-    w.bytes(spir.answer_u64(masked, pir_query, server_prg));
+    w.bytes(spir.answer_u64(mask_database(database, s, p), pir_query, server_prg));
     const BigInt blind_bound = (BigInt(m) * BigInt(p) * BigInt(p)) << kStatBits;
     std::vector<BigInt> s_big(m);
     for (std::size_t k = 0; k < m; ++k) s_big[k] = BigInt(s[k]);
@@ -309,17 +273,8 @@ SelectedShares input_selection_poly_mask_server_key(
     const Bytes pir_query = r.bytes();
     r.expect_done();
 
-    std::vector<std::uint64_t> masked(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t acc = 0;
-      for (std::size_t k = m; k-- > 0;) {
-        acc = add_mod(
-            static_cast<std::uint64_t>(static_cast<unsigned __int128>(acc) * ((i + 1) % p) % p),
-            s[k], p);
-      }
-      masked[i] = add_mod(database[i], acc, p);
-    }
-    net.server_send(server_id, spir.answer_u64(masked, pir_query, server_prg));
+    net.server_send(server_id,
+                    spir.answer_u64(mask_database(database, s, p), pir_query, server_prg));
   }
 
   // Client: b_j = x'_{i_j} + rho_j.

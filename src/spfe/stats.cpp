@@ -6,51 +6,20 @@
 #include "common/serialize.h"
 #include "obs/obs.h"
 #include "pir/batch_pir.h"
+#include "spfe/detail.h"
 
 namespace spfe::protocols {
 namespace {
 
 using bignum::BigInt;
-
-constexpr std::size_t kStatBits = 40;
-
-std::uint64_t add_mod(std::uint64_t a, std::uint64_t b, std::uint64_t u) {
-  return static_cast<std::uint64_t>((static_cast<unsigned __int128>(a) + b) % u);
-}
-
-std::uint64_t mul_mod(std::uint64_t a, std::uint64_t b, std::uint64_t u) {
-  return static_cast<std::uint64_t>(static_cast<unsigned __int128>(a) * b % u);
-}
-
-void write_ct(Writer& w, const he::PaillierPublicKey& pk, const BigInt& ct) {
-  w.raw(ct.to_bytes_be_padded(pk.ciphertext_bytes()));
-}
-
-BigInt read_ct(Reader& r, const he::PaillierPublicKey& pk) {
-  return BigInt::from_bytes_be(r.raw(pk.ciphertext_bytes()));
-}
-
-// Masked database x'_i = x_i + P_s(i+1) mod p for coefficients s.
-std::vector<std::uint64_t> mask_database(std::span<const std::uint64_t> database,
-                                         const std::vector<std::uint64_t>& s, std::uint64_t p) {
-  std::vector<std::uint64_t> masked(database.size());
-  for (std::size_t i = 0; i < database.size(); ++i) {
-    std::uint64_t acc = 0;
-    for (std::size_t k = s.size(); k-- > 0;) {
-      acc = add_mod(mul_mod(acc, (i + 1) % p, p), s[k], p);
-    }
-    masked[i] = add_mod(database[i] % p, acc, p);
-  }
-  return masked;
-}
-
-// The client-key pool, or null when absent/keyed differently.
-he::PaillierRandomnessPool* pool_for(const he::ClientPrecomp& precomp,
-                                     const he::PaillierPublicKey& pk) {
-  return (precomp.paillier != nullptr && precomp.paillier->public_key() == pk)
-             ? precomp.paillier
-             : nullptr;
-}
+using detail::add_mod;
+using detail::check_blinding_headroom;
+using detail::kStatBits;
+using detail::mask_database;
+using detail::mul_mod;
+using detail::pool_for;
+using detail::read_ct;
+using detail::write_ct;
 
 void check_stat_inputs(std::span<const std::uint64_t> database,
                        const std::vector<std::size_t>& indices, std::size_t n, std::size_t m,
@@ -63,6 +32,109 @@ void check_stat_inputs(std::span<const std::uint64_t> database,
   for (const std::uint64_t x : database) {
     if (x >= p) throw InvalidArgument("statistics: database value exceeds field");
   }
+}
+
+// The server's squares view x''_i = x_i^2 mod p of the §4 package.
+std::vector<std::uint64_t> squares_of(std::span<const std::uint64_t> database, std::uint64_t p) {
+  std::vector<std::uint64_t> squares(database.size());
+  for (std::size_t i = 0; i < database.size(); ++i) {
+    squares[i] = mul_mod(database[i], database[i], p);
+  }
+  return squares;
+}
+
+MeanVarianceResult mean_variance_of(std::uint64_t sum, std::uint64_t sum_of_squares,
+                                    std::size_t m) {
+  MeanVarianceResult result;
+  result.sum = sum;
+  result.sum_of_squares = sum_of_squares;
+  const double md = static_cast<double>(m);
+  result.mean = static_cast<double>(sum) / md;
+  result.variance = static_cast<double>(sum_of_squares) / md - result.mean * result.mean;
+  return result;
+}
+
+// The §4 one-round masked-sum exchange, answered once per server view of
+// the database (`views[0]` is x itself): the client sends one SPIR(n, m, F)
+// query, reused for every view, plus E(c_0..c_{m-1}) with
+// c_k = sum_j w_j (i_j + 1)^k. Per view the server masks the data with a
+// fresh P_s and replies with the SPIR answer over x'_i = x_i + P_s(i+1) and
+// E(sum_k s_k c_k) = E(sum_j w_j P_s(i_j + 1)), blinded by a multiple of p.
+// Returns sum_j w_j v_{i_j} for every view v.
+std::vector<std::uint64_t> masked_weighted_sums(
+    const field::Fp64& field, std::size_t n, std::size_t pir_depth, net::StarNetwork& net,
+    std::size_t server_id, const std::vector<std::span<const std::uint64_t>>& views,
+    const std::vector<std::size_t>& indices, const std::vector<std::uint64_t>& weights,
+    const he::PaillierPrivateKey& client_sk, crypto::Prg& client_prg, crypto::Prg& server_prg,
+    const he::ClientPrecomp& precomp) {
+  const std::uint64_t p = field.modulus();
+  const std::size_t m = weights.size();
+  check_stat_inputs(views[0], indices, n, m, p);
+  const he::PaillierPublicKey& pk = client_sk.public_key();
+  check_blinding_headroom(pk, BigInt(m) * BigInt(p) * BigInt(p));
+  const pir::CuckooBatchPir spir(pk, n, m, pir_depth);
+
+  // Client round-1: the SPIR query + E(c_k).
+  he::PaillierRandomnessPool* pool = pool_for(precomp, pk);
+  pir::CuckooBatchPir::ClientState pir_state;
+  {
+    Writer w;
+    w.bytes(spir.make_query(indices, pir_state, client_prg, pool));
+    for (std::size_t k = 0; k < m; ++k) {
+      std::uint64_t c_k = 0;
+      for (std::size_t j = 0; j < m; ++j) {
+        // Powers of (i_j + 1) — matching the server's mask evaluation points.
+        std::uint64_t power = 1 % p;
+        for (std::size_t e = 0; e < k; ++e) power = mul_mod(power, (indices[j] + 1) % p, p);
+        c_k = add_mod(c_k, mul_mod(weights[j] % p, power, p), p);
+      }
+      write_ct(w, pk,
+               pool != nullptr ? pool->encrypt(BigInt(c_k)) : pk.encrypt(BigInt(c_k), client_prg));
+    }
+    net.client_send(server_id, w.take());
+  }
+
+  // Server: per view, masked database answer + E(sum_k s_k c_k + blind)
+  // with an independent mask polynomial ("it replies twice", §4).
+  {
+    Reader r(net.server_receive(server_id));
+    const Bytes pir_query = r.bytes();
+    std::vector<BigInt> c_cts(m);
+    for (auto& c : c_cts) c = read_ct(r, pk);
+    r.expect_done();
+
+    Writer w;
+    for (const std::span<const std::uint64_t> data : views) {
+      std::vector<std::uint64_t> s(m);
+      for (auto& coeff : s) coeff = server_prg.uniform(p);
+      w.bytes(spir.answer_u64(mask_database(data, s, p), pir_query, server_prg));
+      std::vector<BigInt> s_big(m);
+      for (std::size_t k = 0; k < m; ++k) s_big[k] = BigInt(s[k]);
+      BigInt acc = pk.add(pk.encrypt(BigInt(0), server_prg), pk.mul_scalar_sum(c_cts, s_big));
+      // Blind with a multiple of p: the client learns the value only mod p.
+      const BigInt rho = BigInt::random_below(server_prg, (BigInt(m) * BigInt(p)) << kStatBits);
+      acc = pk.add(acc, pk.encrypt(rho * BigInt(p), server_prg));
+      write_ct(w, pk, acc);
+    }
+    net.server_send(server_id, w.take());
+  }
+
+  // Client, per view: sum_j w_j x'_{i_j} - sum_j w_j P_s(i_j + 1).
+  Reader r(net.client_receive(server_id));
+  std::vector<std::uint64_t> sums;
+  for (std::size_t v = 0; v < views.size(); ++v) {
+    const std::vector<std::uint64_t> masked_items =
+        spir.decode_u64(client_sk, r.bytes(), pir_state);
+    const std::uint64_t mask_sum =
+        client_sk.decrypt(read_ct(r, pk)).mod_floor(BigInt(p)).to_u64();
+    std::uint64_t weighted = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      weighted = add_mod(weighted, mul_mod(weights[j] % p, masked_items[j], p), p);
+    }
+    sums.push_back(add_mod(weighted, p - mask_sum, p));
+  }
+  r.expect_done();
+  return sums;
 }
 
 }  // namespace
@@ -84,71 +156,9 @@ std::uint64_t WeightedSumProtocol::run(net::StarNetwork& net, std::size_t server
                                        crypto::Prg& client_prg, crypto::Prg& server_prg,
                                        const he::ClientPrecomp& precomp) const {
   SPFE_OBS_SPAN("stats.weighted_sum");
-  const std::uint64_t p = field_.modulus();
-  check_stat_inputs(database, indices, n_, m_, p);
   if (weights.size() != m_) throw InvalidArgument("WeightedSumProtocol: need m weights");
-  const he::PaillierPublicKey& pk = client_sk.public_key();
-  if ((BigInt(m_) * BigInt(p) * BigInt(p)) << (kStatBits + 2) >= pk.n()) {
-    throw CryptoError("WeightedSumProtocol: Paillier modulus too small");
-  }
-  const pir::CuckooBatchPir spir(pk, n_, m_, pir_depth_);
-
-  // Client round-1: SPIR query + E(c_0..c_{m-1}), c_k = sum_j w_j i_j^k.
-  he::PaillierRandomnessPool* pool = pool_for(precomp, pk);
-  pir::CuckooBatchPir::ClientState pir_state;
-  {
-    Writer w;
-    w.bytes(spir.make_query(indices, pir_state, client_prg, pool));
-    for (std::size_t k = 0; k < m_; ++k) {
-      std::uint64_t c_k = 0;
-      for (std::size_t j = 0; j < m_; ++j) {
-        // Powers of (i_j + 1) — matching the server's mask evaluation points.
-        std::uint64_t power = 1 % p;
-        for (std::size_t e = 0; e < k; ++e) power = mul_mod(power, (indices[j] + 1) % p, p);
-        c_k = add_mod(c_k, mul_mod(weights[j] % p, power, p), p);
-      }
-      write_ct(w, pk,
-               pool != nullptr ? pool->encrypt(BigInt(c_k)) : pk.encrypt(BigInt(c_k), client_prg));
-    }
-    net.client_send(server_id, w.take());
-  }
-
-  // Server: masked database answer + E(sum_k s_k c_k + blind).
-  {
-    Reader r(net.server_receive(server_id));
-    const Bytes pir_query = r.bytes();
-    std::vector<BigInt> c_cts(m_);
-    for (auto& c : c_cts) c = read_ct(r, pk);
-    r.expect_done();
-
-    std::vector<std::uint64_t> s(m_);
-    for (auto& coeff : s) coeff = server_prg.uniform(p);
-    const std::vector<std::uint64_t> masked = mask_database(database, s, p);
-
-    Writer w;
-    w.bytes(spir.answer_u64(masked, pir_query, server_prg));
-    std::vector<BigInt> s_big(m_);
-    for (std::size_t k = 0; k < m_; ++k) s_big[k] = BigInt(s[k]);
-    BigInt acc = pk.add(pk.encrypt(BigInt(0), server_prg), pk.mul_scalar_sum(c_cts, s_big));
-    // Blind with a multiple of p: the client learns the value only mod p.
-    const BigInt rho = BigInt::random_below(server_prg, (BigInt(m_) * BigInt(p)) << kStatBits);
-    acc = pk.add(acc, pk.encrypt(rho * BigInt(p), server_prg));
-    write_ct(w, pk, acc);
-    net.server_send(server_id, w.take());
-  }
-
-  // Client: sum_j w_j x'_{i_j} - sum_j w_j P_s(i_j).
-  Reader r(net.client_receive(server_id));
-  const std::vector<std::uint64_t> masked_items =
-      spir.decode_u64(client_sk, r.bytes(), pir_state);
-  const std::uint64_t mask_sum =
-      client_sk.decrypt(read_ct(r, pk)).mod_floor(BigInt(p)).to_u64();
-  r.expect_done();
-  std::uint64_t weighted = 0;
-  for (std::size_t j = 0; j < m_; ++j) {
-    weighted = add_mod(weighted, mul_mod(weights[j] % p, masked_items[j], p), p);
-  }
-  return add_mod(weighted, p - mask_sum, p);
+  return masked_weighted_sums(field_, n_, pir_depth_, net, server_id, {database}, indices,
+                              weights, client_sk, client_prg, server_prg, precomp)[0];
 }
 
 MeanVariancePackage::MeanVariancePackage(field::Fp64 field, std::size_t n, std::size_t m,
@@ -165,84 +175,12 @@ MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t s
                                             const he::PaillierPrivateKey& client_sk,
                                             crypto::Prg& client_prg, crypto::Prg& server_prg,
                                             const he::ClientPrecomp& precomp) const {
-  const std::uint64_t p = field_.modulus();
-  check_stat_inputs(database, indices, n_, m_, p);
-  const he::PaillierPublicKey& pk = client_sk.public_key();
-  if ((BigInt(m_) * BigInt(p) * BigInt(p)) << (kStatBits + 2) >= pk.n()) {
-    throw CryptoError("MeanVariancePackage: Paillier modulus too small");
-  }
-  const pir::CuckooBatchPir spir(pk, n_, m_, pir_depth_);
-
-  // Client round-1: one SPIR query (reused for both databases) + E(c_k)
-  // with unit weights.
-  he::PaillierRandomnessPool* pool = pool_for(precomp, pk);
-  pir::CuckooBatchPir::ClientState pir_state;
-  {
-    Writer w;
-    w.bytes(spir.make_query(indices, pir_state, client_prg, pool));
-    for (std::size_t k = 0; k < m_; ++k) {
-      std::uint64_t c_k = 0;
-      for (std::size_t j = 0; j < m_; ++j) {
-        std::uint64_t power = 1 % p;
-        for (std::size_t e = 0; e < k; ++e) power = mul_mod(power, (indices[j] + 1) % p, p);
-        c_k = add_mod(c_k, power, p);
-      }
-      write_ct(w, pk,
-               pool != nullptr ? pool->encrypt(BigInt(c_k)) : pk.encrypt(BigInt(c_k), client_prg));
-    }
-    net.client_send(server_id, w.take());
-  }
-
-  // Server: answers the same selection over x and over x^2, with
-  // independent mask polynomials ("it replies twice", §4).
-  {
-    Reader r(net.server_receive(server_id));
-    const Bytes pir_query = r.bytes();
-    std::vector<BigInt> c_cts(m_);
-    for (auto& c : c_cts) c = read_ct(r, pk);
-    r.expect_done();
-
-    std::vector<std::uint64_t> squares(n_);
-    for (std::size_t i = 0; i < n_; ++i) squares[i] = mul_mod(database[i], database[i], p);
-
-    const std::span<const std::uint64_t> views[2] = {database, squares};
-    Writer w;
-    for (const std::span<const std::uint64_t> data : views) {
-      std::vector<std::uint64_t> s(m_);
-      for (auto& coeff : s) coeff = server_prg.uniform(p);
-      w.bytes(spir.answer_u64(mask_database(data, s, p), pir_query, server_prg));
-      std::vector<BigInt> s_big(m_);
-      for (std::size_t k = 0; k < m_; ++k) s_big[k] = BigInt(s[k]);
-      BigInt acc = pk.add(pk.encrypt(BigInt(0), server_prg), pk.mul_scalar_sum(c_cts, s_big));
-      const BigInt rho =
-          BigInt::random_below(server_prg, (BigInt(m_) * BigInt(p)) << kStatBits);
-      acc = pk.add(acc, pk.encrypt(rho * BigInt(p), server_prg));
-      write_ct(w, pk, acc);
-    }
-    net.server_send(server_id, w.take());
-  }
-
-  // Client: recover both aggregates.
-  MeanVarianceResult result;
-  Reader r(net.client_receive(server_id));
-  std::uint64_t aggregates[2];
-  for (int round = 0; round < 2; ++round) {
-    const std::vector<std::uint64_t> masked_items =
-        spir.decode_u64(client_sk, r.bytes(), pir_state);
-    const std::uint64_t mask_sum =
-        client_sk.decrypt(read_ct(r, pk)).mod_floor(BigInt(p)).to_u64();
-    std::uint64_t total = 0;
-    for (const std::uint64_t v : masked_items) total = add_mod(total, v, p);
-    aggregates[round] = add_mod(total, p - mask_sum, p);
-  }
-  r.expect_done();
-  result.sum = aggregates[0];
-  result.sum_of_squares = aggregates[1];
-  const double md = static_cast<double>(m_);
-  result.mean = static_cast<double>(result.sum) / md;
-  result.variance =
-      static_cast<double>(result.sum_of_squares) / md - result.mean * result.mean;
-  return result;
+  // The weighted-sum exchange with unit weights over the views {x, x^2}.
+  const std::vector<std::uint64_t> squares = squares_of(database, field_.modulus());
+  const std::vector<std::uint64_t> sums = masked_weighted_sums(
+      field_, n_, pir_depth_, net, server_id, {database, squares}, indices,
+      std::vector<std::uint64_t>(m_, 1), client_sk, client_prg, server_prg, precomp);
+  return mean_variance_of(sums[0], sums[1], m_);
 }
 
 RobustStatsSession::RobustStatsSession(field::Fp64 field, std::size_t n, std::size_t m,
@@ -338,27 +276,15 @@ MeanVarianceResult RobustStatsSession::mean_variance(
     const std::vector<std::size_t>& indices, const std::optional<crypto::Prg::Seed>& spir_seed,
     net::RobustnessReport* sum_report, net::RobustnessReport* squares_report) {
   SPFE_OBS_SPAN("stats.robust_mean_variance");
-  const std::uint64_t p = field_.modulus();
   net::RobustResult sum_res = run_one(net, database, indices, spir_seed);
   if (sum_report != nullptr) *sum_report = sum_res.report;
 
   // The §4 package's second database: the servers answer the same selection
   // over x''_i = x_i^2 with an independent query curve.
-  std::vector<std::uint64_t> squares(database.size());
-  for (std::size_t i = 0; i < database.size(); ++i) {
-    squares[i] = mul_mod(database[i] % p, database[i] % p, p);
-  }
+  const std::vector<std::uint64_t> squares = squares_of(database, field_.modulus());
   net::RobustResult sq_res = run_one(net, squares, indices, spir_seed);
   if (squares_report != nullptr) *squares_report = sq_res.report;
-
-  MeanVarianceResult result;
-  result.sum = sum_res.value;
-  result.sum_of_squares = sq_res.value;
-  const double md = static_cast<double>(indices.size());
-  result.mean = static_cast<double>(result.sum) / md;
-  result.variance =
-      static_cast<double>(result.sum_of_squares) / md - result.mean * result.mean;
-  return result;
+  return mean_variance_of(sum_res.value, sq_res.value, indices.size());
 }
 
 FrequencyProtocol::FrequencyProtocol(field::Fp64 field, std::size_t n, std::size_t m,
@@ -378,9 +304,7 @@ std::size_t FrequencyProtocol::run(net::StarNetwork& net, std::size_t server_id,
   check_stat_inputs(database, indices, n_, m_, p);
   if (keyword >= p) throw InvalidArgument("FrequencyProtocol: keyword outside field");
   const he::PaillierPublicKey& pk = client_sk.public_key();
-  if ((BigInt(p) * BigInt(p) * BigInt(4)) << kStatBits >= pk.n()) {
-    throw CryptoError("FrequencyProtocol: Paillier modulus too small");
-  }
+  check_blinding_headroom(pk, BigInt(p) * BigInt(p));
 
   // Phase 1: additive shares a_j + b_j = x_{i_j} mod p.
   const SelectedShares shares =

@@ -385,25 +385,26 @@ TEST(PolyItPirRobust, DecodeWithErrorsCorrectsLyingServers) {
   const std::size_t k = PolyItPir::min_servers(64, 1) + 2 * kErrors;
   const PolyItPir pir(f, 64, k, 1);
   const auto db = make_db(64, Fp64::kMersenne61);
-  crypto::Prg prg("itpir-robust");
-  PolyItPir::ClientState state;
-  const auto queries = pir.make_queries(17, state, prg);
-  std::vector<Bytes> answers;
-  for (std::size_t h = 0; h < k; ++h) answers.push_back(pir.answer(h, db, queries[h], nullptr));
-  {
-    Writer w1, w2;
-    w1.u64(424242);
-    w2.u64(171717);
-    answers[0] = w1.take();
-    answers[5] = w2.take();
-  }
-  EXPECT_NE(pir.decode(answers, state), db[17]);
-  EXPECT_EQ(pir.decode_with_errors(answers, state, kErrors), db[17]);
+  // One attempt, so no retry can route around the lies; each lie is an
+  // in-field byte flip of one server's answer on the wire.
+  net::RobustConfig cfg;
+  cfg.max_attempts = 1;
+  cfg.byzantine_budget = kErrors;
+  const auto run_with_liars = [&](const std::vector<std::size_t>& liars) {
+    net::FaultPlan plan;
+    for (const std::size_t s : liars) {
+      plan.add(net::Direction::kServerToClient, s, 0,
+               net::Fault{net::FaultKind::kCorruptByte, 1, 0x40, 0});
+    }
+    net::SimStarNetwork net(k, net::SimConfig{}, plan);
+    crypto::Prg prg("itpir-robust");
+    return pir.run_robust(net, db, 17, std::nullopt, prg, cfg);
+  };
+  const net::RobustResult res = run_with_liars({0, 5});
+  EXPECT_EQ(res.value, db[17]);
+  EXPECT_EQ(res.report.errors_corrected, kErrors);
   // Three lies with a budget of two: typed error, never a wrong value.
-  Writer w3;
-  w3.u64(999999);
-  answers[2] = w3.take();
-  EXPECT_THROW(pir.decode_with_errors(answers, state, kErrors), ProtocolError);
+  EXPECT_THROW(run_with_liars({0, 5, 2}), net::RobustProtocolError);
 }
 
 TEST(PolyItPirRobust, RunOverStarNetwork) {

@@ -2,9 +2,10 @@
 
 #include "common/error.h"
 #include "field/fp64.h"
-#include "common/serialize.h"
 #include "field/reed_solomon.h"
-#include "net/network.h"
+#include "net/fault.h"
+#include "net/robust.h"
+#include "net/sim.h"
 #include "spfe/multiserver.h"
 
 namespace spfe::field {
@@ -53,9 +54,9 @@ TEST_P(BerlekampWelchTest, CorrectsUpToEErrors) {
   for (std::size_t c = 0; c < e; ++c) {
     ys[c * 2] = f.add(ys[c * 2], 1 + prg.uniform(1000));
   }
-  const auto got = berlekamp_welch(f, xs, ys, d, e, f.zero());
+  const auto got = berlekamp_welch_decode(f, xs, ys, d, e);
   ASSERT_TRUE(got.has_value()) << "d=" << d << " e=" << e;
-  EXPECT_EQ(*got, poly.eval(0));
+  EXPECT_EQ(got->eval(f, 0), poly.eval(0));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BerlekampWelchTest,
@@ -72,7 +73,7 @@ TEST(BerlekampWelch, NoErrorsFastPath) {
     xs.push_back(x);
     ys.push_back(poly.eval(x));
   }
-  EXPECT_EQ(berlekamp_welch(f, xs, ys, 3, 1, f.zero()), poly.eval(0));
+  EXPECT_EQ(berlekamp_welch_decode(f, xs, ys, 3, 1)->eval(f, 0), poly.eval(0));
 }
 
 TEST(BerlekampWelch, FailsBeyondBudget) {
@@ -90,9 +91,9 @@ TEST(BerlekampWelch, FailsBeyondBudget) {
   // (either nullopt or — impossible here — the right value).
   ys[0] = f.add(ys[0], 17);
   ys[1] = f.add(ys[1], 23);
-  const auto got = berlekamp_welch(f, xs, ys, d, e, f.zero());
+  const auto got = berlekamp_welch_decode(f, xs, ys, d, e);
   if (got.has_value()) {
-    EXPECT_NE(*got, poly.eval(0)) << "would be a silent miracle";
+    EXPECT_NE(got->eval(f, 0), poly.eval(0)) << "would be a silent miracle";
   }
   SUCCEED();
 }
@@ -100,7 +101,7 @@ TEST(BerlekampWelch, FailsBeyondBudget) {
 TEST(BerlekampWelch, InsufficientPointsThrow) {
   const Fp64 f(1009);
   std::vector<std::uint64_t> xs = {1, 2, 3}, ys = {1, 2, 3};
-  EXPECT_THROW(berlekamp_welch(f, xs, ys, 2, 1, f.zero()), InvalidArgument);
+  EXPECT_THROW(berlekamp_welch_decode(f, xs, ys, 2, 1), InvalidArgument);
 }
 
 // --- edge cases around the exact correction bound ---------------------------
@@ -126,9 +127,9 @@ TEST(BerlekampWelch, ZeroBudgetDetectsInconsistentPoints) {
     xs.push_back(x);
     ys.push_back(poly.eval(x));
   }
-  EXPECT_EQ(berlekamp_welch(f, xs, ys, d, 0, f.zero()), poly.eval(0));
+  EXPECT_EQ(berlekamp_welch_decode(f, xs, ys, d, 0)->eval(f, 0), poly.eval(0));
   ys[2] = f.add(ys[2], 99);
-  EXPECT_FALSE(berlekamp_welch(f, xs, ys, d, 0, f.zero()).has_value());
+  EXPECT_FALSE(berlekamp_welch_decode(f, xs, ys, d, 0).has_value());
 }
 
 TEST(BerlekampWelch, ExactBoundOneBeyondFails) {
@@ -145,10 +146,12 @@ TEST(BerlekampWelch, ExactBoundOneBeyondFails) {
     ys[i] = poly.eval(xs[i]);
   }
   for (std::size_t c = 0; c < e; ++c) ys[c] = f.add(ys[c], 7 + c);
-  EXPECT_EQ(berlekamp_welch(f, xs, ys, d, e, f.zero()), poly.eval(0));
+  EXPECT_EQ(berlekamp_welch_decode(f, xs, ys, d, e)->eval(f, 0), poly.eval(0));
   ys[e] = f.add(ys[e], 31);  // one corruption too many
-  const auto got = berlekamp_welch(f, xs, ys, d, e, f.zero());
-  if (got.has_value()) EXPECT_EQ(*got, poly.eval(0));
+  const auto got = berlekamp_welch_decode(f, xs, ys, d, e);
+  if (got.has_value()) {
+    EXPECT_EQ(got->eval(f, 0), poly.eval(0));
+  }
 }
 
 TEST(BerlekampWelchDecode, ReportsErrorPositions) {
@@ -359,6 +362,26 @@ TEST(ConsistentLieTightness, ErasurePlusLieMixAtTheExactUnitBudgetBoundary) {
 }
 
 // --- end-to-end: §3.1 with malicious servers --------------------------------
+//
+// Each lie is an in-field byte flip of one server's answer on the wire; the
+// client runs a single robust attempt (no retry can route around the lies)
+// with the lie budget e it was provisioned for.
+
+net::FaultPlan lying_servers(const std::vector<std::size_t>& liars) {
+  net::FaultPlan plan;
+  for (const std::size_t s : liars) {
+    plan.add(net::Direction::kServerToClient, s, 0,
+             net::Fault{net::FaultKind::kCorruptByte, 1, 0x40, 0});
+  }
+  return plan;
+}
+
+net::RobustConfig single_attempt(std::size_t byzantine_budget) {
+  net::RobustConfig cfg;
+  cfg.max_attempts = 1;
+  cfg.byzantine_budget = byzantine_budget;
+  return cfg;
+}
 
 TEST(MultiServerFaultTolerance, SumSurvivesCorruptAnswers) {
   const Fp64 f(Fp64::kMersenne61);
@@ -373,25 +396,19 @@ TEST(MultiServerFaultTolerance, SumSurvivesCorruptAnswers) {
   std::uint64_t expect = 0;
   for (const std::size_t i : indices) expect += db[i];
 
-  crypto::Prg prg("ft");
-  protocols::MultiServerSumSpfe::ClientState state;
-  const auto queries = proto.make_queries(indices, state, prg);
-  std::vector<Bytes> answers;
-  for (std::size_t h = 0; h < k; ++h) {
-    answers.push_back(proto.answer(h, db, queries[h], nullptr));
-  }
-  // Two servers lie.
+  // Two servers lie. Plain interpolation is now wrong...
   {
-    spfe::Writer w1, w2;
-    w1.u64(123456789);
-    w2.u64(987654321);
-    answers[1] = w1.take();
-    answers[4] = w2.take();
+    net::SimStarNetwork net(k, net::SimConfig{}, lying_servers({1, 4}));
+    crypto::Prg prg("ft");
+    EXPECT_NE(proto.run(net, db, indices, std::nullopt, prg), expect);
   }
-  // Plain interpolation is now wrong...
-  EXPECT_NE(proto.decode(answers, state), expect);
-  // ...but error-correcting decoding recovers.
-  EXPECT_EQ(proto.decode_with_errors(answers, state, kErrors), expect);
+  // ...but the robust client corrects both lies.
+  net::SimStarNetwork net(k, net::SimConfig{}, lying_servers({1, 4}));
+  crypto::Prg prg("ft");
+  const net::RobustConfig cfg = single_attempt(kErrors);
+  const net::RobustResult res = proto.run_robust(net, db, indices, std::nullopt, prg, cfg);
+  EXPECT_EQ(res.value, expect);
+  EXPECT_EQ(res.report.errors_corrected, kErrors);
 }
 
 TEST(MultiServerFaultTolerance, FormulaSurvivesOneCorruptAnswer) {
@@ -402,17 +419,10 @@ TEST(MultiServerFaultTolerance, FormulaSurvivesOneCorruptAnswer) {
       protocols::MultiServerFormulaSpfe::min_servers(formula, kN, kT) + 2 * kErrors;
   const protocols::MultiServerFormulaSpfe proto(f, formula, kN, k, kT);
   std::vector<std::uint64_t> db(kN, 1);
+  net::SimStarNetwork net(k, net::SimConfig{}, lying_servers({0}));
   crypto::Prg prg("ft2");
-  protocols::MultiServerFormulaSpfe::ClientState state;
-  const auto queries = proto.make_queries({2, 9}, state, prg);
-  std::vector<Bytes> answers;
-  for (std::size_t h = 0; h < k; ++h) {
-    answers.push_back(proto.answer(h, db, queries[h], nullptr));
-  }
-  spfe::Writer bad;
-  bad.u64(42424242);
-  answers[0] = bad.take();
-  EXPECT_EQ(proto.decode_with_errors(answers, state, kErrors), 1u);
+  const net::RobustConfig cfg = single_attempt(kErrors);
+  EXPECT_EQ(proto.run_robust(net, db, {2, 9}, std::nullopt, prg, cfg).value, 1u);
 }
 
 TEST(MultiServerFaultTolerance, TooManyErrorsThrow) {
@@ -421,20 +431,12 @@ TEST(MultiServerFaultTolerance, TooManyErrorsThrow) {
   const std::size_t k = protocols::MultiServerSumSpfe::min_servers(kN, kT) + 2;
   const protocols::MultiServerSumSpfe proto(f, kN, kM, k, kT);
   std::vector<std::uint64_t> db(kN, 5);
-  crypto::Prg prg("ft3");
-  protocols::MultiServerSumSpfe::ClientState state;
-  const auto queries = proto.make_queries({1, 2}, state, prg);
-  std::vector<Bytes> answers;
-  for (std::size_t h = 0; h < k; ++h) {
-    answers.push_back(proto.answer(h, db, queries[h], nullptr));
-  }
   // Corrupt 3 answers with an error budget of 1: must throw, not lie.
-  for (const std::size_t h : {0u, 1u, 2u}) {
-    spfe::Writer w;
-    w.u64(h + 777777);
-    answers[h] = w.take();
-  }
-  EXPECT_THROW(proto.decode_with_errors(answers, state, 1), ProtocolError);
+  net::SimStarNetwork net(k, net::SimConfig{}, lying_servers({0, 1, 2}));
+  crypto::Prg prg("ft3");
+  const net::RobustConfig cfg = single_attempt(1);
+  EXPECT_THROW(proto.run_robust(net, db, {1, 2}, std::nullopt, prg, cfg),
+               net::RobustProtocolError);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include "he/paillier.h"
 #include "mpc/yao.h"
 #include "mpc/yao_protocol.h"
+#include "net/fault.h"
+#include "net/sim.h"
 #include "ot/base_ot.h"
 #include "ot/ot_extension.h"
 #include "pir/batch_pir.h"
@@ -333,26 +335,45 @@ TEST(BitFlipSweep, ItPirQueryEveryByte) {
                  "itpir-query");
 }
 
+// Wire form of bit_flip_sweep for the robust §3.1 clients: for every byte
+// of server `liar`'s one-field-element answer, a kCorruptByte fault flips
+// one seeded bit in flight, and `check` runs the robust exchange over a
+// zero-latency SimStarNetwork carrying that plan.
+void answer_bit_flip_sweep(std::size_t liar, const std::string& what,
+                           const std::function<void(const net::FaultPlan&)>& check) {
+  crypto::Prg prg("bitflip-" + what);
+  for (std::size_t i = 0; i < sizeof(std::uint64_t); ++i) {
+    net::FaultPlan plan;
+    plan.add(net::Direction::kServerToClient, liar, 0,
+             net::Fault{net::FaultKind::kCorruptByte, i,
+                        static_cast<std::uint8_t>(1u << prg.uniform(8)), 0});
+    SCOPED_TRACE(what + " byte " + std::to_string(i));
+    check(plan);
+  }
+}
+
+// Provisioned for e = 1; a single attempt, so no retry can route around
+// the flipped answer and the decode itself must absorb it.
+net::RobustConfig one_attempt_one_lie() {
+  net::RobustConfig cfg;
+  cfg.max_attempts = 1;
+  cfg.byzantine_budget = 1;
+  return cfg;
+}
+
 TEST(BitFlipSweep, ItPirAnswerEveryByteNeverDecodesWrong) {
-  // Provisioned with e = 1 redundancy (k = l*t + 3), the robust decode must
-  // turn every single-bit answer corruption into either a typed error or the
-  // exact honest item — never a silently wrong value.
+  // Provisioned with e = 1 redundancy (k = l*t + 3), the robust client must
+  // turn every single-bit answer corruption into the exact honest item — a
+  // corrected lie or an erased unparseable answer, never a wrong value.
   const field::Fp64 f(field::Fp64::kMersenne61);
   const pir::PolyItPir pir(f, 64, 9, 1);
   std::vector<std::uint64_t> db(64);
   for (std::size_t i = 0; i < db.size(); ++i) db[i] = 1000 + i;
-  crypto::Prg prg("bf2");
-  pir::PolyItPir::ClientState state;
-  const auto queries = pir.make_queries(3, state, prg);
-  std::vector<Bytes> answers;
-  for (std::size_t h = 0; h < 9; ++h) answers.push_back(pir.answer(h, db, queries[h], nullptr));
-  bit_flip_sweep(answers[4],
-                 [&](const Bytes& a) {
-                   std::vector<Bytes> mutated = answers;
-                   mutated[4] = a;
-                   EXPECT_EQ(pir.decode_with_errors(mutated, state, 1), db[3]);
-                 },
-                 "itpir-answer-robust");
+  answer_bit_flip_sweep(4, "itpir-answer-robust", [&](const net::FaultPlan& plan) {
+    net::SimStarNetwork net(9, net::SimConfig{}, plan);
+    crypto::Prg prg("bf2");
+    EXPECT_EQ(pir.run_robust(net, db, 3, std::nullopt, prg, one_attempt_one_lie()).value, db[3]);
+  });
 }
 
 TEST(BitFlipSweep, MultiServerSpfeQueryAndAnswerEveryByte) {
@@ -365,16 +386,13 @@ TEST(BitFlipSweep, MultiServerSpfeQueryAndAnswerEveryByte) {
   const auto queries = proto.make_queries({1, 9}, state, prg);
   bit_flip_sweep(queries[0], [&](const Bytes& q) { (void)proto.answer(0, db, q, nullptr); },
                  "spfe-query");
-  std::vector<Bytes> answers;
-  for (std::size_t h = 0; h < k; ++h) answers.push_back(proto.answer(h, db, queries[h], nullptr));
-  bit_flip_sweep(answers[2],
-                 [&](const Bytes& a) {
-                   std::vector<Bytes> mutated = answers;
-                   mutated[2] = a;
-                   // e = 1 slack: corrected exactly or rejected, never wrong.
-                   EXPECT_EQ(proto.decode_with_errors(mutated, state, 1), 6u);
-                 },
-                 "spfe-answer-robust");
+  // e = 1 slack: corrected exactly or erased, never wrong.
+  answer_bit_flip_sweep(2, "spfe-answer-robust", [&](const net::FaultPlan& plan) {
+    net::SimStarNetwork net(k, net::SimConfig{}, plan);
+    crypto::Prg run_prg("bf3-run");
+    EXPECT_EQ(proto.run_robust(net, db, {1, 9}, std::nullopt, run_prg, one_attempt_one_lie()).value,
+              6u);
+  });
 }
 
 TEST(BitFlipSweep, TwoServerXorPirQueryAndAnswerEveryByte) {

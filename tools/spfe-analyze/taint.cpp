@@ -14,7 +14,8 @@
 //     public under IND-CPA;
 //   * container mutators (`v.push_back(secret)`) taint the receiver;
 //   * a declaration `Type name(args)` with tainted args taints `name`
-//     (and counts as a constructor call to `Type`).
+//     (and counts as a constructor call to `Type`);
+//   * a range-for over a tainted range taints its loop variables.
 //
 // The global fixpoint iterates local analyses, accumulating (a) tainted
 // parameter positions per callee name and (b) the set of functions whose
@@ -291,7 +292,7 @@ class TaintEngine {
     return npos;
   }
 
-  // ---- propagation (ct-lint's rules + mutators + declarations) ------------
+  // ---- propagation (ct-lint's rules + mutators + declarations + range-for) -
 
   std::string lhs_root(std::size_t op) const {
     std::size_t p = op;
@@ -361,6 +362,10 @@ class TaintEngine {
         }
         continue;
       }
+      if (is_ident(t_, i, "for") && is_punct(t_, i + 1, "(")) {
+        if (taint_range_for(i)) changed = true;
+        continue;
+      }
       if (!call_site(i)) continue;
       const std::string& w = t_[i].text;
       const std::size_t close = close_of(i);
@@ -383,6 +388,36 @@ class TaintEngine {
           changed = true;
         }
       }
+    }
+    return changed;
+  }
+
+  // `for (T x : range)` and `for (auto& [a, b] : range)`: a tainted range
+  // taints the loop variables, as an element-wise assignment would.
+  bool taint_range_for(std::size_t for_kw) {
+    const std::size_t close = close_of(for_kw);
+    std::size_t colon = npos;
+    int depth = 0;
+    for (std::size_t p = for_kw + 2; p < close; ++p) {
+      if (t_[p].kind != Token::Kind::kPunct) continue;
+      const std::string& s = t_[p].text;
+      if (s == "(" || s == "[" || s == "{") ++depth;
+      else if (s == ")" || s == "]" || s == "}") --depth;
+      else if (depth == 0 && s == ";") return false;  // a three-clause loop
+      else if (depth == 0 && s == ":" && colon == npos) colon = p;
+    }
+    if (colon == npos || first_tainted(colon + 1, close) == npos) return false;
+    // The declarator's names: one identifier, or a structured binding.
+    std::size_t first = colon - 1;
+    if (is_punct(t_, first, "]")) first = match_open(t_, first, for_kw + 2);
+    bool changed = false;
+    for (std::size_t p = first; p < colon; ++p) {
+      if (!is_ident(t_, p) || tainted_.count(t_[p].text) > 0 ||
+          never_taint_names().count(t_[p].text) > 0) {
+        continue;
+      }
+      tainted_.insert(t_[p].text);
+      changed = true;
     }
     return changed;
   }

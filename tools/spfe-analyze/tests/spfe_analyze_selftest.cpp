@@ -51,6 +51,14 @@ TEST(SpfeAnalyzeSelfTest, TaintedReturnFails) {
   EXPECT_EQ(run_analyze("tainted_return.cpp"), 1);
 }
 
+TEST(SpfeAnalyzeSelfTest, RangeForLoopVariableFails) {
+  EXPECT_EQ(run_analyze("range_for_taint.cpp"), 1);
+}
+
+TEST(SpfeAnalyzeSelfTest, RangeForStructuredBindingFails) {
+  EXPECT_EQ(run_analyze("range_for_binding_taint.cpp"), 1);
+}
+
 TEST(SpfeAnalyzeSelfTest, CtWhitelistedCalleeClean) {
   EXPECT_EQ(run_analyze("ct_callee_clean.cpp"), 0);
 }
