@@ -85,10 +85,10 @@ FaultPlan FaultPlan::random(crypto::Prg& prg, std::size_t num_servers, std::size
         plan.crash_after(u, prg.uniform(3));
         break;
       case 1:
-        // Answers never arrive (or arrive a half-round late).
+        // Answers never arrive, or arrive past the attempt deadline.
         for (std::size_t r = 0; r < rounds; ++r) {
           Fault f;
-          f.kind = prg.coin() ? FaultKind::kDrop : FaultKind::kDelayHalfRound;
+          f.kind = prg.coin() ? FaultKind::kDrop : FaultKind::kDelay;
           plan.add(Direction::kServerToClient, u, r, f);
         }
         break;

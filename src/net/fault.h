@@ -12,7 +12,7 @@
 //   kCorruptByte    one byte XORed with a nonzero mask (Byzantine server)
 //   kTruncate       only a prefix is delivered (malformed at the parser)
 //   kDuplicate      delivered twice; the duplicate is not metered
-//   kDelayHalfRound delivered `SimConfig::delay_fault_penalty_us` late,
+//   kDelay          delivered `SimConfig::delay_fault_penalty_us` late,
 //                   past any sane attempt deadline
 //   crash_after     server dies after N channel operations: later receives
 //                   throw ServerUnavailable, later sends vanish unmetered
@@ -34,7 +34,7 @@ enum class FaultKind : std::uint8_t {
   kCorruptByte,
   kTruncate,
   kDuplicate,
-  kDelayHalfRound,
+  kDelay,
 };
 
 struct Fault {

@@ -149,7 +149,7 @@ void SimStarNetwork::enqueue(std::size_t s, Direction direction, const Fault* fa
       case FaultKind::kDuplicate:
         copies = 2;
         break;
-      case FaultKind::kDelayHalfRound:
+      case FaultKind::kDelay:
         extra_us += config_.delay_fault_penalty_us;
         break;
     }

@@ -34,7 +34,7 @@
 // a crashed server transmits nothing, and duplicates are free. Receives on
 // a dead or empty channel throw the typed `ServerUnavailable`, never
 // `ProtocolError`, so robust clients can mark the server as an erasure.
-// `kDelayHalfRound` adds `SimConfig::delay_fault_penalty_us` of latency.
+// `kDelay` adds `SimConfig::delay_fault_penalty_us` of latency.
 //
 // Determinism: every latency is sampled by (direction, server, ordinal)
 // from the SimConfig seed, independent of call interleaving and of
@@ -103,8 +103,8 @@ struct SimConfig {
   crypto::Prg::Seed seed{};                  // drives jitter + straggle coins
   std::vector<ServerProfile> profiles;       // size k, or empty = default all
   std::vector<std::vector<Outage>> outages;  // per server, or empty
-  // Extra latency a FaultKind::kDelayHalfRound adds — large enough to blow
-  // any sane per-attempt deadline.
+  // Extra latency a FaultKind::kDelay adds — large enough to blow any
+  // sane per-attempt deadline.
   std::uint64_t delay_fault_penalty_us = 1'000'000;
 
   // Same profile for every one of `k` servers.

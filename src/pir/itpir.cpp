@@ -27,30 +27,58 @@ std::size_t selection_bits(std::size_t n) {
   return std::max<std::size_t>(l, 1);
 }
 
-std::uint64_t eval_selection_polynomial(const field::Fp64& f,
-                                        std::span<const std::uint64_t> database,
-                                        std::span<const std::uint64_t> point) {
+// `f` is taken by value, so stores into `scratch` cannot alias its modulus
+// and the folds keep it in a register.
+std::uint64_t eval_selection_polynomial(field::Fp64 f, std::span<const std::uint64_t> database,
+                                        std::span<const std::uint64_t> point,
+                                        std::vector<std::uint64_t>& scratch) {
   const std::size_t l = point.size();
-  // Build per-bit selectors once, then the product over bits per index via
-  // a prefix tree: selector(i) = prod_k (point[k] if i(k)=1 else 1-point[k]).
-  // Iterative doubling keeps this O(n) multiplications total.
-  std::vector<std::uint64_t> weights(1, f.one());
-  for (std::size_t k = 0; k < l; ++k) {
-    const std::uint64_t yk = point[k];
-    const std::uint64_t not_yk = f.sub(f.one(), yk);
-    std::vector<std::uint64_t> next(weights.size() * 2);
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      next[2 * i] = f.mul(weights[i], not_yk);   // bit k = 0
-      next[2 * i + 1] = f.mul(weights[i], yk);   // bit k = 1
+  const std::size_t n = database.size();
+  // The database spans the low `width` index bits.
+  const std::size_t width = n < 2 ? 0 : selection_bits(n);
+  if (l >= 64) throw InvalidArgument("selection polynomial: more than 63 coordinates");
+  if (width > l) throw InvalidArgument("selection polynomial: database longer than 2^l");
+  for (const std::uint64_t y : point) {
+    if (y >= f.modulus()) throw InvalidArgument("selection polynomial: coordinate out of field");
+  }
+  const std::uint64_t p = f.modulus();
+  const auto entry = [&](std::size_t i) {
+    const std::uint64_t x = database[i];
+    return x < p ? x : x % p;
+  };
+
+  // Fold P0 in place, one index bit per pass, most significant first: with
+  // lo and hi the halves of the table whose bit is 0 and 1, P0 over 2h
+  // entries is lo + y*(hi - lo) over h entries, so the passes take
+  // 2^width - 1 products in all. hi + p - lo < 2p is left unreduced for
+  // mul_lazy. The first pass reads the database and counts entries past
+  // its end as zero.
+  std::uint64_t value = n == 0 ? f.zero() : entry(0);
+  if (width > 0) {
+    std::size_t h = std::size_t(1) << (width - 1);
+    scratch.resize(h);
+    const std::uint64_t* y = point.data() + (l - width);
+    std::uint64_t yk = *y++;
+    for (std::size_t i = 0; i < n - h; ++i) {
+      const std::uint64_t lo = entry(i);
+      scratch[i] = f.add(lo, f.mul_lazy(entry(i + h) + p - lo, yk));
     }
-    weights = std::move(next);
+    for (std::size_t i = n - h; i < h; ++i) {
+      const std::uint64_t lo = entry(i);
+      scratch[i] = f.sub(lo, f.mul_lazy(lo, yk));
+    }
+    for (h /= 2; h > 0; h /= 2) {
+      yk = *y++;
+      for (std::size_t i = 0; i < h; ++i) {
+        scratch[i] = f.add(scratch[i], f.mul_lazy(scratch[i + h] + p - scratch[i], yk));
+      }
+    }
+    value = scratch[0];
   }
-  // weights is indexed by the l-bit string (leftmost bit = MSB), matching i.
-  std::uint64_t acc = f.zero();
-  for (std::size_t i = 0; i < database.size(); ++i) {
-    acc = f.add(acc, f.mul(weights[i], database[i]));
-  }
-  return acc;
+  // Index bits above `width` are 0 for every entry, so each leading
+  // coordinate y only scales P0 by 1 - y.
+  for (std::size_t k = 0; k + width < l; ++k) value = f.mul(value, f.sub(f.one(), point[k]));
+  return value;
 }
 
 InstanceHiding::InstanceHiding(field::Fp64 field, std::size_t n, std::size_t m,
@@ -132,11 +160,12 @@ Bytes InstanceHiding::answer(std::size_t server_id, std::span<const std::uint64_
   }
   r.expect_done();
 
-  // Leaf j = P0 on coordinate block j.
+  // Leaf j = P0 on coordinate block j; the m folds share one scratch buffer.
   std::vector<std::uint64_t> leaves(m_);
+  std::vector<std::uint64_t> scratch;
   for (std::size_t j = 0; j < m_; ++j) {
     leaves[j] = eval_selection_polynomial(
-        field_, database, std::span<const std::uint64_t>(point.data() + j * l_, l_));
+        field_, database, std::span<const std::uint64_t>(point.data() + j * l_, l_), scratch);
   }
   std::uint64_t value = field_.zero();
   if (formula_) {

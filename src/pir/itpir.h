@@ -17,12 +17,15 @@
 //      - the client draws a uniform degree-t curve gamma with gamma(0) =
 //        the encoded indices and sends gamma(alpha_h) to server h
 //        (alpha_h = h + 1);
-//      - server h evaluates P at its point gate by gate (never expanding
-//        the exponential monomial form) and replies with one field element
-//        plus, for symmetric privacy (SPIR, [25]), R(alpha_h) for a shared
-//        random degree-(deg(P)*t) polynomial R with R(0) = 0 drawn from a
-//        common PRG seed (the paper's "common random input ... regarded as
-//        an extension of the database");
+//      - server h evaluates P at its point without expanding the
+//        exponential monomial form: each leaf folds P0 in place, one index
+//        bit per pass (P0 over 2h entries -> lo + y*(hi - lo) over h), n - 1
+//        field products; the m leaves are then summed, or combined gate by
+//        gate by the formula. The server replies with one field
+//        element plus, for symmetric privacy (SPIR, [25]), R(alpha_h) for a
+//        shared random degree-(deg(P)*t) polynomial R with R(0) = 0 drawn
+//        from a common PRG seed (the paper's "common random input ...
+//        regarded as an extension of the database");
 //      - the client interpolates P(gamma(w)) at w = 0 (`decode`), or, in
 //        `run_robust`, decodes it through crashes and up to e lies.
 //    Client privacy is information-theoretic against any t (possibly
@@ -126,11 +129,15 @@ class PolyItPir : public InstanceHiding {
 };
 
 // Evaluates the multilinear selection polynomial P0 at an arbitrary field
-// point. `point` holds l field elements, most significant index bit first
-// (the paper's "k-th leftmost bit").
-std::uint64_t eval_selection_polynomial(const field::Fp64& f,
-                                        std::span<const std::uint64_t> database,
-                                        std::span<const std::uint64_t> point);
+// point. `point` holds l < 64 field elements, most significant index bit
+// first (the paper's "k-th leftmost bit"); the database holds n <= 2^l
+// entries. P0 is folded in place one bit per pass in `scratch`, which may
+// be reused across calls. With N = 2^ceil(log2 n) (N = n for n a power of
+// two) the fold takes N - 1 field multiplications and N/2 scratch entries.
+// Throws InvalidArgument on l >= 64, n > 2^l or a coordinate >= p.
+std::uint64_t eval_selection_polynomial(field::Fp64 f, std::span<const std::uint64_t> database,
+                                        std::span<const std::uint64_t> point,
+                                        std::vector<std::uint64_t>& scratch);
 
 class TwoServerXorPir {
  public:

@@ -180,7 +180,7 @@ TEST(SimFaultTest, ErrorMessagesNameServerAndState) {
 
 TEST(SimFaultTest, DrainRestoresIdleUnderDelaysAndCrashes) {
   FaultPlan plan;
-  plan.add(Direction::kServerToClient, 0, 0, Fault{FaultKind::kDelayHalfRound, 0, 0x01, 0});
+  plan.add(Direction::kServerToClient, 0, 0, Fault{FaultKind::kDelay, 0, 0x01, 0});
   plan.add(Direction::kClientToServer, 1, 0, Fault{FaultKind::kDuplicate, 0, 0x01, 0});
   plan.crash_after(2, 1);
   SimStarNetwork net(3, SimConfig{}, plan);

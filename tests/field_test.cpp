@@ -53,6 +53,29 @@ TEST(Fp64, Mersenne61LargeProducts) {
   }
 }
 
+TEST(Fp64, LazyMulMatchesMul) {
+  // mul_lazy takes a < 2p: up to the largest prime below 2^63, where
+  // (2p - 1)(p - 1) has the largest high word, the quotient still fits the
+  // hardware division.
+  crypto::Prg prg("fp64-lazy");
+  for (const std::uint64_t p : {std::uint64_t(2), std::uint64_t(1009),
+                                smallest_prime_above(8ull * 200001 * 200001), Fp64::kMersenne61,
+                                (std::uint64_t(1) << 63) - 25}) {
+    const Fp64 f(p);
+    std::vector<std::uint64_t> bs = {0, 1, p - 1};
+    std::vector<std::uint64_t> as = {0, 1, p - 1, p, 2 * p - 1};
+    for (int i = 0; i < 200; ++i) {
+      bs.push_back(f.random(prg));
+      as.push_back(prg.uniform(2 * p));
+    }
+    for (const std::uint64_t b : bs) {
+      for (const std::uint64_t a : as) {
+        ASSERT_EQ(f.mul_lazy(a, b), f.mul(a, b)) << "p=" << p << " a=" << a << " b=" << b;
+      }
+    }
+  }
+}
+
 TEST(Fp64, SmallestPrimeAbove) {
   EXPECT_EQ(smallest_prime_above(0), 2u);
   EXPECT_EQ(smallest_prime_above(2), 3u);

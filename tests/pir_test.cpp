@@ -28,10 +28,11 @@ std::vector<std::uint64_t> make_db(std::size_t n, std::uint64_t modulus) {
 TEST(SelectionPolynomial, RecoversItemsOnBooleanPoints) {
   const Fp64 f(1009);
   const auto db = make_db(8, 1009);
+  std::vector<std::uint64_t> scratch;
   for (std::size_t i = 0; i < 8; ++i) {
     // Encode i as 3 bits, leftmost (MSB) first.
     std::vector<std::uint64_t> point = {(i >> 2) & 1, (i >> 1) & 1, i & 1};
-    EXPECT_EQ(eval_selection_polynomial(f, db, point), db[i]) << i;
+    EXPECT_EQ(eval_selection_polynomial(f, db, point, scratch), db[i]) << i;
   }
 }
 
@@ -39,7 +40,72 @@ TEST(SelectionPolynomial, HandlesNonPowerOfTwoDatabase) {
   const Fp64 f(1009);
   const auto db = make_db(5, 1009);
   std::vector<std::uint64_t> point = {1, 0, 0};  // index 4
-  EXPECT_EQ(eval_selection_polynomial(f, db, point), db[4]);
+  std::vector<std::uint64_t> scratch;
+  EXPECT_EQ(eval_selection_polynomial(f, db, point, scratch), db[4]);
+}
+
+// P0(y) = sum_i x_i prod_k (bit_k(i) ? y_k : 1 - y_k), bit 0 the leftmost.
+std::uint64_t brute_force_p0(const Fp64& f, const std::vector<std::uint64_t>& db,
+                             const std::vector<std::uint64_t>& y) {
+  std::uint64_t acc = f.zero();
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    std::uint64_t w = f.one();
+    for (std::size_t k = 0; k < y.size(); ++k) {
+      const bool bit = ((i >> (y.size() - 1 - k)) & 1) != 0;
+      w = f.mul(w, bit ? y[k] : f.sub(f.one(), y[k]));
+    }
+    acc = f.add(acc, f.mul(db[i], w));
+  }
+  return acc;
+}
+
+TEST(SelectionPolynomial, MatchesBruteForceAtRandomPoints) {
+  // Non-Boolean points tell the fold order apart; the ragged sizes take the
+  // zero-tail first pass, and points longer than the database's width take
+  // the leading 1 - y factors. Odd trials use unreduced 64-bit entries.
+  crypto::Prg prg("selpoly-property");
+  std::vector<std::uint64_t> scratch;
+  for (const std::uint64_t p : {std::uint64_t(2), std::uint64_t(1009),
+                                field::smallest_prime_above(8ull * 200001 * 200001),
+                                Fp64::kMersenne61, (std::uint64_t(1) << 63) - 25}) {
+    const Fp64 f(p);
+    for (const std::size_t n : {1, 2, 3, 5, 1000, 1024, 1025}) {
+      const std::size_t width = n < 2 ? 0 : selection_bits(n);
+      for (const std::size_t l : {width, width + 1, std::size_t(40)}) {
+        for (int trial = 0; trial < 4; ++trial) {
+          std::vector<std::uint64_t> db(n), point(l);
+          for (auto& x : db) x = trial % 2 == 0 ? f.random(prg) : prg.u64();
+          for (auto& y : point) y = f.random(prg);
+          ASSERT_EQ(eval_selection_polynomial(f, db, point, scratch), brute_force_p0(f, db, point))
+              << "p=" << p << " n=" << n << " l=" << l << " trial=" << trial;
+        }
+      }
+    }
+  }
+}
+
+TEST(SelectionPolynomial, RejectsDatabaseLongerThanTwoToTheL) {
+  const Fp64 f(1009);
+  const auto db = make_db(9, 1009);
+  const std::vector<std::uint64_t> point = {1, 0, 0};
+  std::vector<std::uint64_t> scratch;
+  EXPECT_THROW(eval_selection_polynomial(f, db, point, scratch), InvalidArgument);
+}
+
+TEST(SelectionPolynomial, RejectsCoordinateOutOfField) {
+  const Fp64 f(1009);
+  const auto db = make_db(8, 1009);
+  const std::vector<std::uint64_t> point = {0, 1009, 1};
+  std::vector<std::uint64_t> scratch;
+  EXPECT_THROW(eval_selection_polynomial(f, db, point, scratch), InvalidArgument);
+}
+
+TEST(SelectionPolynomial, RejectsSixtyFourCoordinates) {
+  const Fp64 f(1009);
+  const auto db = make_db(8, 1009);
+  const std::vector<std::uint64_t> point(64, 0);
+  std::vector<std::uint64_t> scratch;
+  EXPECT_THROW(eval_selection_polynomial(f, db, point, scratch), InvalidArgument);
 }
 
 // ---- PolyItPir --------------------------------------------------------------

@@ -178,7 +178,7 @@ TEST(SimStarNetworkTest, OutageDropsButMeters) {
 
 TEST(SimStarNetworkTest, DelayFaultBecomesConcreteLatency) {
   FaultPlan plan;
-  plan.add(Direction::kServerToClient, 0, 0, Fault{FaultKind::kDelayHalfRound, 0, 0x01, 0});
+  plan.add(Direction::kServerToClient, 0, 0, Fault{FaultKind::kDelay, 0, 0x01, 0});
   SimConfig cfg = SimConfig::uniform(1, ServerProfile{}, seed_of("sim-delayfault"));
   cfg.delay_fault_penalty_us = 5000;
   SimStarNetwork net(1, cfg, plan);
