@@ -344,20 +344,6 @@ BENCHMARK_DEFINE_F(PaillierFixture, MulScalarSum64)(benchmark::State& state) {
 }
 BENCHMARK_REGISTER_F(PaillierFixture, MulScalarSum64)->Arg(512)->Arg(1024);
 
-BENCHMARK_DEFINE_F(PaillierFixture, RerandomizeAll16)(benchmark::State& state) {
-  crypto::Prg prg("rerand-batch");
-  const auto& pk = sk_->public_key();
-  std::vector<BigInt> cts(16);
-  for (std::size_t i = 0; i < cts.size(); ++i) cts[i] = pk.encrypt(BigInt(i), prg);
-  for (auto _ : state) {
-    std::vector<BigInt> batch = cts;
-    pk.rerandomize_all(batch, prg);
-    benchmark::DoNotOptimize(batch);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
-}
-BENCHMARK_REGISTER_F(PaillierFixture, RerandomizeAll16)->Arg(512);
-
 BENCHMARK_DEFINE_F(PaillierFixture, AddCiphertexts)(benchmark::State& state) {
   crypto::Prg prg("addct");
   const BigInt a = sk_->public_key().encrypt(BigInt(1), prg);

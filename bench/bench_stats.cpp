@@ -3,8 +3,9 @@
 // Claims measured:
 //   - the dedicated 1-round weighted-sum protocol beats the generic
 //     two-phase constructions for f = sum (rounds and communication);
-//   - the average+variance "package" costs about one extra answer, not a
-//     second protocol run;
+//   - the average+variance "package" costs one weighted sum plus one
+//     ciphertext: its one SPIR answer packs the masked x and x^2 values
+//     side by side, so only the squares view's mask ciphertext is extra;
 //   - frequency counting adds exactly one round after input selection.
 #include <cstdio>
 
@@ -144,7 +145,7 @@ int main() {
     freq.print();
   }
   std::printf("\nShape check: §4 weighted-sum wins on rounds (1.0) and communication vs the\n"
-              "two-phase constructions; the package costs ~one extra answer; frequency =\n"
-              "selection rounds + 1.\n");
+              "two-phase constructions; the package costs one weighted sum plus one\n"
+              "ciphertext; frequency = selection rounds + 1.\n");
   return 0;
 }

@@ -4,7 +4,8 @@
 // cohort selected by *public* attributes (zip code + age bracket), without
 // revealing the cohort to the database owner, and without the owner
 // revealing anything beyond the two paid-for statistics. Uses the §4
-// mean+variance "package" (one round, one SPIR query answered twice).
+// mean+variance "package" (one round, one SPIR query answered once over
+// items that carry both the salary and its square).
 //
 // Build & run:  ./examples/private_salary_survey
 #include <cstdio>

@@ -107,14 +107,6 @@ BigInt PaillierPublicKey::rerandomize_with_randomness(const BigInt& c, const Big
   return rerandomize_with_factor(c, encryption_factor(r));
 }
 
-void PaillierPublicKey::rerandomize_all(std::span<BigInt> cts, crypto::Prg& prg) const {
-  std::vector<BigInt> rs(cts.size());
-  for (BigInt& r : rs) r = random_unit(prg);
-  common::parallel_for(cts.size(), [&](std::size_t i) {
-    cts[i] = rerandomize_with_randomness(cts[i], rs[i]);
-  });
-}
-
 void PaillierPublicKey::serialize(Writer& w) const { bignum::write_bigint(w, n_); }
 
 PaillierPublicKey PaillierPublicKey::deserialize(Reader& r) {

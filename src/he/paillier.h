@@ -84,10 +84,6 @@ class PaillierPublicKey {
   // pre-draw randomness serially and fan the modexps out across threads.
   bignum::BigInt rerandomize_with_randomness(const bignum::BigInt& c,
                                              const bignum::BigInt& r) const;
-  // Rerandomizes every ciphertext in place: randomness is pre-drawn
-  // serially (PRG order matches a fully serial run), the modexps fan out
-  // across the global thread pool.
-  void rerandomize_all(std::span<bignum::BigInt> cts, crypto::Prg& prg) const;
 
   void serialize(Writer& w) const;
   static PaillierPublicKey deserialize(Reader& r);

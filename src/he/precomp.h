@@ -94,8 +94,8 @@ class PaillierRandomnessPool {
   bignum::BigInt encrypt(const bignum::BigInt& m);
   // rerandomize(c) == pk.rerandomize(c, prg) for the pool's stream.
   bignum::BigInt rerandomize(const bignum::BigInt& c);
-  // Pooled counterpart of pk.rerandomize_all: factors are drawn serially in
-  // stream order, the (cheap) multiplications fan out across the pool.
+  // rerandomize() over every ciphertext in turn: factors are drawn serially
+  // in stream order, the (cheap) multiplications fan out across the pool.
   void rerandomize_all(std::span<bignum::BigInt> cts);
 
   std::size_t stocked() const;

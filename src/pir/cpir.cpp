@@ -172,10 +172,11 @@ Bytes PaillierPir::answer_chunks(std::vector<std::vector<BigInt>> items, BytesVi
       });
     }
     if (level + 1 == dims_.size()) {
-      // Final level: rerandomize and emit the ciphertexts.
+      // Final level: emit the folded ciphertexts. Each cell's encrypt(0)
+      // blinder already gives it uniform randomness (DESIGN.md "cPIR answer
+      // randomization and §4 lane packing").
       if (folded.size() != 1) throw InvalidArgument("PaillierPir: dimension mismatch");
-      std::vector<BigInt>& out = folded[0];
-      pk_.rerandomize_all(out, prg);
+      const std::vector<BigInt>& out = folded[0];
       Writer w;
       w.varint(out.size());
       for (const BigInt& ct : out) {

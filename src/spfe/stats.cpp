@@ -1,6 +1,7 @@
 #include "spfe/stats.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.h"
 #include "common/serialize.h"
@@ -54,11 +55,19 @@ MeanVarianceResult mean_variance_of(std::uint64_t sum, std::uint64_t sum_of_squa
   return result;
 }
 
-// The §4 one-round masked-sum exchange, answered once per server view of
-// the database (`views[0]` is x itself): the client sends one SPIR(n, m, F)
-// query, reused for every view, plus E(c_0..c_{m-1}) with
-// c_k = sum_j w_j (i_j + 1)^k. Per view the server masks the data with a
-// fresh P_s and replies with the SPIR answer over x'_i = x_i + P_s(i+1) and
+// Lane v of a packed SPIR item: its bits [v·L, (v+1)·L).
+std::uint64_t lane(const BigInt& packed, std::size_t v, std::size_t lane_bits) {
+  const BigInt high = packed >> (v * lane_bits);
+  return (high - ((high >> lane_bits) << lane_bits)).to_u64();
+}
+
+// The §4 one-round masked-sum exchange over the server's views of the
+// database (`views[0]` is x itself): the client sends one SPIR(n, m, V·L)
+// query, where L is the bit length of p - 1, plus E(c_0..c_{m-1}) with
+// c_k = sum_j w_j (i_j + 1)^k. The server masks each view v with a fresh
+// P_s^(v), answers the query once over the packed items
+// sum_v x^(v)'_i · 2^(v·L), where x^(v)'_i = x^(v)_i + P_s^(v)(i+1) < p <= 2^L
+// so no lane carries into the next, and replies per view with
 // E(sum_k s_k c_k) = E(sum_j w_j P_s(i_j + 1)), blinded by a multiple of p.
 // Returns sum_j w_j v_{i_j} for every view v.
 std::vector<std::uint64_t> masked_weighted_sums(
@@ -73,6 +82,8 @@ std::vector<std::uint64_t> masked_weighted_sums(
   const he::PaillierPublicKey& pk = client_sk.public_key();
   check_blinding_headroom(pk, BigInt(m) * BigInt(p) * BigInt(p));
   const pir::CuckooBatchPir spir(pk, n, m, pir_depth);
+  const std::size_t lane_bits = static_cast<std::size_t>(std::bit_width(p - 1));
+  const std::size_t item_bytes = (views.size() * lane_bits + 7) / 8;
 
   // Client round-1: the SPIR query + E(c_k).
   he::PaillierRandomnessPool* pool = pool_for(precomp, pk);
@@ -94,8 +105,8 @@ std::vector<std::uint64_t> masked_weighted_sums(
     net.client_send(server_id, w.take());
   }
 
-  // Server: per view, masked database answer + E(sum_k s_k c_k + blind)
-  // with an independent mask polynomial ("it replies twice", §4).
+  // Server: every view's mask polynomial, one SPIR answer over the packed
+  // masked views, then per view E(sum_k s_k c_k + blind).
   {
     Reader r(net.server_receive(server_id));
     const Bytes pir_query = r.bytes();
@@ -103,11 +114,21 @@ std::vector<std::uint64_t> masked_weighted_sums(
     for (auto& c : c_cts) c = read_ct(r, pk);
     r.expect_done();
 
-    Writer w;
-    for (const std::span<const std::uint64_t> data : views) {
-      std::vector<std::uint64_t> s(m);
+    std::vector<std::vector<std::uint64_t>> masks(views.size(), std::vector<std::uint64_t>(m));
+    for (auto& s : masks) {
       for (auto& coeff : s) coeff = server_prg.uniform(p);
-      w.bytes(spir.answer_u64(mask_database(data, s, p), pir_query, server_prg));
+    }
+    std::vector<BigInt> packed(n);
+    for (std::size_t v = 0; v < views.size(); ++v) {
+      const std::vector<std::uint64_t> masked = mask_database(views[v], masks[v], p);
+      for (std::size_t i = 0; i < n; ++i) packed[i] += BigInt(masked[i]) << (v * lane_bits);
+    }
+    std::vector<Bytes> items(n);
+    for (std::size_t i = 0; i < n; ++i) items[i] = packed[i].to_bytes_be_padded(item_bytes);
+
+    Writer w;
+    w.bytes(spir.answer_bytes(items, item_bytes, pir_query, server_prg));
+    for (const std::vector<std::uint64_t>& s : masks) {
       std::vector<BigInt> s_big(m);
       for (std::size_t k = 0; k < m; ++k) s_big[k] = BigInt(s[k]);
       BigInt acc = pk.add(pk.encrypt(BigInt(0), server_prg), pk.mul_scalar_sum(c_cts, s_big));
@@ -119,17 +140,19 @@ std::vector<std::uint64_t> masked_weighted_sums(
     net.server_send(server_id, w.take());
   }
 
-  // Client, per view: sum_j w_j x'_{i_j} - sum_j w_j P_s(i_j + 1).
+  // Client: one decode, then per view
+  // sum_j w_j x'_{i_j} - sum_j w_j P_s(i_j + 1) over that view's lane.
   Reader r(net.client_receive(server_id));
+  const std::vector<Bytes> items = spir.decode_bytes(client_sk, item_bytes, r.bytes(), pir_state);
+  std::vector<BigInt> packed(m);
+  for (std::size_t j = 0; j < m; ++j) packed[j] = BigInt::from_bytes_be(items[j]);
   std::vector<std::uint64_t> sums;
   for (std::size_t v = 0; v < views.size(); ++v) {
-    const std::vector<std::uint64_t> masked_items =
-        spir.decode_u64(client_sk, r.bytes(), pir_state);
     const std::uint64_t mask_sum =
         client_sk.decrypt(read_ct(r, pk)).mod_floor(BigInt(p)).to_u64();
     std::uint64_t weighted = 0;
     for (std::size_t j = 0; j < m; ++j) {
-      weighted = add_mod(weighted, mul_mod(weights[j] % p, masked_items[j], p), p);
+      weighted = add_mod(weighted, mul_mod(weights[j] % p, lane(packed[j], v, lane_bits), p), p);
     }
     sums.push_back(add_mod(weighted, p - mask_sum, p));
   }

@@ -13,9 +13,12 @@
 //   *some* linear combination of m items (weak security).
 //
 // MeanVariancePackage: the §4 "package" — the server holds the squares
-// database x''_i = x_i^2 alongside x and answers the same selection twice
-// (independent mask polynomials), yielding sum and sum-of-squares, from
-// which the client derives mean and variance. Still one round.
+// database x''_i = x_i^2 alongside x, masks each view with an independent
+// polynomial and answers the client's one SPIR query once, over items that
+// carry both masked values side by side (SPIR(n, m, 2l) rather than two
+// SPIR(n, m, l) answers), plus one E(sum_k s_k c_k) per view. The client
+// gets sum and sum-of-squares, from which it derives mean and variance.
+// Still one round.
 //
 // FrequencyProtocol: counts occurrences of a keyword w among the selected
 // items. After any input-selection phase (shares a_j + b_j = x_{i_j} mod p),

@@ -209,28 +209,6 @@ TEST_F(PaillierTest, MulScalarSumMatrixMatchesColumns) {
   }
 }
 
-TEST_F(PaillierTest, RerandomizeAllPreservesPlaintextsAndPrgOrder) {
-  const auto& pk = sk_.public_key();
-  std::vector<BigInt> cts(6);
-  for (std::size_t i = 0; i < cts.size(); ++i) cts[i] = pk.encrypt(BigInt(i * 11), prg_);
-  // Reference: the exact serial draw-then-apply order rerandomize_all commits to.
-  std::vector<BigInt> expected = cts;
-  {
-    crypto::Prg serial("rerand-all");
-    std::vector<BigInt> rs(cts.size());
-    for (auto& r : rs) r = pk.random_unit(serial);
-    for (std::size_t i = 0; i < cts.size(); ++i) {
-      expected[i] = pk.rerandomize_with_randomness(expected[i], rs[i]);
-    }
-  }
-  crypto::Prg batch("rerand-all");
-  pk.rerandomize_all(cts, batch);
-  EXPECT_EQ(cts, expected);
-  for (std::size_t i = 0; i < cts.size(); ++i) {
-    EXPECT_EQ(sk_.decrypt(cts[i]), BigInt(i * 11)) << i;
-  }
-}
-
 TEST(Paillier, RandomUnitCoversFullRange) {
   // Tiny modulus (N = 5 * 7) so 2000 draws cover [1, N) exhaustively: the
   // old random_below(N-1) + 1 draw could never produce N - 1, and 0 must

@@ -7,6 +7,7 @@
 #include "common/serialize.h"
 #include "he/paillier.h"
 #include "net/fault.h"
+#include "obs/obs.h"
 #include "pir/batch_pir.h"
 #include "pir/cpir.h"
 #include "pir/itpir.h"
@@ -365,6 +366,62 @@ TEST_F(PaillierPirTest, MaliciousLinearCombinationIsWeakSecurity) {
   }
   const Bytes a = pir.answer_u64(db, w.data(), prg_);
   EXPECT_EQ(pir.decode_u64(sk_, a), db[0] + db[1]);
+}
+
+// The emitted ciphertexts of an answer: varint count, then fixed-width cts.
+std::vector<Bytes> answer_ciphertexts(const he::PaillierPublicKey& pk, const Bytes& answer) {
+  Reader r(answer);
+  std::vector<Bytes> cts(r.varint_count(pk.ciphertext_bytes()));
+  for (Bytes& ct : cts) ct = r.raw(pk.ciphertext_bytes());
+  r.expect_done();
+  return cts;
+}
+
+TEST_F(PaillierPirTest, AnswerRandomizesEachCiphertextOnce) {
+  // Every fold cell gets one encrypt(0) blinder and nothing is rerandomized
+  // afterwards. At depth 2, level 0 folds ceil(n / d0) groups of one chunk;
+  // level 1 folds one group whose chunks are the emitted ciphertexts.
+  constexpr std::size_t kN = 50;
+  const PaillierPir pir(sk_.public_key(), kN, 2);
+  const auto db = make_db(kN, 1u << 30);
+  PaillierPir::ClientState state;
+  const Bytes q = pir.make_query(23, state, prg_);
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.set_enabled(true);
+  tracer.reset();
+  const Bytes a = pir.answer_u64(db, q, prg_);
+  const obs::OpCounts ops = tracer.totals();
+  tracer.set_enabled(false);
+  tracer.reset();
+  const std::size_t level0_cells = (kN + pir.dims()[0] - 1) / pir.dims()[0];
+  const std::size_t level1_cells = answer_ciphertexts(sk_.public_key(), a).size();
+  EXPECT_EQ(ops[static_cast<std::size_t>(obs::Op::kPaillierEncrypt)],
+            level0_cells + level1_cells);
+  EXPECT_EQ(ops[static_cast<std::size_t>(obs::Op::kPaillierRerandomize)], 0u);
+  EXPECT_EQ(pir.decode_u64(sk_, a), db[23]);
+}
+
+TEST_F(PaillierPirTest, AnswersUnderDifferentServerSeedsShareNoCiphertext) {
+  // The blinder alone randomizes every emitted ciphertext: two answers to
+  // one query differ in each of them and still decode to the same item.
+  constexpr std::size_t kN = 30;
+  const auto db = make_db(kN, 1000000);
+  for (const std::size_t depth : {1u, 2u, 3u}) {
+    const PaillierPir pir(sk_.public_key(), kN, depth);
+    PaillierPir::ClientState state;
+    const Bytes q = pir.make_query(13, state, prg_);
+    crypto::Prg s1("answer-seed-1"), s2("answer-seed-2");
+    const Bytes a1 = pir.answer_u64(db, q, s1);
+    const Bytes a2 = pir.answer_u64(db, q, s2);
+    const std::vector<Bytes> cts1 = answer_ciphertexts(sk_.public_key(), a1);
+    const std::vector<Bytes> cts2 = answer_ciphertexts(sk_.public_key(), a2);
+    ASSERT_EQ(cts1.size(), cts2.size()) << "depth " << depth;
+    for (std::size_t c = 0; c < cts1.size(); ++c) {
+      EXPECT_NE(cts1[c], cts2[c]) << "depth " << depth << ", ciphertext " << c;
+    }
+    EXPECT_EQ(pir.decode_u64(sk_, a1), db[13]) << "depth " << depth;
+    EXPECT_EQ(pir.decode_u64(sk_, a2), db[13]) << "depth " << depth;
+  }
 }
 
 TEST_F(PaillierPirTest, ValidatesGeometry) {

@@ -21,6 +21,7 @@
 #include "pir/cpir.h"
 #include "pir/itpir.h"
 #include "spfe/multiserver.h"
+#include "spfe/stats.h"
 
 namespace spfe {
 namespace {
@@ -393,6 +394,50 @@ TEST(BitFlipSweep, MultiServerSpfeQueryAndAnswerEveryByte) {
     EXPECT_EQ(proto.run_robust(net, db, {1, 9}, std::nullopt, run_prg, one_attempt_one_lie()).value,
               6u);
   });
+}
+
+// The §4 package's one server->client message (packed SPIR answer plus the
+// per-view mask ciphertexts), truncated at spread-out prefix lengths and
+// corrupted at seeded positions in flight: the client must finish or throw
+// a typed spfe::Error.
+TEST(WireFaultSweep, MeanVariancePackageAnswer) {
+  crypto::Prg key_prg("wf-package-key");
+  const auto sk = he::paillier_keygen(key_prg, 256);
+  constexpr std::size_t kN = 16, kM = 2, kCasesPerKind = 50;
+  std::vector<std::uint64_t> db(kN);
+  for (std::size_t i = 0; i < kN; ++i) db[i] = 100 + 3 * i;
+  const field::Fp64 field(field::smallest_prime_above(1u << 20));
+  for (const std::size_t depth : {1u, 2u}) {
+    const protocols::MeanVariancePackage package(field, kN, kM, depth);
+    const auto run = [&](const net::FaultPlan& plan) {
+      net::SimStarNetwork net(1, net::SimConfig{}, plan);
+      crypto::Prg client_prg("wf-package-client"), server_prg("wf-package-server");
+      (void)package.run(net, 0, db, {3, 12}, sk, client_prg, server_prg);
+      return net.stats().server_to_client_bytes;
+    };
+    const std::size_t size = run(net::FaultPlan{});
+    crypto::Prg prg("wf-package-" + std::to_string(depth));
+    for (std::size_t c = 0; c < 2 * kCasesPerKind; ++c) {
+      net::Fault fault;
+      if (c < kCasesPerKind) {
+        fault.kind = net::FaultKind::kTruncate;
+        fault.keep_bytes = c * size / kCasesPerKind;
+      } else {
+        fault.kind = net::FaultKind::kCorruptByte;
+        fault.byte_index = prg.uniform(size);
+        fault.xor_mask = static_cast<std::uint8_t>(1 + prg.uniform(255));
+      }
+      net::FaultPlan plan;
+      plan.add(net::Direction::kServerToClient, 0, 0, fault);
+      try {
+        (void)run(plan);
+      } catch (const Error&) {
+        // Typed rejection is the expected failure mode.
+      } catch (const std::exception& e) {
+        FAIL() << "depth " << depth << ", case " << c << ": foreign exception: " << e.what();
+      }
+    }
+  }
 }
 
 TEST(BitFlipSweep, TwoServerXorPirQueryAndAnswerEveryByte) {

@@ -86,6 +86,60 @@ TEST_F(StatsTest, MeanVariancePackage) {
   EXPECT_DOUBLE_EQ(net.stats().rounds(), 1.0);  // still one round (§4 package)
 }
 
+TEST_F(StatsTest, PackageIsOneSpirAnswerPlusOneCiphertext) {
+  // The package answers the weighted sum's one SPIR query once, over items
+  // that carry both masked views side by side: beyond the weighted sum it
+  // sends only the squares view's mask ciphertext.
+  constexpr std::size_t kN = 300, kM = 8;
+  const Fp64 field(field::smallest_prime_above(1ull << 30));
+  const auto db = make_db(kN, 10000);
+  const std::vector<std::size_t> indices = {0, 17, 42, 99, 150, 151, 250, 299};
+  std::uint64_t expect_sum = 0, expect_squares = 0;
+  for (const std::size_t i : indices) {
+    expect_sum += db[i];
+    expect_squares += db[i] * db[i];
+  }
+  for (const std::size_t depth : {1u, 2u}) {
+    net::StarNetwork sum_net(1), package_net(1);
+    EXPECT_EQ(WeightedSumProtocol(field, kN, kM, depth)
+                  .run(sum_net, 0, db, indices, std::vector<std::uint64_t>(kM, 1), client_sk_,
+                       client_prg_, server_prg_),
+              expect_sum);
+    const MeanVarianceResult res = MeanVariancePackage(field, kN, kM, depth)
+                                       .run(package_net, 0, db, indices, client_sk_,
+                                            client_prg_, server_prg_);
+    EXPECT_EQ(res.sum, expect_sum) << "depth " << depth;
+    EXPECT_EQ(res.sum_of_squares, expect_squares) << "depth " << depth;
+    EXPECT_EQ(package_net.stats().total_bytes(),
+              sum_net.stats().total_bytes() + client_sk_.public_key().ciphertext_bytes())
+        << "depth " << depth;
+  }
+}
+
+TEST_F(StatsTest, PackageExactAtWideLanes) {
+  // p = 2^63 - 25, the widest Fp64 prime: 63-bit lanes, 16-byte items.
+  // Values reach 2^29, so m * max^2 = 2^61 < p keeps both sums exact.
+  constexpr std::size_t kN = 64, kM = 8;
+  const Fp64 field((std::uint64_t{1} << 63) - 25);
+  std::vector<std::uint64_t> db(kN);
+  for (std::size_t i = 0; i < kN; ++i) db[i] = (std::uint64_t{1} << 29) - i * 7919;
+  db[40] = std::uint64_t{1} << 29;
+  const std::vector<std::size_t> indices = {0, 1, 9, 40, 41, 50, 62, 63};
+  std::uint64_t expect_sum = 0, expect_squares = 0;
+  for (const std::size_t i : indices) {
+    expect_sum += db[i];
+    expect_squares += db[i] * db[i];
+  }
+  for (const std::size_t depth : {1u, 2u}) {
+    net::StarNetwork net(1);
+    const MeanVarianceResult res = MeanVariancePackage(field, kN, kM, depth)
+                                       .run(net, 0, db, indices, client_sk_, client_prg_,
+                                            server_prg_);
+    EXPECT_EQ(res.sum, expect_sum) << "depth " << depth;
+    EXPECT_EQ(res.sum_of_squares, expect_squares) << "depth " << depth;
+  }
+}
+
 TEST_F(StatsTest, FrequencyCountsKeyword) {
   constexpr std::size_t kN = 30, kM = 6;
   const Fp64 field(field::smallest_prime_above(1u << 16));

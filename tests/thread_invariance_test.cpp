@@ -15,6 +15,8 @@
 #include "obs/obs.h"
 #include "pir/cpir.h"
 #include "spfe/multiserver.h"
+#include "spfe/stats.h"
+#include "recording_net.h"
 
 namespace spfe {
 namespace {
@@ -65,6 +67,35 @@ TEST_F(ThreadInvarianceTest, PaillierPirTranscriptsAreThreadCountInvariant) {
       EXPECT_EQ(run_pir(sk, depth), serial)
           << "depth " << depth << ", threads " << threads;
     }
+  }
+}
+
+// Every message of one §4 mean+variance package run (the batched SPIR query
+// and E(c_k) up, the packed SPIR answer and per-view mask ciphertexts down).
+std::vector<std::pair<std::size_t, Bytes>> run_package(const he::PaillierPrivateKey& sk) {
+  constexpr std::size_t kN = 64, kM = 3;
+  std::vector<std::uint64_t> db(kN);
+  for (std::size_t i = 0; i < kN; ++i) db[i] = (i * 37 + 11) % 1000;
+  const protocols::MeanVariancePackage package(
+      field::Fp64(field::smallest_prime_above(1u << 24)), kN, kM, 2);
+  crypto::Prg client_prg("ti-package-client");
+  crypto::Prg server_prg("ti-package-server");
+  testnet::RecordingNet<net::StarNetwork> net(1);
+  const protocols::MeanVarianceResult res =
+      package.run(net, 0, db, {5, 17, 63}, sk, client_prg, server_prg);
+  EXPECT_EQ(res.sum, db[5] + db[17] + db[63]);
+  return net.log;
+}
+
+TEST_F(ThreadInvarianceTest, MeanVariancePackageTranscriptIsThreadCountInvariant) {
+  crypto::Prg prg("ti-package-key");
+  const he::PaillierPrivateKey sk = he::paillier_keygen(prg, 256);
+  common::ThreadPool::set_global_threads(1);
+  const auto serial = run_package(sk);
+  ASSERT_EQ(serial.size(), 2u);  // one message each way
+  for (const std::size_t threads : kThreadCounts) {
+    common::ThreadPool::set_global_threads(threads);
+    EXPECT_EQ(run_package(sk), serial) << "threads " << threads;
   }
 }
 
