@@ -6,10 +6,10 @@
 //      return non-boolean masks (so `if (secret == x)` is a compile error)
 //      plus the branchless ct_* primitives the migrated kernels are built
 //      from;
-//   2. tools/ct-lint — a static scanner that enforces annotated
-//      `// SPFE_CT_BEGIN(fn)` ... `// SPFE_CT_END` regions: no branches,
-//      short-circuit operators, secret-indexed subscripts, division, or
-//      calls to non-audited functions on tainted values;
+//   2. tools/spfe-analyze — a static analyzer whose region check enforces
+//      annotated `// SPFE_CT_BEGIN(fn)` ... `// SPFE_CT_END` regions: no
+//      branches, short-circuit operators, secret-indexed subscripts,
+//      division, or calls to non-audited functions on tainted values;
 //   3. tests/ct_harness_test.cpp — a dudect-style timing distinguisher that
 //      smoke-checks the migrated kernels dynamically.
 //

@@ -1,13 +1,11 @@
 // Field abstraction shared by the protocol layers.
 //
-// Two concrete fields implement the `FieldLike` concept:
-//   - Fp64: prime field with a word-sized modulus (the workhorse for the
-//     multi-server instance-hiding protocol of §3.1, where |F| only needs to
-//     exceed the server count and the data range);
-//   - Zp: prime field over BigInt (used when field elements must match a
-//     homomorphic-encryption plaintext space, §3.3.2 and §4).
-// Generic code (polynomials, Shamir sharing, the §3.1 engine) is templated
-// on the field so both instantiations share one implementation.
+// Generic code (polynomials, Reed–Solomon decoding, Shamir sharing,
+// `net::run_robust_star`) is templated on the `FieldLike` concept. Its one
+// implementation is Fp64, a prime field with a word-sized modulus, which
+// every protocol layer uses: §3.1 needs |F| only to exceed the server
+// count and the data range, and §3.3.2 and §4 embed their Fp64 values
+// into Paillier plaintexts (BigInt) where they meet encryption.
 #pragma once
 
 #include <concepts>

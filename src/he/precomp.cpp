@@ -81,14 +81,6 @@ BigInt PaillierRandomnessPool::rerandomize(const BigInt& c) {
   return pk_.rerandomize_with_factor(c, next_factor());
 }
 
-void PaillierRandomnessPool::rerandomize_all(std::span<BigInt> cts) {
-  std::vector<BigInt> factors(cts.size());
-  for (BigInt& f : factors) f = next_factor();
-  common::parallel_for(cts.size(), [&](std::size_t i) {
-    cts[i] = pk_.rerandomize_with_factor(cts[i], factors[i]);
-  });
-}
-
 std::size_t PaillierRandomnessPool::stocked() const {
   std::lock_guard<std::mutex> lk(mu_);
   return ready_.size();

@@ -44,7 +44,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <tuple>
 
 #include "bignum/bigint.h"
@@ -94,9 +93,6 @@ class PaillierRandomnessPool {
   bignum::BigInt encrypt(const bignum::BigInt& m);
   // rerandomize(c) == pk.rerandomize(c, prg) for the pool's stream.
   bignum::BigInt rerandomize(const bignum::BigInt& c);
-  // rerandomize() over every ciphertext in turn: factors are drawn serially
-  // in stream order, the (cheap) multiplications fan out across the pool.
-  void rerandomize_all(std::span<bignum::BigInt> cts);
 
   std::size_t stocked() const;
   PoolStats stats() const;

@@ -1,6 +1,7 @@
 // Dudect-style timing-distinguisher smoke checks for the constant-time
 // kernels (the dynamic layer of the secret-taint discipline; see DESIGN.md
-// "Constant-time policy" and tools/ct-lint for the static layer).
+// "Constant-time policy" and the SPFE_CT region check of tools/spfe-analyze
+// for the static layer).
 //
 // Method (Reparaz–Balasch–Verbauwhede, "dude, is my code constant time?"):
 // time the operation under two input classes — a FIXED secret and a fresh

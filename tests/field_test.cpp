@@ -1,15 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "bignum/primes.h"
 #include "common/error.h"
 #include "field/fp64.h"
 #include "field/polynomial.h"
-#include "field/zp.h"
 
 namespace spfe::field {
 namespace {
-
-using bignum::BigInt;
 
 TEST(Fp64, ConstructionValidation) {
   EXPECT_NO_THROW(Fp64(2));
@@ -83,27 +79,6 @@ TEST(Fp64, SmallestPrimeAbove) {
   EXPECT_EQ(smallest_prime_above(1000000), 1000003u);
   const std::uint64_t p = smallest_prime_above(1u << 20);
   EXPECT_NO_THROW(Fp64{p});
-}
-
-TEST(Zp, BasicArithmetic) {
-  const Zp f(BigInt(101));
-  EXPECT_EQ(f.add(BigInt(60), BigInt(60)), BigInt(19));
-  EXPECT_EQ(f.mul(BigInt(10), BigInt(11)), BigInt(9));
-  EXPECT_EQ(f.sub(BigInt(3), BigInt(9)), BigInt(95));
-  EXPECT_EQ(f.mul(BigInt(5), f.inv(BigInt(5))), BigInt(1));
-  EXPECT_EQ(f.pow(BigInt(2), BigInt(100)), BigInt(1));
-}
-
-TEST(Zp, RejectsEvenModulus) { EXPECT_THROW(Zp(BigInt(100)), InvalidArgument); }
-
-TEST(Zp, LargeModulus) {
-  crypto::Prg prg("zp");
-  const BigInt p = bignum::random_prime(prg, 128, 16);
-  const Zp f(p);
-  const BigInt a = f.random(prg);
-  const BigInt b = f.random(prg);
-  EXPECT_EQ(f.add(f.mul(a, b), f.neg(f.mul(b, a))), f.zero());
-  EXPECT_EQ(f.mul(a, f.inv(a)), f.one());
 }
 
 TEST(Polynomial, EvalHorner) {
@@ -182,18 +157,6 @@ TEST(Polynomial, LagrangeWeightsMatchInterpolation) {
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < xs.size(); ++i) acc = f.add(acc, f.mul(w[i], ys[i]));
   EXPECT_EQ(acc, p.eval(0));
-}
-
-TEST(Polynomial, WorksOverZp) {
-  const Zp f(BigInt(10007));
-  crypto::Prg prg("zp-poly");
-  const auto p = Polynomial<Zp>::random_with_constant(f, 3, BigInt(77), prg);
-  std::vector<BigInt> xs, ys;
-  for (std::uint64_t x = 1; x <= 4; ++x) {
-    xs.push_back(BigInt(x));
-    ys.push_back(p.eval(BigInt(x)));
-  }
-  EXPECT_EQ(interpolate_at(f, xs, ys, BigInt()), BigInt(77));
 }
 
 TEST(Polynomial, MWiseIndependencePointEvaluations) {

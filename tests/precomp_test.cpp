@@ -109,7 +109,7 @@ TEST_F(PrecompTest, PooledRerandomizeMatchesDirectPrg) {
 
   PaillierRandomnessPool pool(pk, crypto::Prg("rr-seed"));
   std::vector<BigInt> cts_pool(6, c);
-  pool.rerandomize_all(cts_pool);
+  for (auto& ct : cts_pool) ct = pool.rerandomize(ct);
   EXPECT_EQ(cts_pool, cts_direct);
   for (const auto& ct : cts_pool) EXPECT_EQ(sk_.decrypt(ct), BigInt(777));
 }

@@ -4,61 +4,12 @@
 
 #include "common/error.h"
 #include "field/fp64.h"
-#include "field/zp.h"
-#include "sharing/additive.h"
 #include "sharing/shamir.h"
 
 namespace spfe::sharing {
 namespace {
 
-using bignum::BigInt;
 using field::Fp64;
-using field::Zp;
-
-TEST(Additive, SplitCombineRoundTrip) {
-  crypto::Prg prg("additive");
-  for (std::uint64_t u : {2ull, 17ull, 1ull << 32, (1ull << 61) - 1}) {
-    for (int trial = 0; trial < 50; ++trial) {
-      const std::uint64_t secret = prg.uniform(u);
-      const AdditivePair p = additive_split(secret, u, prg);
-      EXPECT_LT(p.server_share, u);
-      EXPECT_LT(p.client_share, u);
-      EXPECT_EQ(additive_combine(p.server_share, p.client_share, u), secret);
-    }
-  }
-}
-
-TEST(Additive, ShareMarginalIsUniform) {
-  crypto::Prg prg("uniformity");
-  constexpr std::uint64_t kU = 5;
-  std::map<std::uint64_t, int> counts;
-  for (int trial = 0; trial < 5000; ++trial) {
-    counts[additive_split(3, kU, prg).client_share]++;
-  }
-  ASSERT_EQ(counts.size(), kU);
-  for (const auto& [v, c] : counts) {
-    EXPECT_GT(c, 800);
-    EXPECT_LT(c, 1200);
-  }
-}
-
-TEST(Additive, KPartySplit) {
-  crypto::Prg prg("kparty");
-  for (std::size_t k : {1u, 2u, 5u, 16u}) {
-    const std::uint64_t u = 1000003;
-    const std::uint64_t secret = prg.uniform(u);
-    const auto shares = additive_split_k(secret, u, k, prg);
-    ASSERT_EQ(shares.size(), k);
-    EXPECT_EQ(additive_combine_k(shares, u), secret);
-  }
-}
-
-TEST(Additive, RejectsBadModulus) {
-  crypto::Prg prg("bad");
-  EXPECT_THROW(additive_split(0, 0, prg), InvalidArgument);
-  EXPECT_THROW(additive_split(0, 1, prg), InvalidArgument);
-  EXPECT_THROW(additive_split_k(0, 5, 0, prg), InvalidArgument);
-}
 
 TEST(Shamir, SplitReconstructFp64) {
   const Fp64 f(1009);
@@ -143,15 +94,6 @@ TEST(Shamir, RobustReconstructThrowsBeyondBudget) {
   std::vector<ShamirShare<Fp64>> three(shares.begin(), shares.begin() + 3);
   three[1].y = f.add(three[1].y, 9);
   EXPECT_THROW(shamir_reconstruct_robust(f, three, t), ProtocolError);
-}
-
-TEST(Shamir, WorksOverZp) {
-  const Zp f(BigInt(1000003));
-  crypto::Prg prg("shamir-zp");
-  const BigInt secret(123456);
-  const auto shares = shamir_split(f, secret, 5, 2, prg);
-  std::vector<ShamirShare<Zp>> subset(shares.begin(), shares.begin() + 3);
-  EXPECT_EQ(shamir_reconstruct(f, subset), secret);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Shared comment/string-aware C++ tokenizer for the SPFE static-analysis
-// tools (tools/ct-lint and tools/spfe-analyze).
+// Comment/string-aware C++ tokenizer for the SPFE static analyzer
+// (tools/spfe-analyze).
 //
 // This is deliberately NOT a C++ parser: it produces a flat token stream
 // with enough structure for name-based taint analysis — identifiers,
@@ -8,17 +8,12 @@
 // the analysis layers consume:
 //
 //   * `// SPFE_CT_BEGIN(name)` / `// SPFE_CT_END`  -> kCtBegin / kCtEnd
-//     (the annotated constant-time regions checked by ct-lint);
+//     (the annotated constant-time regions of the analyzer's region check);
 //   * `/*secret*/`                                  -> kSecretMark
 //     (taints the next identifier: parameter and local declarations);
 //   * `// SPFE_DECLASSIFY: <reason>`                -> kDeclassifyNote
 //     (justification for an adjacent declassify()/value() taint exit,
-//     consumed by spfe-analyze's declassification audit; ct-lint ignores
-//     these tokens).
-//
-// Both tools must tokenize identically so a region that lints clean under
-// ct-lint is seen with the same token boundaries by the whole-tree
-// analyzer.
+//     consumed by spfe-analyze's declassification audit).
 #pragma once
 
 #include <cctype>

@@ -1,12 +1,12 @@
 // spfe-analyze — whole-tree secret-taint analyzer for the SPFE sources.
 //
-// ct-lint (tools/ct-lint) enforces the constant-time discipline *inside*
-// annotated `// SPFE_CT_BEGIN(name)` regions. This tool is the scaling
-// layer on top of it: it runs over the whole tree with no annotation
-// required, using the same comment/string-aware tokenizer
-// (tools/common/lexer.h), and reports in three passes:
+// A token-level analyzer over the comment/string-aware tokenizer in
+// tools/common/lexer.h. It runs over the whole tree with no annotation
+// required and reports in three passes:
 //
-//   Pass 1 — interprocedural taint. Every function definition in the tree
+//   Pass 1 — secret taint, one engine run two ways.
+//
+//   Whole tree, interprocedural: every function definition in the tree
 //   is indexed; a name-based call graph binds tainted caller arguments to
 //   callee parameters and tainted callee returns back to call sites, to a
 //   fixpoint over the whole tree. A helper that receives a `/*secret*/`
@@ -17,8 +17,16 @@
 //   the analysis only through the audited channels: the `declassify()` /
 //   `value()` exits (pass 2 audits those), the structural accessors
 //   (`size()`, ...), and the semantic sanitizers (the `encrypt*` /
-//   `rerandomize*` family — a ciphertext of a secret is public by
+//   `rerandomize` family — a ciphertext of a secret is public by
 //   IND-CPA, which is the paper's own privacy argument).
+//
+//   SPFE_CT regions: the code between `// SPFE_CT_BEGIN(name)` and
+//   `// SPFE_CT_END`, in every file, with taint seeded only from the
+//   enclosing function's own `/*secret*/` marks. Inside a region a
+//   tainted value may reach only `ct_*`, structural and audited callees;
+//   none of the whole-tree exemptions (in-tree and core callees,
+//   sanitizers, mutators) applies. Region findings (check `ct-region`)
+//   cannot be baselined.
 //
 //   Pass 2 — declassification audit. Every `.declassify()` / `.value()`
 //   taint exit must carry an adjacent `// SPFE_DECLASSIFY: <reason>`
@@ -81,7 +89,6 @@ struct FunctionInfo {
   std::size_t end = 0;        // one past the closing '}' (and trailing CT_END)
   int line = 0;               // line of the body '{'
   std::vector<std::string> params;  // positional parameter names ("" = unnamed)
-  std::vector<bool> param_secret;   // carries a /*secret*/ mark
 };
 
 struct Finding {
@@ -120,8 +127,10 @@ struct Config {
   std::string json_path;
   bool write_audit = false;
   bool verbose = false;
-  std::unordered_set<std::string> extra_allow;
 };
+
+// Check id of every SPFE_CT region finding; a baseline may not name it.
+inline constexpr char kRegionCheck[] = "ct-region";
 
 class Analyzer {
  public:
@@ -134,11 +143,6 @@ class Analyzer {
   // ---- model.cpp -----------------------------------------------------------
   bool load_files();          // tokenize every source file under roots
   void index_functions();     // units, names, params, by-name call-graph map
-  // Splits the top-level comma-separated spans of the bracket group opening
-  // at `open` (exclusive of the brackets); empty when the group is empty.
-  std::vector<std::pair<std::size_t, std::size_t>> split_args(const SourceFile& sf,
-                                                              std::size_t open,
-                                                              std::size_t close) const;
 
   // ---- taint.cpp -----------------------------------------------------------
   void pass_taint();
@@ -193,13 +197,27 @@ std::size_t match_close(const std::vector<Token>& t, std::size_t open, std::size
 // backward no earlier than `low`. Returns `close` when unbalanced.
 std::size_t match_open(const std::vector<Token>& t, std::size_t close, std::size_t low);
 
+// The top-level comma-separated spans of the bracket group opening at
+// `open` and closing at `close` (exclusive of the brackets; template
+// angle brackets nest); empty when the group is empty.
+std::vector<std::pair<std::size_t, std::size_t>> split_args(const std::vector<Token>& t,
+                                                            std::size_t open,
+                                                            std::size_t close);
+
+// End (exclusive) of the statement whose operator is at `op`: the next
+// top-level `;`, or the closer of the enclosing bracket group, bounded by
+// `limit`.
+std::size_t statement_end(const std::vector<Token>& t, std::size_t op, std::size_t limit);
+
 // ---------------------------------------------------------------------------
 // Audited name sets (shared by the taint pass and its documentation).
 
-// Member accessors that expose public shape or are audited taint exits.
+// Member accessors that expose public shape or are audited taint exits: a
+// member chain ending in one of these (called) is not a tainted use.
 const std::unordered_set<std::string>& structural_names();
 // Reviewed branch-free kernels / trivial accessors that may receive tainted
-// values without a finding (and never propagate interprocedurally).
+// values without a finding (and never propagate interprocedurally). Unlike
+// a structural accessor, `e.limbs()` on a tainted `e` is a tainted use.
 const std::unordered_set<std::string>& audited_names();
 // Semantic sanitizers: randomized encryption of a tainted value yields a
 // public ciphertext. Calls stop taint (arguments inside the call do not
@@ -215,7 +233,7 @@ const std::unordered_set<std::string>& keywords_not_calls();
 // bodies checked, but do not *export* return taint: their return values
 // are blinded group elements, ciphertexts, or randomness-pool material —
 // public by protocol design — and their secret handling is governed by
-// the SPFE_CT regions that ct-lint enforces. Without this boundary,
+// their SPFE_CT regions, which pass 1 checks. Without this boundary,
 // `ModArith::pow(base, /*secret*/ exp)` marks every ciphertext in the
 // tree tainted and the analysis drowns in its own conservatism.
 bool audited_core_file(const std::string& display);

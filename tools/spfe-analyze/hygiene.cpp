@@ -165,22 +165,6 @@ class DeserChecker {
     return "";
   }
 
-  std::size_t statement_end(std::size_t op) const {
-    int depth = 0;
-    for (std::size_t j = op + 1; j < ue_; ++j) {
-      if (t_[j].kind != Token::Kind::kPunct) continue;
-      const std::string& s = t_[j].text;
-      if (s == "(" || s == "[" || s == "{") ++depth;
-      else if (s == ")" || s == "]" || s == "}") {
-        if (depth == 0) return j;
-        --depth;
-      } else if (s == ";" && depth == 0) {
-        return j;
-      }
-    }
-    return ue_;
-  }
-
   // Wire reads seed the unbounded set; varint_count reads are sanitized
   // at the source.
   void seed_counts() {
@@ -189,7 +173,7 @@ class DeserChecker {
       if (!is_punct(t_, i, "=")) continue;
       const std::string lhs = assigned_name(i);
       if (lhs.empty()) continue;
-      const std::size_t e = statement_end(i);
+      const std::size_t e = statement_end(t_, i, ue_);
       if (span_has_read(i + 1, e, kSanitized)) {
         bounded_.insert(lhs);
         unbounded_.erase(lhs);
@@ -211,7 +195,7 @@ class DeserChecker {
         const std::string lhs = assigned_name(i);
         if (lhs.empty() || unbounded_.count(lhs) > 0 || bounded_.count(lhs) > 0) continue;
         std::string src;
-        if (span_has_unbounded(i + 1, statement_end(i), src)) {
+        if (span_has_unbounded(i + 1, statement_end(t_, i, ue_), src)) {
           unbounded_.insert(lhs);
           changed = true;
         }

@@ -39,23 +39,41 @@ std::size_t match_open(const std::vector<Token>& t, std::size_t close, std::size
   return close;
 }
 
+std::size_t statement_end(const std::vector<Token>& t, std::size_t op, std::size_t limit) {
+  int depth = 0;
+  for (std::size_t j = op + 1; j < limit; ++j) {
+    if (t[j].kind != Token::Kind::kPunct) continue;
+    const std::string& s = t[j].text;
+    if (s == "(" || s == "[" || s == "{") ++depth;
+    else if (s == ")" || s == "]" || s == "}") {
+      if (depth == 0) return j;
+      --depth;
+    } else if (s == ";" && depth == 0) {
+      return j;
+    }
+  }
+  return limit;
+}
+
 const std::unordered_set<std::string>& structural_names() {
   static const std::unordered_set<std::string> kSet = {
-      "size",  "empty", "bit_length", "resize",     "reserve", "push_back",
-      "clear", "begin", "end",        "mask",       "data",    "capacity",
-      "front", "back",  "value",      "declassify", "limbs",   "count",
+      "size",  "empty", "bit_length", "resize", "reserve", "push_back",
+      "clear", "begin", "end",        "mask",   "data",    "capacity",
+      "front", "back",  "value",      "declassify",
   };
   return kSet;
 }
 
 const std::unordered_set<std::string>& audited_names() {
   static const std::unordered_set<std::string> kSet = {
-      // Montgomery/CT kernels reviewed under ct-lint regions.
+      // Montgomery kernels, each an SPFE_CT region of its own.
       "mont_mul", "mont_sqr", "mont_reduce",
+      // Limb access: the limbs of a secret are secret.
+      "limbs",
       // SecretBool/Secret factories and selects.
       "from_mask", "from_bit", "select",
-      // Standard-library helpers with data-independent latency on scalars.
-      "move", "swap", "to_mont", "from_mont",
+      // std::move: a cast, data-independent.
+      "move",
   };
   return kSet;
 }
@@ -64,7 +82,7 @@ const std::unordered_set<std::string>& sanitizer_names() {
   static const std::unordered_set<std::string> kSet = {
       // Randomized encryption: ciphertexts of secrets are public (IND-CPA).
       "encrypt", "encrypt_with_factor", "encrypt_with_factors", "encrypt_with_randomness",
-      "rerandomize", "rerandomize_all",
+      "rerandomize",
   };
   return kSet;
 }
@@ -104,8 +122,7 @@ bool source_extension(const fs::path& p) {
   return e == ".h" || e == ".hpp" || e == ".cpp" || e == ".cc" || e == ".cxx";
 }
 
-// Function-unit finder (same rule as ct-lint's, so both tools agree on
-// unit boundaries): a brace is a function-body opener when it directly
+// Function-unit finder: a brace is a function-body opener when it directly
 // follows `)` — optionally with cv/ref/exception qualifiers in between.
 // Constructor initializer lists need no special case: the `{` after
 // `) : member_(x)` follows the initializer's `)`, and the signature
@@ -251,12 +268,10 @@ void Analyzer::index_functions() {
       fn.qual = t[name_tok - 2].text + "::" + fn.name;
     }
     const std::size_t close = match_close(t, open, fn.body_open + 1);
-    for (const auto& [b, e] : split_args(files_[fn.file], open, close)) {
+    for (const auto& [b, e] : split_args(t, open, close)) {
       std::string pname;
-      bool secret = false;
       int a2 = 0;
       for (std::size_t j = b; j < e; ++j) {
-        if (t[j].kind == Token::Kind::kSecretMark) secret = true;
         if (t[j].kind == Token::Kind::kPunct) {
           if (t[j].text == "<") ++a2;
           else if (t[j].text == ">") a2 = a2 > 0 ? a2 - 1 : 0;
@@ -271,16 +286,14 @@ void Analyzer::index_functions() {
       }
       if (never_taint_names().count(pname) > 0) pname.clear();
       fn.params.push_back(pname);
-      fn.param_secret.push_back(secret);
     }
     by_name_[fn.name].push_back(&fn - fns_.data());
   }
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> Analyzer::split_args(const SourceFile& sf,
-                                                                      std::size_t open,
-                                                                      std::size_t close) const {
-  const std::vector<Token>& t = sf.toks;
+std::vector<std::pair<std::size_t, std::size_t>> split_args(const std::vector<Token>& t,
+                                                            std::size_t open,
+                                                            std::size_t close) {
   std::vector<std::pair<std::size_t, std::size_t>> out;
   if (close <= open + 1) return out;
   int depth = 0;

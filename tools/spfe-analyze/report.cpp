@@ -27,7 +27,9 @@ bool read_file(const std::string& path, std::string& out) {
 
 // Baseline file: {"version": 1, "suppressions": [{"check", "file",
 // "function"?, "detail"?, "reason"}]}. Every entry must carry a reason —
-// an unexplained suppression is a config error, not a quiet pass.
+// an unexplained suppression is a config error, not a quiet pass — and
+// none may name the region check: a leak in an SPFE_CT region is fixed,
+// never accepted.
 bool Analyzer::load_baseline() {
   if (cfg_.baseline_path.empty()) return true;
   std::string text;
@@ -63,6 +65,11 @@ bool Analyzer::load_baseline() {
     if (be.reason.empty()) {
       std::cerr << "spfe-analyze: " << cfg_.baseline_path << ": suppression for "
                 << be.check << " at " << be.file << " has no \"reason\"\n";
+      return false;
+    }
+    if (be.check == kRegionCheck) {
+      std::cerr << "spfe-analyze: " << cfg_.baseline_path << ": " << kRegionCheck
+                << " findings at " << be.file << " cannot be suppressed\n";
       return false;
     }
     baseline_.push_back(std::move(be));

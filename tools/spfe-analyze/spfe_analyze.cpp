@@ -48,7 +48,6 @@ void usage(std::ostream& os) {
         "  --write-audit     regenerate the audit report instead of checking\n"
         "  --json PATH       write the machine-readable findings report\n"
         "  --strip-prefix P  strip P from paths in reports/baselines\n"
-        "  --allow NAME      extend the CT-audited callee whitelist\n"
         "  --verbose         print per-function taint sets and suppressions\n";
 }
 
@@ -81,10 +80,6 @@ int main(int argc, char** argv) {
       const char* v = need_value("--strip-prefix");
       if (v == nullptr) return 2;
       cfg.strip_prefix = v;
-    } else if (arg == "--allow") {
-      const char* v = need_value("--allow");
-      if (v == nullptr) return 2;
-      cfg.extra_allow.insert(v);
     } else if (arg == "--write-audit") {
       cfg.write_audit = true;
     } else if (arg == "--verbose") {

@@ -1,15 +1,16 @@
-// Pass 1 — interprocedural secret-taint analysis.
+// Pass 1 — secret-taint analysis: the whole-tree interprocedural check
+// and the SPFE_CT region check, both run by one local engine.
 //
-// Per function, the local engine replicates ct-lint's taint machinery
-// (seed from /*secret*/ marks, propagate through assignments to a
-// fixpoint, structural-accessor exemption) and extends it:
+// Per function, the engine seeds taint from /*secret*/ marks, propagates
+// it through assignments to a fixpoint (a member chain ending in a called
+// structural accessor is not a tainted use), and extends that core:
 //
 //   * parameters that the global fixpoint marked tainted are injected as
 //     extra seeds, so helpers reached from secret roots are analyzed as
 //     if annotated;
 //   * a call to a function whose return is tainted counts as a tainted
 //     use at the call site;
-//   * a call to a sanitizer (the encrypt*/rerandomize* family) never
+//   * a call to a sanitizer (the encrypt*/rerandomize family) never
 //     taints the surrounding expression — a ciphertext of a secret is
 //     public under IND-CPA;
 //   * container mutators (`v.push_back(secret)`) taint the receiver;
@@ -33,6 +34,19 @@
 //   tainted-call         tainted value reaching an unaudited external
 //                        function (in-tree callees are exempt: taint
 //                        follows them and their bodies are checked)
+//
+// The region check runs the same engine on every function that holds an
+// SPFE_CT marker, in every file (the audited core included), seeded only
+// from that function's own marks: no injected parameters, no tainted
+// returns. It checks only the body tokens between the markers, with the
+// same branch, ternary, short-circuit, subscript and division checks, and
+// a stricter call rule: a tainted argument or receiver may reach only
+// ct_*, structural or audited names. In-tree and core callees,
+// sanitizers and mutators are not exempt there, and a sanitizer call
+// does not hide the taint of its arguments. `goto` and malformed markers
+// (nested, unclosed, END without BEGIN, outside a function body) are
+// findings too. Every region finding has the check id `ct-region`, which
+// no baseline entry may suppress.
 #include <cstdio>
 #include <map>
 #include <set>
@@ -91,13 +105,14 @@ struct RawFinding {
 
 class TaintEngine {
  public:
+  // `region` selects the SPFE_CT region check (see the file comment); its
+  // callers pass no injected names and an empty GlobalTaint.
   TaintEngine(const SourceFile& sf, const FunctionInfo& fn,
               const std::set<std::string>& injected, const GlobalTaint& g,
               const std::unordered_map<std::string, std::vector<std::size_t>>& by_name,
-              const std::unordered_set<std::string>& core_names,
-              const std::unordered_set<std::string>& extra_allow)
+              const std::unordered_set<std::string>& core_names, bool region)
       : t_(sf.toks), ub_(fn.begin), ue_(fn.end), body_(fn.body_open + 1), g_(g),
-        by_name_(by_name), core_names_(core_names), extra_allow_(extra_allow) {
+        by_name_(by_name), core_names_(core_names), region_(region) {
     seed();
     for (const std::string& name : injected) taint(name);
     propagate();
@@ -109,18 +124,18 @@ class TaintEngine {
     LocalResult r;
     for (std::size_t i = body_; i < ue_; ++i) {
       if (is_ident(t_, i, "return")) {
-        if (first_tainted(i + 1, statement_end(i)) != npos) r.returns_tainted = true;
+        if (first_tainted(i + 1, statement_end(t_, i, ue_)) != npos) r.returns_tainted = true;
         continue;
       }
       if (!call_site(i)) continue;
       const std::string callee = call_target(i);
       if (callee.empty() || by_name_.count(callee) == 0) continue;
       // Sanitizers absorb taint: their internals are audited separately
-      // (ct-lint regions) and their outputs are public ciphertexts.
+      // (SPFE_CT regions) and their outputs are public ciphertexts.
       if (sanitizer_names().count(callee) > 0) continue;
       const std::size_t close = close_of(i);
       std::size_t pos = 0;
-      for (const auto& [b, e] : arg_spans(i + 1, close)) {
+      for (const auto& [b, e] : split_args(t_, i + 1, close)) {
         if (first_tainted(b, e) != npos) r.out[callee].insert(pos);
         ++pos;
       }
@@ -128,10 +143,40 @@ class TaintEngine {
     return r;
   }
 
+  // Whole-tree mode checks every body token. Region mode checks the body
+  // tokens between the SPFE_CT markers (a region may open above the
+  // signature, which is not code) and reports malformed markers.
   std::vector<RawFinding> check() const {
     std::vector<RawFinding> out;
-    if (tainted_.empty() && g_.ret.empty()) return out;
-    for (std::size_t i = body_; i < ue_; ++i) check_token(i, out);
+    if (!region_) {
+      if (tainted_.empty() && g_.ret.empty()) return out;
+      for (std::size_t i = body_; i < ue_; ++i) check_token(i, out);
+      return out;
+    }
+    const Token* open = nullptr;
+    for (std::size_t i = ub_; i < ue_; ++i) {
+      const Token& tk = t_[i];
+      if (tk.kind == Token::Kind::kCtBegin) {
+        if (open != nullptr) {
+          out.push_back({kRegionCheck, tk.line,
+                         "SPFE_CT_BEGIN(" + tk.text + ") nested inside region '" +
+                             open->text + "'"});
+        }
+        open = &tk;
+      } else if (tk.kind == Token::Kind::kCtEnd) {
+        if (open == nullptr) {
+          out.push_back({kRegionCheck, tk.line, "SPFE_CT_END without a matching SPFE_CT_BEGIN"});
+        }
+        open = nullptr;
+      } else if (open != nullptr && i >= body_) {
+        check_token(i, out);
+      }
+    }
+    if (open != nullptr) {
+      out.push_back({kRegionCheck, open->line,
+                     "SPFE_CT_BEGIN(" + open->text + ") is never closed (missing SPFE_CT_END)"});
+    }
+    for (RawFinding& f : out) f.check = kRegionCheck;
     return out;
   }
 
@@ -214,29 +259,6 @@ class TaintEngine {
     return root;
   }
 
-  std::vector<std::pair<std::size_t, std::size_t>> arg_spans(std::size_t open,
-                                                             std::size_t close) const {
-    std::vector<std::pair<std::size_t, std::size_t>> out;
-    if (close <= open + 1) return out;
-    int depth = 0;
-    int angle = 0;
-    std::size_t b = open + 1;
-    for (std::size_t i = open + 1; i < close; ++i) {
-      if (t_[i].kind != Token::Kind::kPunct) continue;
-      const std::string& s = t_[i].text;
-      if (s == "(" || s == "[" || s == "{") ++depth;
-      else if (s == ")" || s == "]" || s == "}") --depth;
-      else if (s == "<") ++angle;
-      else if (s == ">") angle = angle > 0 ? angle - 1 : 0;
-      else if (s == "," && depth == 0 && angle == 0) {
-        out.emplace_back(b, i);
-        b = i + 1;
-      }
-    }
-    out.emplace_back(b, close);
-    return out;
-  }
-
   // ---- taint set ----------------------------------------------------------
 
   void taint(const std::string& name) {
@@ -278,11 +300,11 @@ class TaintEngine {
     return true;
   }
 
-  // First tainted use in [b, e), or npos. Sanitizer call spans are
-  // skipped: `pk.encrypt(secret)` is clean as a whole expression.
+  // First tainted use in [b, e), or npos. Outside regions, sanitizer call
+  // spans are skipped: `pk.encrypt(secret)` is clean as a whole expression.
   std::size_t first_tainted(std::size_t b, std::size_t e) const {
     for (std::size_t i = std::max(b, ub_); i < e && i < ue_; ++i) {
-      if (is_ident(t_, i) && sanitizer_names().count(t_[i].text) > 0 &&
+      if (!region_ && is_ident(t_, i) && sanitizer_names().count(t_[i].text) > 0 &&
           is_punct(t_, i + 1, "(")) {
         i = close_of(i);
         continue;
@@ -292,7 +314,7 @@ class TaintEngine {
     return npos;
   }
 
-  // ---- propagation (ct-lint's rules + mutators + declarations + range-for) -
+  // ---- propagation (assignments + mutators + declarations + range-for) ----
 
   std::string lhs_root(std::size_t op) const {
     std::size_t p = op;
@@ -322,21 +344,6 @@ class TaintEngine {
     return "";
   }
 
-  std::size_t statement_end(std::size_t op) const {
-    int depth = 0;
-    for (std::size_t j = op + 1; j < ue_; ++j) {
-      if (t_[j].kind != Token::Kind::kPunct) continue;
-      const std::string& s = t_[j].text;
-      if (s == "(" || s == "[" || s == "{") ++depth;
-      else if (s == ")" || s == "]" || s == "}") {
-        if (depth == 0) return j;
-        --depth;
-      } else if (s == ";" && depth == 0) {
-        return j;
-      }
-    }
-    return ue_;
-  }
 
   static bool is_assign_op(const Token& t) {
     if (t.kind != Token::Kind::kPunct) return false;
@@ -356,7 +363,7 @@ class TaintEngine {
             never_taint_names().count(root) > 0) {
           continue;
         }
-        if (first_tainted(i + 1, statement_end(i)) != npos) {
+        if (first_tainted(i + 1, statement_end(t_, i, ue_)) != npos) {
           tainted_.insert(root);
           changed = true;
         }
@@ -481,11 +488,11 @@ class TaintEngine {
 
   bool callee_allowed(const std::string& name) const {
     return name.rfind("ct_", 0) == 0 || structural_names().count(name) > 0 ||
-           audited_names().count(name) > 0 || core_callee(name) ||
-           extra_allow_.count(name) > 0;
+           audited_names().count(name) > 0 || (!region_ && core_callee(name));
   }
 
-  bool in_tree(const std::string& name) const { return by_name_.count(name) > 0; }
+  // Exempt outside regions only, where the fixpoint checks their bodies.
+  bool in_tree(const std::string& name) const { return !region_ && by_name_.count(name) > 0; }
 
   // A name with exactly one in-tree definition: the only case where the
   // name-based call graph binds a call site to a body reliably.
@@ -507,6 +514,10 @@ class TaintEngine {
     const Token& tk = t_[i];
     if (tk.kind == Token::Kind::kIdent) {
       const std::string& w = tk.text;
+      if (region_ && w == "goto") {
+        out.push_back({kRegionCheck, tk.line, "goto inside constant-time region"});
+        return;
+      }
       if ((w == "if" || w == "while" || w == "switch") && is_punct(t_, i + 1, "(")) {
         const std::size_t close = close_of(i);
         const std::size_t ft = first_tainted(i + 2, close);
@@ -610,15 +621,17 @@ class TaintEngine {
       }
       return;
     }
-    if (sanitizer_names().count(w) > 0) return;  // ciphertext output is public
-    if (mutator_names().count(w) > 0) return;  // stores are data-independent writes
+    if (!region_) {
+      if (sanitizer_names().count(w) > 0) return;  // ciphertext output is public
+      if (mutator_names().count(w) > 0) return;  // stores are data-independent writes
+    }
     const std::size_t ft = first_tainted(i + 2, close);
     if (ft != npos) {
-      // Unambiguous in-tree callees are exempt here: the fixpoint carried
-      // the taint into their parameters and their own bodies get checked.
-      // An overloaded name cannot be tracked, so it is treated as
-      // unaudited.
-      if (unambiguous(w) || callee_allowed(w)) return;
+      // Outside regions, unambiguous in-tree callees are exempt: the
+      // fixpoint carried the taint into their parameters and their own
+      // bodies get checked. An overloaded name cannot be tracked, so it
+      // is treated as unaudited.
+      if ((in_tree(w) && unambiguous(w)) || callee_allowed(w)) return;
       out.push_back({"tainted-call", t_[i].line,
                      "call to unaudited '" + w + "' with tainted argument '" +
                          name_at(ft) + "'"});
@@ -639,7 +652,7 @@ class TaintEngine {
   const GlobalTaint& g_;
   const std::unordered_map<std::string, std::vector<std::size_t>>& by_name_;
   const std::unordered_set<std::string>& core_names_;
-  const std::unordered_set<std::string>& extra_allow_;
+  const bool region_;
   std::unordered_set<std::string> tainted_;
 };
 
@@ -679,7 +692,7 @@ void Analyzer::pass_taint() {
     bool changed = false;
     for (const FunctionInfo& fn : fns_) {
       const TaintEngine eng(files_[fn.file], fn, injected_names(fn), g, by_name_,
-                            core_names, cfg_.extra_allow);
+                            core_names, false);
       // A function with no tainted names can still source taint through a
       // call to a tainted-return function, so only skip when both are empty.
       if (eng.tainted().empty() && g.ret.empty()) continue;
@@ -707,13 +720,13 @@ void Analyzer::pass_taint() {
   }
 
   // Final pass: emit findings over every function's whole body. The
-  // audited core is skipped: ct-lint's SPFE_CT regions govern those
-  // kernels, and their variable-length BigInt layer branches on operand
-  // shape by design (secrets pass through it blinded).
+  // audited core is skipped: its SPFE_CT regions govern those kernels
+  // (checked below), and their variable-length BigInt layer branches on
+  // operand shape by design (secrets pass through it blinded).
   for (const FunctionInfo& fn : fns_) {
     if (audited_core_file(files_[fn.file].display)) continue;
     const TaintEngine eng(files_[fn.file], fn, injected_names(fn), g, by_name_,
-                          core_names, cfg_.extra_allow);
+                          core_names, false);
     if (eng.tainted().empty() && g.ret.empty()) continue;
     const std::string where = fn.qual.empty() ? "(unnamed)" : fn.qual;
     if (cfg_.verbose && !eng.tainted().empty()) {
@@ -727,6 +740,31 @@ void Analyzer::pass_taint() {
     }
     for (const RawFinding& rf : eng.check()) {
       add_finding(rf.check, files_[fn.file], rf.line, where, rf.message);
+    }
+  }
+
+  // Region check: every function that holds an SPFE_CT marker. A marker
+  // outside every function body would silently cover nothing.
+  std::set<const FunctionInfo*> marked;
+  for (std::size_t f = 0; f < files_.size(); ++f) {
+    const std::vector<Token>& t = files_[f].toks;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      if (t[i].kind != Token::Kind::kCtBegin && t[i].kind != Token::Kind::kCtEnd) continue;
+      const FunctionInfo* fn = enclosing_function(f, i);
+      if (fn != nullptr) {
+        marked.insert(fn);
+      } else {
+        add_finding(kRegionCheck, files_[f], t[i].line, "(file scope)",
+                    "SPFE_CT region marker outside a function body");
+      }
+    }
+  }
+  const GlobalTaint none;
+  for (const FunctionInfo* fn : marked) {
+    const TaintEngine eng(files_[fn->file], *fn, {}, none, by_name_, core_names, true);
+    for (const RawFinding& rf : eng.check()) {
+      add_finding(rf.check, files_[fn->file], rf.line,
+                  fn->qual.empty() ? "(unnamed)" : fn->qual, rf.message);
     }
   }
 }

@@ -1,4 +1,5 @@
-// Fixture: secret-dependent `if` inside a region. ct-lint must reject.
+// Fixture: secret-dependent `if` inside a region. The region pass must
+// reject it.
 #include <cstdint>
 
 std::uint64_t leak_branch(std::uint64_t /*secret*/ x) {

@@ -1,6 +1,6 @@
 // Fixture: passing a secret to a non-whitelisted function inside a region.
-// ct-lint must reject — the callee has not been audited for constant-time
-// behavior.
+// The region pass must reject it — the callee has not been audited for
+// constant-time behavior.
 #include <cstdint>
 
 std::uint64_t helper(std::uint64_t v);

@@ -1,5 +1,5 @@
-// Fixture: a well-formed constant-time region. ct-lint must accept this
-// file with zero violations.
+// Fixture: a well-formed constant-time region. The analyzer must accept
+// this file with zero findings.
 #include <cstdint>
 #include <vector>
 

@@ -1,5 +1,5 @@
-// Fixture: division and modulo on a secret inside a region. ct-lint must
-// reject both (hardware divide latency is operand-dependent).
+// Fixture: division and modulo on a secret inside a region. The region
+// pass must reject both (hardware divide latency is operand-dependent).
 #include <cstdint>
 
 std::uint64_t leak_div(std::uint64_t /*secret*/ x, std::uint64_t d) {

@@ -2,8 +2,8 @@
 // (src/he/precomp.cpp CtFixedBaseTable::pow): the real kernel does a masked
 // full-table scan per 4-bit window; this seeded variant takes the classic
 // shortcut of indexing the table directly with the secret window digit.
-// ct-lint must exit nonzero — same region shape as the shipping code, so a
-// linter that passes the real tree but misses this leak is broken.
+// The region pass must reject it — same region shape as the shipping code,
+// so a check that passes the real tree but misses this leak is broken.
 #include <cstdint>
 #include <vector>
 

@@ -1,8 +1,8 @@
 // Fixture required by the acceptance criteria: a mont_mul-shaped kernel
 // with a deliberately seeded secret-dependent branch (the classic
-// "skip zero limbs" shortcut). ct-lint must exit nonzero on this file —
+// "skip zero limbs" shortcut). The region pass must reject this file —
 // it is the same region shape as src/bignum/modarith.cpp mont_mul, so a
-// linter that passes the real tree but misses this leak is broken.
+// check that passes the real tree but misses this leak is broken.
 #include <cstdint>
 #include <vector>
 

@@ -1,5 +1,6 @@
-// Fixture: short-circuit operator on a secret inside a region. ct-lint
-// must reject (`&&` compiles to a conditional skip of the second operand).
+// Fixture: short-circuit operator on a secret inside a region. The region
+// pass must reject it (`&&` compiles to a conditional skip of the second
+// operand).
 #include <cstdint>
 
 bool leak_shortcircuit(std::uint64_t /*secret*/ x, bool flag) {

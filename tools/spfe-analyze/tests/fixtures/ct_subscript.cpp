@@ -1,4 +1,5 @@
-// Fixture: secret-indexed table load inside a region. ct-lint must reject.
+// Fixture: secret-indexed table load inside a region. The region pass
+// must reject it.
 #include <cstdint>
 
 extern const std::uint64_t kSbox[256];

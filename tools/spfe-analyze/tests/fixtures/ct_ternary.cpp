@@ -1,4 +1,5 @@
-// Fixture: secret-dependent ternary inside a region. ct-lint must reject.
+// Fixture: secret-dependent ternary inside a region. The region pass
+// must reject it.
 #include <cstdint>
 
 std::uint64_t leak_ternary(std::uint64_t /*secret*/ x, std::uint64_t a, std::uint64_t b) {

@@ -1,5 +1,5 @@
-// Fixture: region opened but never closed. ct-lint must reject — an
-// unterminated region silently stops covering the code below it.
+// Fixture: region opened but never closed. The region pass must reject
+// it — an unterminated region silently stops covering the code below it.
 #include <cstdint>
 
 std::uint64_t unclosed(std::uint64_t /*secret*/ x) {
