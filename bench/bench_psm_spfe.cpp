@@ -6,7 +6,8 @@
 //   - sum-PSM: (alpha, beta) = (8 B, 0)       [perfectly secure PSM]
 //   - Yao-PSM: (alpha, beta) = (16*bits B, |GC|) [computational PSM]
 // and shows the multi-server IT variant (Corollary 4(2)) next to the
-// single-server computational one (Corollary 4(1)).
+// single-server computational one (Corollary 4(1)). Exits nonzero if any
+// row's `ok` cell is not `yes`.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -53,6 +54,12 @@ int main() {
   crypto::Prg client_prg("e3-client"), server_prg("e3-server");
   const he::PaillierPrivateKey client_sk = he::paillier_keygen(client_prg, 512);
   const field::Fp64 field(field::Fp64::kMersenne61);
+  // Every row's `ok` cell; the exit code fails if any was wrong.
+  bool all_ok = true;
+  const auto ok_cell = [&all_ok](bool ok) {
+    all_ok = all_ok && ok;
+    return ok ? "yes" : "WRONG";
+  };
 
   std::printf("--- single server (Corollary 4(1)), sum-PSM, f = sum mod 2^16 ---\n");
   bench::Table sum_table({"n", "m", "alpha (B)", "up", "down", "total", "rounds", "wall ms",
@@ -76,7 +83,7 @@ int main() {
                      bench::human_bytes(net.stats().server_to_client_bytes),
                      bench::human_bytes(net.stats().total_bytes()),
                      bench::rounds_str(net.stats()), bench::fmt("%.0f", sw.ms()),
-                     got == expect ? "yes" : "WRONG"});
+                     ok_cell(got == expect)});
     }
   }
   sum_table.print();
@@ -114,7 +121,7 @@ int main() {
                      bench::human_bytes(net.stats().client_to_server_bytes),
                      bench::human_bytes(net.stats().server_to_client_bytes),
                      bench::human_bytes(net.stats().total_bytes()), bench::fmt("%.0f", sw.ms()),
-                     ok ? "yes" : "WRONG"});
+                     ok_cell(ok)});
     }
   }
   yao_table.print();
@@ -137,7 +144,7 @@ int main() {
                       std::to_string(field::Gf2Matrix::byte_size(kBits)),
                       bench::human_bytes(net.stats().total_bytes()),
                       bench::fmt("%.0f", sw.ms()), "perfect PSM + cSPIR",
-                      got == (db[42] == 42) ? "yes" : "WRONG"});
+                      ok_cell(got == (db[42] == 42))});
       }
       {  // multi server: fully information-theoretic
         const std::size_t k = pir::PolyItPir::min_servers(n, 1);
@@ -150,7 +157,7 @@ int main() {
                       bench::human_bytes(net.stats().total_bytes()),
                       bench::fmt("%.0f", sw.ms()),
                       "fully IT (k=" + std::to_string(k) + ")",
-                      got == (db[42] == 42) ? "yes" : "WRONG"});
+                      ok_cell(got == (db[42] == 42))});
       }
     }
     bp_table.print();
@@ -175,11 +182,12 @@ int main() {
       const std::uint64_t got = proto.run(net, db, indices, client_prg, server_prg);
       ms_table.add({std::to_string(n), std::to_string(m), std::to_string(t), std::to_string(k),
                     bench::human_bytes(net.stats().total_bytes()), bench::fmt("%.0f", sw.ms()),
-                    bench::rounds_str(net.stats()), got == expect ? "yes" : "WRONG"});
+                    bench::rounds_str(net.stats()), ok_cell(got == expect)});
     }
   }
   ms_table.print();
   std::printf("\nShape check: up-traffic scales with m (one SPIR query per argument);\n"
               "Yao-PSM down-traffic = m*alpha-term + beta where beta tracks C_f.\n");
-  return 0;
+  if (!all_ok) std::printf("\nFAIL: a row's ok cell is not yes\n");
+  return all_ok ? 0 : 1;
 }

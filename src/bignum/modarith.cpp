@@ -94,10 +94,6 @@ BigInt mod_inverse(const BigInt& a, const BigInt& m) {
   return e.x.mod_floor(m);
 }
 
-BigInt mod_add(const BigInt& a, const BigInt& b, const BigInt& m) {
-  return (a + b).mod_floor(m);
-}
-
 BigInt mod_sub(const BigInt& a, const BigInt& b, const BigInt& m) {
   return (a - b).mod_floor(m);
 }

@@ -25,8 +25,7 @@ ExtGcdResult ext_gcd(const BigInt& a, const BigInt& b);
 // Inverse of a modulo m (m > 1); throws CryptoError if gcd(a, m) != 1.
 BigInt mod_inverse(const BigInt& a, const BigInt& m);
 
-// (a + b) mod m, (a - b) mod m, (a * b) mod m with results in [0, m).
-BigInt mod_add(const BigInt& a, const BigInt& b, const BigInt& m);
+// (a - b) mod m, (a * b) mod m with results in [0, m).
 BigInt mod_sub(const BigInt& a, const BigInt& b, const BigInt& m);
 BigInt mod_mul(const BigInt& a, const BigInt& b, const BigInt& m);
 

@@ -2,10 +2,9 @@
 //
 // Three cooperating layers keep secret-dependent control flow out of the
 // crypto hot paths (see DESIGN.md "Constant-time policy"):
-//   1. this header — `Secret<T>`/`SecretBool` wrappers whose comparisons
-//      return non-boolean masks (so `if (secret == x)` is a compile error)
-//      plus the branchless ct_* primitives the migrated kernels are built
-//      from;
+//   1. this header — the branchless ct_* primitives the migrated kernels
+//      are built from, plus `SecretBool`, a mask with no conversion to bool
+//      (so `if (secret_bool)` is a compile error);
 //   2. tools/spfe-analyze — a static analyzer whose region check enforces
 //      annotated `// SPFE_CT_BEGIN(fn)` ... `// SPFE_CT_END` regions: no
 //      branches, short-circuit operators, secret-indexed subscripts,
@@ -70,41 +69,12 @@ inline std::uint64_t ct_select_u64(std::uint64_t mask, std::uint64_t a, std::uin
   return b ^ (mask & (a ^ b));
 }
 
-// Swaps a and b iff mask is all-ones.
-inline void ct_swap_u64(std::uint64_t mask, std::uint64_t& a, std::uint64_t& b) {
-  const std::uint64_t delta = mask & (a ^ b);
-  a ^= delta;
-  b ^= delta;
-}
-
-// dst <- src iff mask is all-ones (byte-wise select over n bytes).
-inline void ct_assign_bytes(std::uint64_t mask, std::uint8_t* dst, const std::uint8_t* src,
-                            std::size_t n) {
-  const std::uint8_t m = static_cast<std::uint8_t>(mask);
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = static_cast<std::uint8_t>(dst[i] ^ (m & (dst[i] ^ src[i])));
-  }
-}
-
 // ~0 if the two n-byte buffers are equal, else 0. Scans every byte; no
 // early exit.
 inline std::uint64_t ct_eq_bytes(const std::uint8_t* a, const std::uint8_t* b, std::size_t n) {
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < n; ++i) acc |= static_cast<std::uint64_t>(a[i] ^ b[i]);
   return ct_is_zero_u64(acc);
-}
-
-// Masked table lookup: out <- table[index * stride .. + stride) scanning the
-// whole table, so the access pattern is independent of `index`.
-inline void ct_lookup_bytes(const std::uint8_t* table, std::size_t entries, std::size_t stride,
-                            std::uint64_t index, std::uint8_t* out) {
-  for (std::size_t i = 0; i < stride; ++i) out[i] = 0;
-  for (std::size_t e = 0; e < entries; ++e) {
-    const std::uint8_t m = static_cast<std::uint8_t>(ct_eq_u64(e, index));
-    for (std::size_t i = 0; i < stride; ++i) {
-      out[i] = static_cast<std::uint8_t>(out[i] | (m & table[e * stride + i]));
-    }
-  }
 }
 
 // Quotient and remainder of x / d without a hardware divide: 64 rounds of
@@ -151,53 +121,5 @@ class SecretBool {
   explicit SecretBool(std::uint64_t mask) : mask_(mask) {}
   std::uint64_t mask_;
 };
-
-// Unsigned integral value under taint: arithmetic and bit operations stay
-// inside the wrapper, comparisons return SecretBool, and there is no
-// conversion to the raw type except the explicit declassify()/value() exits.
-// Shift counts and the like must be public.
-template <typename T>
-class Secret {
-  static_assert(static_cast<T>(-1) > static_cast<T>(0),
-                "Secret<T> requires an unsigned integral type");
-
- public:
-  Secret() : v_(0) {}
-  explicit Secret(T v) : v_(v) {}
-
-  Secret operator+(Secret o) const { return Secret(static_cast<T>(v_ + o.v_)); }
-  Secret operator-(Secret o) const { return Secret(static_cast<T>(v_ - o.v_)); }
-  Secret operator*(Secret o) const { return Secret(static_cast<T>(v_ * o.v_)); }
-  Secret operator&(Secret o) const { return Secret(static_cast<T>(v_ & o.v_)); }
-  Secret operator|(Secret o) const { return Secret(static_cast<T>(v_ | o.v_)); }
-  Secret operator^(Secret o) const { return Secret(static_cast<T>(v_ ^ o.v_)); }
-  Secret operator~() const { return Secret(static_cast<T>(~v_)); }
-  Secret operator<<(unsigned s) const { return Secret(static_cast<T>(v_ << s)); }
-  Secret operator>>(unsigned s) const { return Secret(static_cast<T>(v_ >> s)); }
-
-  SecretBool operator==(Secret o) const {
-    return SecretBool::from_mask(ct_eq_u64(v_, o.v_));
-  }
-  SecretBool operator!=(Secret o) const { return ~(*this == o); }
-  SecretBool operator<(Secret o) const {
-    return SecretBool::from_mask(ct_lt_u64(v_, o.v_));
-  }
-  SecretBool operator>=(Secret o) const { return ~(*this < o); }
-
-  // mask ? a : b, element-wise over the representation.
-  static Secret select(SecretBool mask, Secret a, Secret b) {
-    return Secret(static_cast<T>(ct_select_u64(mask.mask(), a.v_, b.v_)));
-  }
-
-  // Audited exits. `value()` hands the raw value to CT kernels (ct_* calls,
-  // limb stores); `declassify()` documents an intentional leak.
-  T value() const { return v_; }
-  T declassify() const { return v_; }
-
- private:
-  T v_;
-};
-
-using SecretU64 = Secret<std::uint64_t>;
 
 }  // namespace spfe::common

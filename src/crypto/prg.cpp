@@ -39,8 +39,6 @@ Prg::Seed Prg::random_seed() {
   return s;
 }
 
-Prg Prg::from_entropy() { return Prg(random_seed()); }
-
 void Prg::fill(std::uint8_t* out, std::size_t len) { stream_.keystream(out, len); }
 
 Bytes Prg::bytes(std::size_t len) {

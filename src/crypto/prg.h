@@ -27,7 +27,6 @@ class Prg {
 
   // Fresh seed from the OS entropy source.
   static Seed random_seed();
-  static Prg from_entropy();
 
   void fill(std::uint8_t* out, std::size_t len);
   Bytes bytes(std::size_t len);

@@ -60,8 +60,6 @@ class Fp64 {
   value_type inv(value_type a) const;
 
   value_type random(crypto::Prg& prg) const { return prg.uniform(p_); }
-  // Uniform nonzero element.
-  value_type random_nonzero(crypto::Prg& prg) const { return 1 + prg.uniform(p_ - 1); }
 
   bool eq(value_type a, value_type b) const { return a == b; }
 

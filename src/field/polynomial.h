@@ -81,12 +81,6 @@ class Polynomial {
     return Polynomial(field_, std::move(c));
   }
 
-  Polynomial scale(const value_type& s) const {
-    std::vector<value_type> c = coeffs_;
-    for (auto& v : c) v = field_.mul(v, s);
-    return Polynomial(field_, std::move(c));
-  }
-
   bool operator==(const Polynomial& o) const {
     if (coeffs_.size() != o.coeffs_.size()) return false;
     for (std::size_t i = 0; i < coeffs_.size(); ++i) {

@@ -136,10 +136,6 @@ class PaillierPrivateKey {
   bignum::BigInt pinv_q_;  // p^{-1} mod q (CRT recombination)
 };
 
-struct PaillierKeyPair {
-  PaillierPrivateKey sk;
-};
-
 // Generates a key with an N of `modulus_bits` bits (two primes of half size).
 PaillierPrivateKey paillier_keygen(crypto::Prg& prg, std::size_t modulus_bits);
 

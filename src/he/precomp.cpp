@@ -91,85 +91,6 @@ PoolStats PaillierRandomnessPool::stats() const {
   return stats_;
 }
 
-// --- GmRandomnessPool --------------------------------------------------------
-
-GmRandomnessPool::GmRandomnessPool(const GmPublicKey& pk, crypto::Prg prg, PoolConfig cfg)
-    : pk_(pk), cfg_(cfg), prg_(std::move(prg)) {
-  if (cfg_.capacity == 0) throw InvalidArgument("GmRandomnessPool: zero capacity");
-}
-
-std::size_t GmRandomnessPool::refill() {
-  std::vector<BigInt> rs;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (refill_inflight_ || ready_.size() >= cfg_.capacity) return 0;
-    rs.reserve(cfg_.capacity - ready_.size());
-    for (std::size_t i = ready_.size(); i < cfg_.capacity; ++i) {
-      rs.push_back(pk_.random_unit(prg_));
-    }
-    refill_inflight_ = true;
-  }
-  obs::Span span("precomp.refill");
-  span.note("gm factors=" + std::to_string(rs.size()));
-  std::vector<Factors> factors(rs.size());
-  common::parallel_for(rs.size(), [&](std::size_t i) {
-    Factors f;
-    f.r2 = bignum::mod_mul(rs[i], rs[i], pk_.n());
-    f.zr2 = bignum::mod_mul(pk_.z(), f.r2, pk_.n());
-    factors[i] = std::move(f);
-  });
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (Factors& f : factors) ready_.push_back(std::move(f));
-    refill_inflight_ = false;
-    stats_.refills += 1;
-    stats_.precomputed += factors.size();
-  }
-  cv_.notify_all();
-  obs::count(obs::Op::kPoolRefill);
-  return rs.size();
-}
-
-GmRandomnessPool::Factors GmRandomnessPool::next_factors() {
-  std::unique_lock<std::mutex> lk(mu_);
-  ++stats_.draws;
-  cv_.wait(lk, [&] { return !ready_.empty() || !refill_inflight_; });
-  if (!ready_.empty()) {
-    ++stats_.hits;
-    obs::count(obs::Op::kPoolHit);
-    Factors f = std::move(ready_.front());
-    ready_.pop_front();
-    return f;
-  }
-  ++stats_.misses;
-  obs::count(obs::Op::kPoolMiss);
-  const BigInt r = pk_.random_unit(prg_);
-  Factors f;
-  f.r2 = bignum::mod_mul(r, r, pk_.n());
-  f.zr2 = bignum::mod_mul(pk_.z(), f.r2, pk_.n());
-  return f;
-}
-
-BigInt GmRandomnessPool::encrypt(bool bit) {
-  const Factors f = next_factors();
-  return pk_.encrypt_with_factors(bit, f.r2, f.zr2);
-}
-
-BigInt GmRandomnessPool::rerandomize(const BigInt& c) {
-  const Factors f = next_factors();
-  return pk_.rerandomize_with_factor(c, f.r2);
-}
-
-std::size_t GmRandomnessPool::stocked() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return ready_.size();
-}
-
-PoolStats GmRandomnessPool::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return stats_;
-}
-
 // --- CtFixedBaseTable --------------------------------------------------------
 
 CtFixedBaseTable::CtFixedBaseTable(const BigInt& modulus, const BigInt& base,

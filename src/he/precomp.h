@@ -1,14 +1,13 @@
 // Offline/online precomputation for the client-side public-key hot paths
 // (the Naor–Nisan offline/online split, cs/0109011).
 //
-// Every homomorphic encryption this library performs splits into a
-// message-independent part and a cheap message-dependent part:
-//   Paillier:  E(m, r) = (1 + mN) * r^N mod N^2  — r^N is independent of m;
-//   GM:        E(b, r) = z^b * r^2 mod N         — r^2 and z*r^2 likewise.
-// The expensive factors (one |N|-bit modexp for Paillier) can therefore be
-// computed *offline*, pooled, and consumed online with a single modular
+// A Paillier encryption splits into a message-independent part and a cheap
+// message-dependent part: E(m, r) = (1 + mN) * r^N mod N^2, where r^N is
+// independent of m. The expensive factor (one |N|-bit modexp) can therefore
+// be computed *offline*, pooled, and consumed online with a single modular
 // multiplication each — turning an ~11 s depth-1 cPIR query generation at
-// n = 4096 into milliseconds once the pool is warm.
+// n = 4096 into milliseconds once the pool is warm. (GM encryption costs two
+// modular multiplications and is not pooled.)
 //
 // Determinism contract (tested in tests/precomp_test.cpp):
 //   * A pool owns its own seeded Prg. The i-th factor it hands out is
@@ -49,7 +48,6 @@
 #include "bignum/bigint.h"
 #include "bignum/modarith.h"
 #include "crypto/prg.h"
-#include "he/goldwasser_micali.h"
 #include "he/paillier.h"
 
 namespace spfe::he {
@@ -108,42 +106,6 @@ class PaillierRandomnessPool {
   PoolStats stats_;
 };
 
-// Pool of GM factor pairs (r^2, z * r^2) for one public key. Cheap to
-// compute (two modular multiplications), pooled for interface uniformity
-// and to keep the client's online loop free of PRG rejection sampling.
-class GmRandomnessPool {
- public:
-  struct Factors {
-    bignum::BigInt r2;   // r^2 mod N      (encrypts 0 / rerandomizes)
-    bignum::BigInt zr2;  // z * r^2 mod N  (encrypts 1)
-  };
-
-  GmRandomnessPool(const GmPublicKey& pk, crypto::Prg prg, PoolConfig cfg = {});
-
-  const GmPublicKey& public_key() const { return pk_; }
-
-  std::size_t refill();
-  Factors next_factors();
-
-  // encrypt(b) == pk.encrypt(b, prg) for the pool's stream; one pair.
-  bignum::BigInt encrypt(bool bit);
-  // rerandomize(c) == pk.rerandomize(c, prg) for the pool's stream.
-  bignum::BigInt rerandomize(const bignum::BigInt& c);
-
-  std::size_t stocked() const;
-  PoolStats stats() const;
-
- private:
-  GmPublicKey pk_;
-  PoolConfig cfg_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Factors> ready_;
-  bool refill_inflight_ = false;
-  crypto::Prg prg_;
-  PoolStats stats_;
-};
-
 // Constant-time fixed-base comb table: per 4-bit window j it stores
 // base^(d * 16^j) for d in [0, 16), all in Montgomery form. pow() processes
 // ceil(bit_length/4) windows, each with a masked full-table lookup and an
@@ -196,7 +158,6 @@ class FixedBaseCache {
 // exactly. Pools are checked against the protocol's keys at use.
 struct ClientPrecomp {
   PaillierRandomnessPool* paillier = nullptr;  // client-key encryption factors
-  GmRandomnessPool* gm = nullptr;              // GM blinding factors
 };
 
 }  // namespace spfe::he

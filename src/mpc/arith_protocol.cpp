@@ -34,14 +34,13 @@ void check_headroom(const BigInt& bound, const he::PaillierPublicKey& pk, std::s
 std::vector<std::uint64_t> run_arith_mpc_on_ciphertexts(
     net::StarNetwork& net, std::size_t server_id, const ArithCircuit& circuit,
     const he::PaillierPrivateKey& sk, const std::vector<BigInt>& input_ciphertexts,
-    const BigInt& input_bound, crypto::Prg& client_prg, crypto::Prg& server_prg,
-    const ArithMpcOptions& options) {
+    const BigInt& input_bound, crypto::Prg& client_prg, crypto::Prg& server_prg) {
   if (input_ciphertexts.size() != circuit.num_inputs()) {
     throw InvalidArgument("arith MPC: wrong number of input ciphertexts");
   }
   const he::PaillierPublicKey& pk = sk.public_key();
   const BigInt u(circuit.modulus());
-  const std::size_t sigma = options.stat_security_bits;
+  const std::size_t sigma = kStatSecurityBits;
 
   const std::size_t total_nodes = circuit.num_inputs() + circuit.gates().size();
   std::vector<NodeState> nodes(total_nodes);
@@ -212,7 +211,7 @@ std::vector<std::uint64_t> run_arith_mpc_shared(
     net::StarNetwork& net, std::size_t server_id, const ArithCircuit& circuit,
     const he::PaillierPrivateKey& sk, const std::vector<std::uint64_t>& client_shares,
     const std::vector<std::uint64_t>& server_shares, crypto::Prg& client_prg,
-    crypto::Prg& server_prg, const ArithMpcOptions& options) {
+    crypto::Prg& server_prg) {
   if (client_shares.size() != circuit.num_inputs() ||
       server_shares.size() != circuit.num_inputs()) {
     throw InvalidArgument("arith MPC: share count mismatch");
@@ -245,7 +244,7 @@ std::vector<std::uint64_t> run_arith_mpc_shared(
   r.expect_done();
 
   return run_arith_mpc_on_ciphertexts(net, server_id, circuit, sk, input_cts, u + u, client_prg,
-                                      server_prg, options);
+                                      server_prg);
 }
 
 }  // namespace spfe::mpc

@@ -36,10 +36,6 @@ namespace spfe::mpc {
 
 inline constexpr std::size_t kStatSecurityBits = 40;
 
-struct ArithMpcOptions {
-  std::size_t stat_security_bits = kStatSecurityBits;
-};
-
 // Runs §3.3.4 where the server already holds ciphertexts of the circuit
 // inputs under the client's key (plaintexts < `input_bound`, congruent to
 // the true inputs mod circuit.modulus()). The client holds `sk` and ends
@@ -48,8 +44,7 @@ struct ArithMpcOptions {
 std::vector<std::uint64_t> run_arith_mpc_on_ciphertexts(
     net::StarNetwork& net, std::size_t server_id, const circuits::ArithCircuit& circuit,
     const he::PaillierPrivateKey& sk, const std::vector<bignum::BigInt>& input_ciphertexts,
-    const bignum::BigInt& input_bound, crypto::Prg& client_prg, crypto::Prg& server_prg,
-    const ArithMpcOptions& options = {});
+    const bignum::BigInt& input_bound, crypto::Prg& client_prg, crypto::Prg& server_prg);
 
 // Shares entry point: client and server hold additive shares of each input
 // mod u (the output format of the §3.3 input-selection protocols). The
@@ -59,6 +54,6 @@ std::vector<std::uint64_t> run_arith_mpc_shared(
     net::StarNetwork& net, std::size_t server_id, const circuits::ArithCircuit& circuit,
     const he::PaillierPrivateKey& sk, const std::vector<std::uint64_t>& client_shares,
     const std::vector<std::uint64_t>& server_shares, crypto::Prg& client_prg,
-    crypto::Prg& server_prg, const ArithMpcOptions& options = {});
+    crypto::Prg& server_prg);
 
 }  // namespace spfe::mpc

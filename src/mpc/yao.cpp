@@ -235,6 +235,4 @@ GarbledCircuit GarbledCircuit::deserialize(BytesView data) {
   return gc;
 }
 
-std::size_t GarbledCircuit::wire_size_bytes() const { return serialize().size(); }
-
 }  // namespace spfe::mpc

@@ -69,7 +69,6 @@ struct GarbledCircuit {
 
   Bytes serialize() const;
   static GarbledCircuit deserialize(BytesView data);
-  std::size_t wire_size_bytes() const;
 };
 
 struct GarblingResult {

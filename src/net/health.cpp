@@ -4,16 +4,8 @@
 
 namespace spfe::net {
 
-ServerHealthTracker::ServerHealthTracker(std::size_t num_servers,
-                                         std::uint64_t demote_threshold,
-                                         std::size_t latency_window)
-    : demote_threshold_(demote_threshold),
-      latency_window_(latency_window),
-      demerits_(num_servers, 0) {
+ServerHealthTracker::ServerHealthTracker(std::size_t num_servers) : demerits_(num_servers, 0) {
   if (num_servers == 0) throw InvalidArgument("ServerHealthTracker: need at least one server");
-  if (demote_threshold == 0 || latency_window == 0) {
-    throw InvalidArgument("ServerHealthTracker: threshold and window must be positive");
-  }
 }
 
 void ServerHealthTracker::observe(const RobustnessReport& report) {
@@ -68,11 +60,11 @@ void ServerHealthTracker::observe(const RobustnessReport& report) {
         break;  // never queried: no evidence either way
     }
     if (v.answer_us > 0) {
-      if (latencies_.size() < latency_window_) {
+      if (latencies_.size() < kLatencyWindow) {
         latencies_.push_back(v.answer_us);
       } else {
         latencies_[latency_next_] = v.answer_us;
-        latency_next_ = (latency_next_ + 1) % latency_window_;
+        latency_next_ = (latency_next_ + 1) % kLatencyWindow;
       }
     }
   }
@@ -84,7 +76,7 @@ std::uint64_t ServerHealthTracker::demerits(std::size_t s) const {
 }
 
 bool ServerHealthTracker::demoted(std::size_t s) const {
-  return demerits(s) >= demote_threshold_;
+  return demerits(s) >= kDemoteThreshold;
 }
 
 std::vector<std::size_t> ServerHealthTracker::ranked_order() const {

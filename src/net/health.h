@@ -30,9 +30,7 @@ class ServerHealthTracker {
   static constexpr std::uint64_t kMalformedDemerit = 6;
   static constexpr std::uint64_t kCorrectedDemerit = 8;
 
-  explicit ServerHealthTracker(std::size_t num_servers,
-                               std::uint64_t demote_threshold = 8,
-                               std::size_t latency_window = 1024);
+  explicit ServerHealthTracker(std::size_t num_servers);
 
   std::size_t num_servers() const { return demerits_.size(); }
 
@@ -60,8 +58,11 @@ class ServerHealthTracker {
   std::uint64_t latency_quantile_us(double q, std::uint64_t fallback_us) const;
 
  private:
-  std::uint64_t demote_threshold_;
-  std::size_t latency_window_;
+  // Demerits at which a server counts as demoted.
+  static constexpr std::uint64_t kDemoteThreshold = 8;
+  // Answer-latency samples kept for the hedge-deadline quantile.
+  static constexpr std::size_t kLatencyWindow = 1024;
+
   std::size_t queries_ = 0;
   std::vector<std::uint64_t> demerits_;
   std::vector<std::uint64_t> latencies_;  // ring buffer of answer_us samples

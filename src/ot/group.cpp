@@ -1,6 +1,5 @@
 #include "ot/group.h"
 
-#include "bignum/primes.h"
 #include "common/error.h"
 #include "crypto/kdf.h"
 
@@ -77,11 +76,6 @@ SchnorrGroup SchnorrGroup::rfc_like_512() {
 
 SchnorrGroup SchnorrGroup::rfc_like_1024() {
   return SchnorrGroup(BigInt::from_hex(kSafePrime1024), BigInt(4));
-}
-
-SchnorrGroup SchnorrGroup::generate(crypto::Prg& prg, std::size_t bits) {
-  const BigInt p = bignum::random_safe_prime(prg, bits);
-  return SchnorrGroup(p, BigInt(4));
 }
 
 }  // namespace spfe::ot

@@ -49,8 +49,6 @@ class SchnorrGroup {
   // Embedded verified parameters.
   static SchnorrGroup rfc_like_512();
   static SchnorrGroup rfc_like_1024();
-  // Fresh parameters (slow; tests only).
-  static SchnorrGroup generate(crypto::Prg& prg, std::size_t bits);
 
  private:
   bignum::BigInt p_;

@@ -34,13 +34,6 @@ std::uint64_t SumPsm::mask_of(std::size_t j, const crypto::Prg::Seed& seed) cons
   return r_j;
 }
 
-Bytes SumPsm::player_message(std::size_t j, std::uint64_t y,
-                             const crypto::Prg::Seed& seed) const {
-  Writer w;
-  w.u64(add_mod(y % u_, mask_of(j, seed), u_));
-  return w.take();
-}
-
 std::vector<Bytes> SumPsm::player_messages(std::size_t j, std::span<const std::uint64_t> ys,
                                            const crypto::Prg::Seed& seed) const {
   const std::uint64_t r_j = mask_of(j, seed);
@@ -81,26 +74,11 @@ YaoPsm::YaoPsm(const circuits::BooleanCircuit& circuit, std::size_t num_players,
 
 std::size_t YaoPsm::message_bytes() const { return bits_ * mpc::kLabelBytes; }
 
-Bytes YaoPsm::player_message(std::size_t j, std::uint64_t y,
-                             const crypto::Prg::Seed& seed) const {
-  if (j >= m_) throw InvalidArgument("YaoPsm: player index out of range");
-  // All players derive the identical garbling from the shared seed; the
-  // message is the active label of each owned wire.
-  crypto::Prg prg(crypto::Prg(seed).fork_seed("yao-psm-garble"));
-  const mpc::GarblingResult g = mpc::garble(circuit_, prg);
-  Writer w;
-  for (std::size_t b = 0; b < bits_; ++b) {
-    // ct_get: y is the player's private input — the active-label selection
-    // must not branch on its bits.
-    const bool bit = ((y >> b) & 1) != 0;
-    w.raw(mpc::label_to_bytes(g.input_labels[j * bits_ + b].ct_get(bit)));
-  }
-  return w.take();
-}
-
 std::vector<Bytes> YaoPsm::player_messages(std::size_t j, std::span<const std::uint64_t> ys,
                                            const crypto::Prg::Seed& seed) const {
   if (j >= m_) throw InvalidArgument("YaoPsm: player index out of range");
+  // All players derive the identical garbling from the shared seed; the
+  // message is the active label of each owned wire.
   crypto::Prg prg(crypto::Prg(seed).fork_seed("yao-psm-garble"));
   const mpc::GarblingResult g = mpc::garble(circuit_, prg);
   std::vector<Bytes> out;
@@ -108,6 +86,8 @@ std::vector<Bytes> YaoPsm::player_messages(std::size_t j, std::span<const std::u
   for (const std::uint64_t y : ys) {
     Writer w;
     for (std::size_t b = 0; b < bits_; ++b) {
+      // ct_get: y is the player's private input — the active-label
+      // selection must not branch on its bits.
       const bool bit = ((y >> b) & 1) != 0;
       w.raw(mpc::label_to_bytes(g.input_labels[j * bits_ + b].ct_get(bit)));
     }

@@ -40,10 +40,8 @@ class SumPsm {
   // alpha: fixed per-player message length (8 bytes; a Z_u element).
   std::size_t message_bytes() const { return 8; }
 
-  // Player j's message on input y under common randomness `seed`.
-  Bytes player_message(std::size_t j, std::uint64_t y, const crypto::Prg::Seed& seed) const;
-  // Player j's messages for many inputs at once (the §3.2 virtual database;
-  // shares the randomness derivation across items).
+  // Player j's messages on each input y under common randomness `seed` (the
+  // §3.2 virtual database; shares the randomness derivation across items).
   std::vector<Bytes> player_messages(std::size_t j, std::span<const std::uint64_t> ys,
                                      const crypto::Prg::Seed& seed) const;
   // P0's message (empty: beta = 0).
@@ -69,8 +67,7 @@ class YaoPsm {
   std::size_t bits_per_player() const { return bits_; }
   std::size_t message_bytes() const;  // alpha
 
-  Bytes player_message(std::size_t j, std::uint64_t y, const crypto::Prg::Seed& seed) const;
-  // Batch variant: garbles once and emits one message per input value.
+  // Garbles once and emits one message per input value.
   std::vector<Bytes> player_messages(std::size_t j, std::span<const std::uint64_t> ys,
                                      const crypto::Prg::Seed& seed) const;
   Bytes referee_extra(const crypto::Prg::Seed& seed) const;  // the garbled circuit

@@ -55,13 +55,6 @@ BpPsm::Randomness BpPsm::derive(const crypto::Prg::Seed& seed) const {
   return rnd;
 }
 
-Bytes BpPsm::player_message(std::size_t j, std::uint64_t y,
-                            const crypto::Prg::Seed& seed) const {
-  if (j >= m_) throw InvalidArgument("BpPsm: player index out of range");
-  const Randomness rnd = derive(seed);
-  return (rnd.l * m_player(j, y) * rnd.r + rnd.masks[j]).to_bytes();
-}
-
 std::vector<Bytes> BpPsm::player_messages(std::size_t j, std::span<const std::uint64_t> ys,
                                           const crypto::Prg::Seed& seed) const {
   if (j >= m_) throw InvalidArgument("BpPsm: player index out of range");

@@ -37,7 +37,6 @@ class BpPsm {
   std::size_t matrix_dim() const { return bp_.matrix_dim(); }
   std::size_t message_bytes() const { return field::Gf2Matrix::byte_size(matrix_dim()); }
 
-  Bytes player_message(std::size_t j, std::uint64_t y, const crypto::Prg::Seed& seed) const;
   std::vector<Bytes> player_messages(std::size_t j, std::span<const std::uint64_t> ys,
                                      const crypto::Prg::Seed& seed) const;
   Bytes referee_extra(const crypto::Prg::Seed& seed) const;

@@ -52,10 +52,6 @@ std::uint64_t pow_mod_u64(std::uint64_t base, std::uint64_t exp, std::uint64_t p
   return result;
 }
 
-he::GmRandomnessPool* gm_pool_for(const he::ClientPrecomp& precomp, const he::GmPublicKey& pk) {
-  return (precomp.gm != nullptr && precomp.gm->public_key() == pk) ? precomp.gm : nullptr;
-}
-
 }  // namespace
 
 SelectedShares input_selection_per_item(net::StarNetwork& net, std::size_t server_id,
@@ -428,9 +424,6 @@ SelectedXorShares input_selection_encrypted_db_gm(
   {
     Reader r(net.client_receive(server_id));
     const he::GmPublicKey pk2 = he::GmPublicKey::deserialize(r);
-    // GM blinding runs under the server's GM key — only a pool built for
-    // that key serves (the caller learns pk2 from a prior run or key cache).
-    he::GmRandomnessPool* gm_pool = gm_pool_for(precomp, pk2);
     Writer w;
     for (std::size_t j = 0; j < m; ++j) {
       const Bytes item = spir.decode_bytes(client_sk, item_bytes, r.bytes());
@@ -443,9 +436,7 @@ SelectedXorShares input_selection_encrypted_db_gm(
         // E(x_bit) * E(blind) = E(x_bit ^ blind); rerandomize so the server
         // cannot link the returned ciphertext to a database position.
         const BigInt blinded =
-            gm_pool != nullptr
-                ? gm_pool->rerandomize(pk2.xor_ct(ct, gm_pool->encrypt(blind)))
-                : pk2.rerandomize(pk2.xor_ct(ct, pk2.encrypt(blind, client_prg)), client_prg);
+            pk2.rerandomize(pk2.xor_ct(ct, pk2.encrypt(blind, client_prg)), client_prg);
         w.raw(blinded.to_bytes_be_padded(pk2.ciphertext_bytes()));
       }
       shares.client_shares[j] = r_j;

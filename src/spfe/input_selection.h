@@ -45,10 +45,11 @@
 namespace spfe::protocols {
 
 // Every client entry point takes an optional `precomp` bundle
-// (he/precomp.h). Pools are used only for the encryption sites whose key
-// matches the pool's key — sites encrypting under the *server's* key (the
-// §3.3.2 variant-2 evaluation, the §3.3.3 re-blinding) silently fall back
-// to the online PRG when the pool is keyed for the client. A pooled run is
+// (he/precomp.h). Pools are used only for the Paillier encryption sites
+// whose key matches the pool's key — sites encrypting under the *server's*
+// key (the §3.3.2 variant-2 evaluation, the §3.3.3 re-blinding) silently
+// fall back to the online PRG when the pool is keyed for the client, and
+// the GM XOR-blinding always draws from the PRG. A pooled run is
 // deterministic in the seeds and independent of pool warmth; it matches the
 // unpooled transcript byte-for-byte whenever the protocol's only use of the
 // client PRG is encryption randomness (§3.3.1 per-item selection).

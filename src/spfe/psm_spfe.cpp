@@ -1,5 +1,8 @@
 #include "spfe/psm_spfe.h"
 
+#include <algorithm>
+#include <string>
+
 #include "common/error.h"
 #include "common/serialize.h"
 #include "obs/obs.h"
@@ -7,39 +10,95 @@
 namespace spfe::protocols {
 namespace {
 
-void check_indices(const std::vector<std::size_t>& indices, std::size_t m, std::size_t n) {
+void check_run(const std::vector<std::size_t>& indices, std::size_t m,
+               std::span<const std::uint64_t> database, std::size_t n) {
   if (indices.size() != m) throw InvalidArgument("PSM SPFE: need exactly m indices");
   for (const std::size_t i : indices) {
     if (i >= n) throw InvalidArgument("PSM SPFE: index out of range");
   }
+  if (database.size() != n) throw InvalidArgument("PSM SPFE: database size");
+}
+
+// The PSM common random input, drawn from the server's randomness.
+crypto::Prg::Seed draw_seed(crypto::Prg& prg) {
+  crypto::Prg::Seed seed{};
+  prg.fill(seed.data(), seed.size());
+  return seed;
+}
+
+// How a k-server message travels as field elements. A sum-PSM message is
+// one element, its u64 (value < u <= p); any other message is split into
+// 7-byte big-endian chunks (< 2^56 <= p).
+constexpr std::size_t kItChunkBytes = 7;
+
+std::size_t elements_per_message(const psm::SumPsm&) { return 1; }
+
+template <typename Psm>
+std::size_t elements_per_message(const Psm& psm) {
+  return (psm.message_bytes() + kItChunkBytes - 1) / kItChunkBytes;
+}
+
+std::uint64_t message_element(const psm::SumPsm&, const Bytes& message, std::size_t) {
+  Reader r(message);
+  return r.u64();
+}
+
+template <typename Psm>
+std::uint64_t message_element(const Psm&, const Bytes& message, std::size_t c) {
+  const std::size_t begin = c * kItChunkBytes;
+  const std::size_t end = std::min(begin + kItChunkBytes, message.size());
+  std::uint64_t v = 0;
+  for (std::size_t b = begin; b < end; ++b) v = (v << 8) | message[b];
+  return v;
+}
+
+Bytes message_of(const psm::SumPsm&, const std::vector<std::uint64_t>& elements) {
+  Writer w;
+  w.u64(elements[0]);
+  return w.take();
+}
+
+template <typename Psm>
+Bytes message_of(const Psm& psm, const std::vector<std::uint64_t>& elements) {
+  Bytes out(psm.message_bytes(), 0);
+  for (std::size_t c = 0; c < elements.size(); ++c) {
+    const std::size_t begin = c * kItChunkBytes;
+    std::uint64_t v = elements[c];
+    for (std::size_t b = std::min(begin + kItChunkBytes, out.size()); b-- > begin;) {
+      out[b] = static_cast<std::uint8_t>(v);
+      v >>= 8;
+    }
+  }
+  return out;
 }
 
 }  // namespace
 
-PsmSumSpfeSingleServer::PsmSumSpfeSingleServer(he::PaillierPublicKey pk, std::size_t n,
-                                               std::size_t m, std::uint64_t modulus,
-                                               std::size_t pir_depth)
-    : pk_(std::move(pk)), n_(n), m_(m), psm_(m, modulus), pir_depth_(pir_depth) {
-  if (n == 0) throw InvalidArgument("PsmSumSpfeSingleServer: empty database");
+template <typename Psm>
+PsmSpfeOneServer<Psm>::PsmSpfeOneServer(he::PaillierPublicKey pk, std::size_t n, Psm psm,
+                                        std::size_t pir_depth)
+    : pk_(std::move(pk)), n_(n), psm_(std::move(psm)), pir_depth_(pir_depth) {
+  if (n == 0) throw InvalidArgument("PSM SPFE: empty database");
 }
 
-std::uint64_t PsmSumSpfeSingleServer::run(net::StarNetwork& net,
+template <typename Psm>
+PsmOutput<Psm> PsmSpfeOneServer<Psm>::run(net::StarNetwork& net,
                                           std::span<const std::uint64_t> database,
                                           const std::vector<std::size_t>& indices,
                                           const he::PaillierPrivateKey& sk,
                                           crypto::Prg& client_prg,
                                           crypto::Prg& server_prg) const {
-  SPFE_OBS_SPAN("psm.sum_single_server");
-  check_indices(indices, m_, n_);
-  if (database.size() != n_) throw InvalidArgument("PsmSumSpfeSingleServer: database size");
+  SPFE_OBS_SPAN("psm.single_server");
+  const std::size_t m = psm_.num_players();
+  check_run(indices, m, database, n_);
   const pir::PaillierPir spir(pk_, n_, pir_depth_);
   const std::size_t alpha = psm_.message_bytes();
 
   // Client round-1 message: m independent SPIR queries.
-  std::vector<pir::PaillierPir::ClientState> states(m_);
+  std::vector<pir::PaillierPir::ClientState> states(m);
   {
     Writer w;
-    for (std::size_t j = 0; j < m_; ++j) w.bytes(spir.make_query(indices[j], states[j], client_prg));
+    for (std::size_t j = 0; j < m; ++j) w.bytes(spir.make_query(indices[j], states[j], client_prg));
     net.client_send(0, w.take());
   }
 
@@ -47,17 +106,12 @@ std::uint64_t PsmSumSpfeSingleServer::run(net::StarNetwork& net,
   // plus p0 in the clear.
   {
     Reader r(net.server_receive(0));
-    const crypto::Prg::Seed psm_seed = [&] {
-      crypto::Prg::Seed s;
-      const Bytes raw = server_prg.bytes(s.size());
-      std::copy(raw.begin(), raw.end(), s.begin());
-      return s;
-    }();
+    const crypto::Prg::Seed psm_seed = draw_seed(server_prg);
     Writer w;
-    for (std::size_t j = 0; j < m_; ++j) {
+    for (std::size_t j = 0; j < m; ++j) {
       const Bytes query = r.bytes();
-      const std::vector<Bytes> virtual_db = psm_.player_messages(j, database, psm_seed);
-      w.bytes(spir.answer_bytes(virtual_db, alpha, query, server_prg));
+      w.bytes(spir.answer_bytes(psm_.player_messages(j, database, psm_seed), alpha, query,
+                                server_prg));
     }
     r.expect_done();
     w.bytes(psm_.referee_extra(psm_seed));
@@ -66,285 +120,66 @@ std::uint64_t PsmSumSpfeSingleServer::run(net::StarNetwork& net,
 
   // Client: decode the m PSM messages and reconstruct.
   Reader r(net.client_receive(0));
-  std::vector<Bytes> messages(m_);
-  for (std::size_t j = 0; j < m_; ++j) {
-    messages[j] = spir.decode_bytes(sk, alpha, r.bytes());
-  }
+  std::vector<Bytes> messages(m);
+  for (std::size_t j = 0; j < m; ++j) messages[j] = spir.decode_bytes(sk, alpha, r.bytes());
   const Bytes extra = r.bytes();
   r.expect_done();
   return psm_.reconstruct(messages, extra);
 }
 
-PsmYaoSpfeSingleServer::PsmYaoSpfeSingleServer(he::PaillierPublicKey pk,
-                                               const circuits::BooleanCircuit& circuit,
-                                               std::size_t n, std::size_t m,
-                                               std::size_t bits_per_item, std::size_t pir_depth)
-    : pk_(std::move(pk)), n_(n), m_(m), psm_(circuit, m, bits_per_item), pir_depth_(pir_depth) {
-  if (n == 0) throw InvalidArgument("PsmYaoSpfeSingleServer: empty database");
-}
-
-std::vector<bool> PsmYaoSpfeSingleServer::run(net::StarNetwork& net,
-                                              std::span<const std::uint64_t> database,
-                                              const std::vector<std::size_t>& indices,
-                                              const he::PaillierPrivateKey& sk,
-                                              crypto::Prg& client_prg,
-                                              crypto::Prg& server_prg) const {
-  SPFE_OBS_SPAN("psm.yao_single_server");
-  check_indices(indices, m_, n_);
-  if (database.size() != n_) throw InvalidArgument("PsmYaoSpfeSingleServer: database size");
-  const pir::PaillierPir spir(pk_, n_, pir_depth_);
-  const std::size_t alpha = psm_.message_bytes();
-
-  std::vector<pir::PaillierPir::ClientState> states(m_);
-  {
-    Writer w;
-    for (std::size_t j = 0; j < m_; ++j) w.bytes(spir.make_query(indices[j], states[j], client_prg));
-    net.client_send(0, w.take());
-  }
-
-  {
-    Reader r(net.server_receive(0));
-    crypto::Prg::Seed psm_seed;
-    const Bytes raw = server_prg.bytes(psm_seed.size());
-    std::copy(raw.begin(), raw.end(), psm_seed.begin());
-    Writer w;
-    for (std::size_t j = 0; j < m_; ++j) {
-      const Bytes query = r.bytes();
-      const std::vector<Bytes> virtual_db = psm_.player_messages(j, database, psm_seed);
-      w.bytes(spir.answer_bytes(virtual_db, alpha, query, server_prg));
-    }
-    r.expect_done();
-    w.bytes(psm_.referee_extra(psm_seed));
-    net.server_send(0, w.take());
-  }
-
-  Reader r(net.client_receive(0));
-  std::vector<Bytes> messages(m_);
-  for (std::size_t j = 0; j < m_; ++j) {
-    messages[j] = spir.decode_bytes(sk, alpha, r.bytes());
-  }
-  const Bytes extra = r.bytes();
-  r.expect_done();
-  return psm_.reconstruct(messages, extra);
-}
-
-PsmSumSpfeMultiServer::PsmSumSpfeMultiServer(field::Fp64 field, std::size_t n, std::size_t m,
-                                             std::uint64_t modulus, std::size_t num_servers,
-                                             std::size_t threshold)
-    : field_(field), n_(n), m_(m), psm_(m, modulus), k_(num_servers), t_(threshold) {
-  if (modulus > field.modulus()) {
-    throw InvalidArgument("PsmSumSpfeMultiServer: modulus must fit in the field");
-  }
-}
-
-std::uint64_t PsmSumSpfeMultiServer::run(net::StarNetwork& net,
-                                         std::span<const std::uint64_t> database,
-                                         const std::vector<std::size_t>& indices,
-                                         crypto::Prg& client_prg,
-                                         crypto::Prg& server_prg) const {
-  SPFE_OBS_SPAN("psm.sum_multi_server");
-  check_indices(indices, m_, n_);
-  if (database.size() != n_) throw InvalidArgument("PsmSumSpfeMultiServer: database size");
-  if (net.num_servers() != k_) throw InvalidArgument("PsmSumSpfeMultiServer: server count");
+template <typename Psm>
+PsmOutput<Psm> PsmSpfeMultiServer<Psm>::run(net::StarNetwork& net,
+                                            std::span<const std::uint64_t> database,
+                                            const std::vector<std::size_t>& indices,
+                                            crypto::Prg& client_prg,
+                                            crypto::Prg& server_prg) const {
+  SPFE_OBS_SPAN("psm.multi_server");
+  const std::size_t m = psm_.num_players();
+  check_run(indices, m, database, n_);
+  if (net.num_servers() != k_) throw InvalidArgument("PSM SPFE: server count");
   const pir::PolyItPir spir(field_, n_, k_, t_);
+  const std::size_t elements = elements_per_message(psm_);
 
-  // Servers' common randomness: PSM seed + per-slot SPIR masking seeds.
-  // (Derived here once; in deployment this is the replicated servers'
-  // shared random input.)
-  crypto::Prg::Seed common;
-  {
-    const Bytes raw = server_prg.bytes(common.size());
-    std::copy(raw.begin(), raw.end(), common.begin());
-  }
-  const crypto::Prg common_prg(common);
+  // Servers' common randomness: PSM seed + per-(slot, element) SPIR masking
+  // seeds. (Derived here once; in deployment this is the replicated
+  // servers' shared random input.)
+  const crypto::Prg common_prg(draw_seed(server_prg));
   const crypto::Prg::Seed psm_seed = common_prg.fork_seed("psm");
 
-  // Client: m IT-SPIR queries, one bundle per server.
-  std::vector<pir::PolyItPir::ClientState> states(m_);
-  std::vector<Writer> per_server(k_);
-  for (std::size_t j = 0; j < m_; ++j) {
-    const auto queries = spir.make_queries(indices[j], states[j], client_prg);
-    for (std::size_t h = 0; h < k_; ++h) per_server[h].bytes(queries[h]);
-  }
-  for (std::size_t h = 0; h < k_; ++h) net.client_send(h, per_server[h].take());
-
-  // Each server: answer all m slots over its virtual databases.
-  for (std::size_t h = 0; h < k_; ++h) {
-    Reader r(net.server_receive(h));
-    Writer w;
-    for (std::size_t j = 0; j < m_; ++j) {
-      const Bytes query = r.bytes();
-      const std::vector<Bytes> raw_msgs = psm_.player_messages(j, database, psm_seed);
-      std::vector<std::uint64_t> virtual_db(n_);
-      for (std::size_t i = 0; i < n_; ++i) {
-        Reader mr(raw_msgs[i]);
-        virtual_db[i] = mr.u64();
-      }
-      const crypto::Prg::Seed slot_seed =
-          common_prg.fork_seed("spir-slot-" + std::to_string(j));
-      w.bytes(spir.answer(h, virtual_db, query, &slot_seed));
-    }
-    r.expect_done();
-    if (h == 0) w.bytes(psm_.referee_extra(psm_seed));
-    net.server_send(h, w.take());
-  }
-
-  // Client: decode each slot and reconstruct the sum.
-  std::vector<std::vector<Bytes>> answers(m_, std::vector<Bytes>(k_));
-  Bytes extra;
-  for (std::size_t h = 0; h < k_; ++h) {
-    Reader r(net.client_receive(h));
-    for (std::size_t j = 0; j < m_; ++j) answers[j][h] = r.bytes();
-    if (h == 0) extra = r.bytes();
-    r.expect_done();
-  }
-  std::vector<Bytes> messages(m_);
-  for (std::size_t j = 0; j < m_; ++j) {
-    Writer w;
-    w.u64(spir.decode(answers[j], states[j]));
-    messages[j] = w.take();
-  }
-  return psm_.reconstruct(messages, extra);
-}
-
-
-PsmBpSpfeSingleServer::PsmBpSpfeSingleServer(he::PaillierPublicKey pk,
-                                             circuits::BranchingProgram bp, std::size_t n,
-                                             std::size_t pir_depth)
-    : pk_(std::move(pk)), n_(n), psm_(std::move(bp)), pir_depth_(pir_depth) {
-  if (n == 0) throw InvalidArgument("PsmBpSpfeSingleServer: empty database");
-}
-
-bool PsmBpSpfeSingleServer::run(net::StarNetwork& net, std::span<const std::uint64_t> database,
-                                const std::vector<std::size_t>& indices,
-                                const he::PaillierPrivateKey& sk, crypto::Prg& client_prg,
-                                crypto::Prg& server_prg) const {
-  const std::size_t m = psm_.num_players();
-  check_indices(indices, m, n_);
-  if (database.size() != n_) throw InvalidArgument("PsmBpSpfeSingleServer: database size");
-  const pir::PaillierPir spir(pk_, n_, pir_depth_);
-  const std::size_t alpha = psm_.message_bytes();
-
-  std::vector<pir::PaillierPir::ClientState> states(m);
-  {
-    Writer w;
-    for (std::size_t j = 0; j < m; ++j) {
-      w.bytes(spir.make_query(indices[j], states[j], client_prg));
-    }
-    net.client_send(0, w.take());
-  }
-
-  {
-    Reader r(net.server_receive(0));
-    crypto::Prg::Seed psm_seed;
-    const Bytes raw = server_prg.bytes(psm_seed.size());
-    std::copy(raw.begin(), raw.end(), psm_seed.begin());
-    Writer w;
-    for (std::size_t j = 0; j < m; ++j) {
-      const Bytes query = r.bytes();
-      const std::vector<Bytes> virtual_db = psm_.player_messages(j, database, psm_seed);
-      w.bytes(spir.answer_bytes(virtual_db, alpha, query, server_prg));
-    }
-    r.expect_done();
-    w.bytes(psm_.referee_extra(psm_seed));
-    net.server_send(0, w.take());
-  }
-
-  Reader r(net.client_receive(0));
-  std::vector<Bytes> messages(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    messages[j] = spir.decode_bytes(sk, alpha, r.bytes());
-  }
-  const Bytes extra = r.bytes();
-  r.expect_done();
-  return psm_.reconstruct(messages, extra);
-}
-
-namespace {
-
-// Number of 7-byte field chunks needed for a message of `bytes` bytes
-// (7 bytes < 2^56 fits any Fp64 field used here).
-constexpr std::size_t kItChunkBytes = 7;
-
-std::size_t it_chunks(std::size_t bytes) { return (bytes + kItChunkBytes - 1) / kItChunkBytes; }
-
-std::vector<std::uint64_t> chunk_column(const std::vector<Bytes>& items, std::size_t chunk,
-                                        std::size_t item_bytes) {
-  std::vector<std::uint64_t> col(items.size(), 0);
-  const std::size_t begin = chunk * kItChunkBytes;
-  const std::size_t end = std::min(begin + kItChunkBytes, item_bytes);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    std::uint64_t v = 0;
-    for (std::size_t b = begin; b < end; ++b) v = (v << 8) | items[i][b];
-    col[i] = v;
-  }
-  return col;
-}
-
-void unchunk_into(Bytes& out, std::size_t chunk, std::uint64_t value, std::size_t item_bytes) {
-  const std::size_t begin = chunk * kItChunkBytes;
-  const std::size_t end = std::min(begin + kItChunkBytes, item_bytes);
-  for (std::size_t b = end; b-- > begin;) {
-    out[b] = static_cast<std::uint8_t>(value);
-    value >>= 8;
-  }
-}
-
-}  // namespace
-
-PsmBpSpfeMultiServer::PsmBpSpfeMultiServer(field::Fp64 field, circuits::BranchingProgram bp,
-                                           std::size_t n, std::size_t num_servers,
-                                           std::size_t threshold)
-    : field_(field), n_(n), psm_(std::move(bp)), k_(num_servers), t_(threshold) {
-  if (field.modulus() < (std::uint64_t(1) << (8 * kItChunkBytes))) {
-    throw InvalidArgument("PsmBpSpfeMultiServer: field too small for 7-byte chunks");
-  }
-}
-
-bool PsmBpSpfeMultiServer::run(net::StarNetwork& net, std::span<const std::uint64_t> database,
-                               const std::vector<std::size_t>& indices, crypto::Prg& client_prg,
-                               crypto::Prg& server_prg) const {
-  const std::size_t m = psm_.num_players();
-  check_indices(indices, m, n_);
-  if (database.size() != n_) throw InvalidArgument("PsmBpSpfeMultiServer: database size");
-  if (net.num_servers() != k_) throw InvalidArgument("PsmBpSpfeMultiServer: server count");
-  const pir::PolyItPir spir(field_, n_, k_, t_);
-  const std::size_t alpha = psm_.message_bytes();
-  const std::size_t chunks = it_chunks(alpha);
-
-  // Servers' common randomness.
-  crypto::Prg::Seed common;
-  {
-    const Bytes raw = server_prg.bytes(common.size());
-    std::copy(raw.begin(), raw.end(), common.begin());
-  }
-  const crypto::Prg common_prg(common);
-  const crypto::Prg::Seed psm_seed = common_prg.fork_seed("bp-psm");
-
-  // Client: one IT-SPIR query per (argument slot, chunk).
+  // Client: one IT-SPIR query per (argument slot, element), one bundle per
+  // server.
   std::vector<std::vector<pir::PolyItPir::ClientState>> states(
-      m, std::vector<pir::PolyItPir::ClientState>(chunks));
+      m, std::vector<pir::PolyItPir::ClientState>(elements));
   std::vector<Writer> per_server(k_);
   for (std::size_t j = 0; j < m; ++j) {
-    for (std::size_t c = 0; c < chunks; ++c) {
+    for (std::size_t c = 0; c < elements; ++c) {
       const auto queries = spir.make_queries(indices[j], states[j][c], client_prg);
       for (std::size_t h = 0; h < k_; ++h) per_server[h].bytes(queries[h]);
     }
   }
   for (std::size_t h = 0; h < k_; ++h) net.client_send(h, per_server[h].take());
 
-  // Servers: chunked virtual databases, one masked answer per query.
+  // The element columns of the virtual databases (identical at every server).
+  std::vector<std::vector<std::uint64_t>> columns(m * elements,
+                                                  std::vector<std::uint64_t>(n_));
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::vector<Bytes> virtual_db = psm_.player_messages(j, database, psm_seed);
+    for (std::size_t c = 0; c < elements; ++c) {
+      for (std::size_t i = 0; i < n_; ++i) {
+        columns[j * elements + c][i] = message_element(psm_, virtual_db[i], c);
+      }
+    }
+  }
+
+  // Each server: one masked answer per query; server 0 also sends p0.
   for (std::size_t h = 0; h < k_; ++h) {
     Reader r(net.server_receive(h));
     Writer w;
     for (std::size_t j = 0; j < m; ++j) {
-      const std::vector<Bytes> virtual_db = psm_.player_messages(j, database, psm_seed);
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const Bytes query = r.bytes();
-        const std::vector<std::uint64_t> col = chunk_column(virtual_db, c, alpha);
+      for (std::size_t c = 0; c < elements; ++c) {
         const crypto::Prg::Seed slot_seed = common_prg.fork_seed(
-            "bp-spir-" + std::to_string(j) + "-" + std::to_string(c));
-        w.bytes(spir.answer(h, col, query, &slot_seed));
+            "spir-slot-" + std::to_string(j) + "-" + std::to_string(c));
+        w.bytes(spir.answer(h, columns[j * elements + c], r.bytes(), &slot_seed));
       }
     }
     r.expect_done();
@@ -352,25 +187,48 @@ bool PsmBpSpfeMultiServer::run(net::StarNetwork& net, std::span<const std::uint6
     net.server_send(h, w.take());
   }
 
-  // Client: reassemble messages chunk-wise and reconstruct.
-  std::vector<std::vector<std::vector<Bytes>>> answers(
-      m, std::vector<std::vector<Bytes>>(chunks, std::vector<Bytes>(k_)));
+  // Client: decode every element, reassemble the messages, reconstruct.
+  std::vector<std::vector<Bytes>> answers(m * elements, std::vector<Bytes>(k_));
   Bytes extra;
   for (std::size_t h = 0; h < k_; ++h) {
     Reader r(net.client_receive(h));
-    for (std::size_t j = 0; j < m; ++j) {
-      for (std::size_t c = 0; c < chunks; ++c) answers[j][c][h] = r.bytes();
-    }
+    for (std::vector<Bytes>& answer : answers) answer[h] = r.bytes();
     if (h == 0) extra = r.bytes();
     r.expect_done();
   }
-  std::vector<Bytes> messages(m, Bytes(alpha, 0));
+  std::vector<Bytes> messages(m);
   for (std::size_t j = 0; j < m; ++j) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      unchunk_into(messages[j], c, spir.decode(answers[j][c], states[j][c]), alpha);
+    std::vector<std::uint64_t> values(elements);
+    for (std::size_t c = 0; c < elements; ++c) {
+      values[c] = spir.decode(answers[j * elements + c], states[j][c]);
     }
+    messages[j] = message_of(psm_, values);
   }
   return psm_.reconstruct(messages, extra);
+}
+
+template class PsmSpfeOneServer<psm::SumPsm>;
+template class PsmSpfeOneServer<psm::YaoPsm>;
+template class PsmSpfeOneServer<psm::BpPsm>;
+template class PsmSpfeMultiServer<psm::SumPsm>;
+template class PsmSpfeMultiServer<psm::BpPsm>;
+
+PsmSumSpfeMultiServer::PsmSumSpfeMultiServer(field::Fp64 field, std::size_t n, std::size_t m,
+                                             std::uint64_t modulus, std::size_t num_servers,
+                                             std::size_t threshold)
+    : PsmSpfeMultiServer(field, n, psm::SumPsm(m, modulus), num_servers, threshold) {
+  if (modulus > field.modulus()) {
+    throw InvalidArgument("PsmSumSpfeMultiServer: modulus must fit in the field");
+  }
+}
+
+PsmBpSpfeMultiServer::PsmBpSpfeMultiServer(field::Fp64 field, circuits::BranchingProgram bp,
+                                           std::size_t n, std::size_t num_servers,
+                                           std::size_t threshold)
+    : PsmSpfeMultiServer(field, n, psm::BpPsm(std::move(bp)), num_servers, threshold) {
+  if (field.modulus() < (std::uint64_t(1) << (8 * kItChunkBytes))) {
+    throw InvalidArgument("PsmBpSpfeMultiServer: field too small for 7-byte chunks");
+  }
 }
 
 }  // namespace spfe::protocols

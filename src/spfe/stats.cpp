@@ -215,28 +215,19 @@ RobustStatsSession::RobustStatsSession(field::Fp64 field, std::size_t n, std::si
       config_(config),
       prg_(session_seed),
       health_(num_servers),
-      blame_(num_servers) {
-  if (config_.max_attempts == 0) {
-    throw InvalidArgument("RobustStatsSession: max_attempts must be >= 1");
-  }
-  if (config_.hedge_quantile <= 0.0 || config_.hedge_quantile > 1.0) {
-    throw InvalidArgument("RobustStatsSession: hedge_quantile must be in (0, 1]");
-  }
-}
+      blame_(num_servers) {}
 
 net::RobustConfig RobustStatsSession::next_query_config() {
+  // 50 ms attempts; the attempt count and the backoff keep
+  // net::RobustConfig's defaults.
   net::RobustConfig cfg;
-  cfg.max_attempts = config_.max_attempts;
   cfg.byzantine_budget = config_.byzantine_budget;
-  cfg.timing.attempt_timeout_us = config_.attempt_timeout_us;
+  cfg.timing.attempt_timeout_us = 50'000;
   cfg.timing.hedge_spares = config_.hedge_spares;
   if (config_.hedge_spares > 0) {
     cfg.timing.hedge_timeout_us =
-        std::max(config_.hedge_floor_us,
-                 health_.latency_quantile_us(config_.hedge_quantile, config_.hedge_fallback_us));
+        std::max<std::uint64_t>(50, health_.latency_quantile_us(0.95, 2'000));
   }
-  cfg.timing.backoff_base_us = config_.backoff_base_us;
-  cfg.timing.backoff_max_us = config_.backoff_max_us;
   cfg.timing.backoff_seed =
       prg_.fork_seed("backoff-" + std::to_string(query_no_));
   // Healthy servers first; the demoted tail serves as hedge spares.

@@ -92,24 +92,18 @@ class MeanVariancePackage {
   std::size_t pir_depth_;
 };
 
-// Availability policy of a long-running statistics session (see
-// net/robust.h TimingPolicy for the per-query mechanics).
+// Fault budget of a long-running statistics session. Every query runs up
+// to 3 attempts of 50 ms each with net::TimingPolicy's default backoff (see
+// net/robust.h for the per-query mechanics).
 struct RobustStatsConfig {
-  std::size_t max_attempts = 3;
-  std::uint64_t attempt_timeout_us = 50'000;
   // The e used when provisioning num_servers: in-attempt decodes wait for
   // net::decode_quorum usable answers (see net::RobustConfig::byzantine_budget).
   std::size_t byzantine_budget = 0;
   // Hedge spares held back per query; 0 disables hedging. The hedge
-  // deadline adapts to observed latency: max(hedge_floor_us, the
-  // hedge_quantile of past answer latencies), with hedge_fallback_us
-  // standing in before any answer has been observed.
+  // deadline adapts to observed latency: max(50 us, the 0.95-quantile of
+  // past answer latencies), with 2 ms standing in before any answer has
+  // been observed.
   std::size_t hedge_spares = 0;
-  double hedge_quantile = 0.95;
-  std::uint64_t hedge_floor_us = 50;
-  std::uint64_t hedge_fallback_us = 2'000;
-  std::uint64_t backoff_base_us = 1'000;
-  std::uint64_t backoff_max_us = 32'000;
 };
 
 // Per-server culpability counters accumulated across every attempt of every

@@ -11,10 +11,89 @@ namespace {
 
 bool is_power_of_two(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
-std::vector<bool> share_bits(std::uint64_t value, std::size_t bits) {
-  std::vector<bool> out(bits);
-  for (std::size_t i = 0; i < bits; ++i) out[i] = ((value >> i) & 1) != 0;
-  return out;
+// Appends the low `bits` bits of each value to `out`, least significant
+// first (the Yao input order of one share bundle).
+void append_share_bits(std::vector<bool>& out, const std::vector<std::uint64_t>& values,
+                       std::size_t bits) {
+  for (const std::uint64_t v : values) {
+    for (std::size_t i = 0; i < bits; ++i) out.push_back(((v >> i) & 1) != 0);
+  }
+}
+
+using ItemsBody = std::function<void(circuits::BooleanCircuit&,
+                                     const std::vector<circuits::WireBundle>&)>;
+using ParamBody = std::function<void(circuits::BooleanCircuit&,
+                                     const std::vector<circuits::WireBundle>&,
+                                     const circuits::WireBundle&)>;
+
+// The §3.3 Boolean body behind run_two_phase_boolean (param_bits = 0) and
+// _private_param: input selection mod the share modulus, then Yao on a
+// circuit that adds each share pair back into an item and hands the m items
+// and the `param_bits` client-private parameter wires to `body`.
+std::vector<bool> run_boolean(
+    net::StarNetwork& net, std::size_t server_id, std::span<const std::uint64_t> database,
+    const std::vector<std::size_t>& indices, std::size_t item_bits, SelectionMethod method,
+    std::uint64_t private_param, std::size_t param_bits, const ParamBody& body,
+    const he::PaillierPrivateKey& client_sk, const he::PaillierPrivateKey& server_sk,
+    const ot::SchnorrGroup& ot_group, std::size_t pir_depth, crypto::Prg& client_prg,
+    crypto::Prg& server_prg) {
+  if (item_bits == 0 || item_bits >= 63) {
+    throw InvalidArgument("run_two_phase_boolean: item_bits must be in [1, 62]");
+  }
+  // Poly-mask selections need a prime share modulus covering the data range
+  // and the database size (the mask polynomial is evaluated on index
+  // points); the others use 2^item_bits (XOR-cheap reconstruction).
+  const bool needs_prime = method == SelectionMethod::kPolyMaskClientKey ||
+                           method == SelectionMethod::kPolyMaskServerKey;
+  std::uint64_t share_modulus = std::uint64_t(1) << item_bits;
+  if (needs_prime) {
+    share_modulus = field::smallest_prime_above(
+        std::max<std::uint64_t>(share_modulus, database.size() + 1));
+  }
+
+  const SelectedShares shares =
+      run_input_selection(net, server_id, database, indices, share_modulus, method, client_sk,
+                          server_sk, pir_depth, client_prg, server_prg);
+
+  // Shares may need more bits than the items (prime modulus > 2^item_bits).
+  const std::size_t m = indices.size();
+  std::size_t share_bits = 0;
+  while ((std::uint64_t(1) << share_bits) < share_modulus) ++share_bits;
+
+  // Client wires: m share bundles then the private parameter; server wires
+  // follow. (Yao's input-wire convention: client block first.)
+  circuits::BooleanCircuit circuit(2 * m * share_bits + param_bits);
+  const std::size_t server_base = m * share_bits + param_bits;
+  std::vector<circuits::WireBundle> items;
+  items.reserve(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    circuits::WireBundle client, server;
+    for (std::size_t b = 0; b < share_bits; ++b) {
+      client.push_back(circuit.input(j * share_bits + b));
+      server.push_back(circuit.input(server_base + j * share_bits + b));
+    }
+    circuits::WireBundle item =
+        is_power_of_two(share_modulus)
+            ? circuits::build_add_mod(circuit, client, server)
+            : circuits::build_add_mod_const(circuit, client, server, share_modulus);
+    item.resize(item_bits);  // data values fit in item_bits
+    items.push_back(std::move(item));
+  }
+  circuits::WireBundle param;
+  for (std::size_t b = 0; b < param_bits; ++b) {
+    param.push_back(circuit.input(m * share_bits + b));
+  }
+  body(circuit, items, param);
+  if (circuit.outputs().empty()) {
+    throw InvalidArgument("run_two_phase_boolean: body registered no outputs");
+  }
+
+  std::vector<bool> client_bits, server_bits;
+  append_share_bits(client_bits, shares.client_shares, share_bits);
+  append_share_bits(client_bits, {private_param}, param_bits);
+  append_share_bits(server_bits, shares.server_shares, share_bits);
+  return mpc::run_yao(net, server_id, circuit, client_bits, server_bits, ot_group, client_prg,
+                      server_prg);
 }
 
 }  // namespace
@@ -80,46 +159,10 @@ std::vector<std::uint64_t> run_two_phase_arith(
                                    shares.server_shares, client_prg, server_prg);
 }
 
-circuits::BooleanCircuit build_shared_input_circuit(
-    std::size_t m, std::size_t item_bits, std::uint64_t share_modulus,
-    const std::function<void(circuits::BooleanCircuit&,
-                             const std::vector<circuits::WireBundle>&)>& body) {
-  // Shares may need more bits than the items (prime modulus > 2^item_bits).
-  std::size_t share_bits_count = 0;
-  while ((std::uint64_t(1) << share_bits_count) < share_modulus) ++share_bits_count;
-  circuits::BooleanCircuit circuit(2 * m * share_bits_count);
-
-  std::vector<circuits::WireBundle> items;
-  items.reserve(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    circuits::WireBundle client, server;
-    for (std::size_t b = 0; b < share_bits_count; ++b) {
-      client.push_back(circuit.input(j * share_bits_count + b));
-    }
-    for (std::size_t b = 0; b < share_bits_count; ++b) {
-      server.push_back(circuit.input((m + j) * share_bits_count + b));
-    }
-    circuits::WireBundle item =
-        is_power_of_two(share_modulus)
-            ? circuits::build_add_mod(circuit, client, server)
-            : circuits::build_add_mod_const(circuit, client, server, share_modulus);
-    item.resize(item_bits);  // data values fit in item_bits
-    items.push_back(std::move(item));
-  }
-  body(circuit, items);
-  if (circuit.outputs().empty()) {
-    throw InvalidArgument("build_shared_input_circuit: body registered no outputs");
-  }
-  return circuit;
-}
-
 std::vector<bool> run_two_phase_boolean_private_param(
     net::StarNetwork& net, std::size_t server_id, std::span<const std::uint64_t> database,
     const std::vector<std::size_t>& indices, std::size_t item_bits, SelectionMethod method,
-    std::uint64_t private_param, std::size_t param_bits,
-    const std::function<void(circuits::BooleanCircuit&,
-                             const std::vector<circuits::WireBundle>& items,
-                             const circuits::WireBundle& param)>& body,
+    std::uint64_t private_param, std::size_t param_bits, const ParamBody& body,
     const he::PaillierPrivateKey& client_sk, const he::PaillierPrivateKey& server_sk,
     const ot::SchnorrGroup& ot_group, std::size_t pir_depth, crypto::Prg& client_prg,
     crypto::Prg& server_prg) {
@@ -127,74 +170,28 @@ std::vector<bool> run_two_phase_boolean_private_param(
   if (param_bits == 0 || param_bits > 63) {
     throw InvalidArgument("run_two_phase_boolean_private_param: param_bits in [1, 63]");
   }
-  if (item_bits == 0 || item_bits >= 63) {
-    throw InvalidArgument("run_two_phase_boolean_private_param: item_bits in [1, 62]");
-  }
-  const bool needs_prime = method == SelectionMethod::kPolyMaskClientKey ||
-                           method == SelectionMethod::kPolyMaskServerKey;
-  std::uint64_t share_modulus = std::uint64_t(1) << item_bits;
-  if (needs_prime) {
-    share_modulus = field::smallest_prime_above(
-        std::max<std::uint64_t>(share_modulus, database.size() + 1));
-  }
+  return run_boolean(net, server_id, database, indices, item_bits, method, private_param,
+                     param_bits, body, client_sk, server_sk, ot_group, pir_depth, client_prg,
+                     server_prg);
+}
 
-  const SelectedShares shares =
-      run_input_selection(net, server_id, database, indices, share_modulus, method, client_sk,
-                          server_sk, pir_depth, client_prg, server_prg);
-
-  const std::size_t m = indices.size();
-  std::size_t share_bits_count = 0;
-  while ((std::uint64_t(1) << share_bits_count) < share_modulus) ++share_bits_count;
-
-  // Client wires: m share bundles then the private parameter; server wires
-  // follow. (Yao's input-wire convention: client block first.)
-  circuits::BooleanCircuit circuit(2 * m * share_bits_count + param_bits);
-  const std::size_t server_base = m * share_bits_count + param_bits;
-  std::vector<circuits::WireBundle> items;
-  items.reserve(m);
-  const bool pow2 = (share_modulus & (share_modulus - 1)) == 0;
-  for (std::size_t j = 0; j < m; ++j) {
-    circuits::WireBundle client, server;
-    for (std::size_t b = 0; b < share_bits_count; ++b) {
-      client.push_back(circuit.input(j * share_bits_count + b));
-      server.push_back(circuit.input(server_base + j * share_bits_count + b));
-    }
-    circuits::WireBundle item =
-        pow2 ? circuits::build_add_mod(circuit, client, server)
-             : circuits::build_add_mod_const(circuit, client, server, share_modulus);
-    item.resize(item_bits);
-    items.push_back(std::move(item));
-  }
-  circuits::WireBundle param;
-  for (std::size_t b = 0; b < param_bits; ++b) {
-    param.push_back(circuit.input(m * share_bits_count + b));
-  }
-  body(circuit, items, param);
-  if (circuit.outputs().empty()) {
-    throw InvalidArgument("run_two_phase_boolean_private_param: body registered no outputs");
-  }
-
-  std::vector<bool> client_bits, server_bits;
-  for (const std::uint64_t b : shares.client_shares) {
-    const auto bits = share_bits(b, share_bits_count);
-    client_bits.insert(client_bits.end(), bits.begin(), bits.end());
-  }
-  for (std::size_t b = 0; b < param_bits; ++b) {
-    client_bits.push_back(((private_param >> b) & 1) != 0);
-  }
-  for (const std::uint64_t a : shares.server_shares) {
-    const auto bits = share_bits(a, share_bits_count);
-    server_bits.insert(server_bits.end(), bits.begin(), bits.end());
-  }
-  return mpc::run_yao(net, server_id, circuit, client_bits, server_bits, ot_group, client_prg,
-                      server_prg);
+std::vector<bool> run_two_phase_boolean(
+    net::StarNetwork& net, std::size_t server_id, std::span<const std::uint64_t> database,
+    const std::vector<std::size_t>& indices, std::size_t item_bits, SelectionMethod method,
+    const ItemsBody& body, const he::PaillierPrivateKey& client_sk,
+    const he::PaillierPrivateKey& server_sk, const ot::SchnorrGroup& ot_group,
+    std::size_t pir_depth, crypto::Prg& client_prg, crypto::Prg& server_prg) {
+  SPFE_OBS_SPAN("spfe.two_phase_boolean");
+  const auto items_only = [&body](circuits::BooleanCircuit& circuit,
+                                  const std::vector<circuits::WireBundle>& items,
+                                  const circuits::WireBundle&) { body(circuit, items); };
+  return run_boolean(net, server_id, database, indices, item_bits, method, 0, 0, items_only,
+                     client_sk, server_sk, ot_group, pir_depth, client_prg, server_prg);
 }
 
 std::vector<bool> run_two_phase_boolean_gm(
     net::StarNetwork& net, std::size_t server_id, std::span<const std::uint64_t> database,
-    const std::vector<std::size_t>& indices, std::size_t item_bits,
-    const std::function<void(circuits::BooleanCircuit&,
-                             const std::vector<circuits::WireBundle>&)>& body,
+    const std::vector<std::size_t>& indices, std::size_t item_bits, const ItemsBody& body,
     const he::GmPrivateKey& server_gm_sk, const he::PaillierPrivateKey& client_sk,
     const ot::SchnorrGroup& ot_group, std::size_t pir_depth, crypto::Prg& client_prg,
     crypto::Prg& server_prg) {
@@ -223,60 +220,8 @@ std::vector<bool> run_two_phase_boolean_gm(
   }
 
   std::vector<bool> client_bits, server_bits;
-  for (const std::uint64_t b : shares.client_shares) {
-    const auto bits = share_bits(b, item_bits);
-    client_bits.insert(client_bits.end(), bits.begin(), bits.end());
-  }
-  for (const std::uint64_t a : shares.server_shares) {
-    const auto bits = share_bits(a, item_bits);
-    server_bits.insert(server_bits.end(), bits.begin(), bits.end());
-  }
-  return mpc::run_yao(net, server_id, circuit, client_bits, server_bits, ot_group, client_prg,
-                      server_prg);
-}
-
-std::vector<bool> run_two_phase_boolean(
-    net::StarNetwork& net, std::size_t server_id, std::span<const std::uint64_t> database,
-    const std::vector<std::size_t>& indices, std::size_t item_bits, SelectionMethod method,
-    const std::function<void(circuits::BooleanCircuit&,
-                             const std::vector<circuits::WireBundle>&)>& body,
-    const he::PaillierPrivateKey& client_sk, const he::PaillierPrivateKey& server_sk,
-    const ot::SchnorrGroup& ot_group, std::size_t pir_depth, crypto::Prg& client_prg,
-    crypto::Prg& server_prg) {
-  SPFE_OBS_SPAN("spfe.two_phase_boolean");
-  if (item_bits == 0 || item_bits >= 63) {
-    throw InvalidArgument("run_two_phase_boolean: item_bits must be in [1, 62]");
-  }
-  // Poly-mask selections need a prime share modulus covering the data range;
-  // the others use 2^item_bits (XOR-cheap reconstruction).
-  const bool needs_prime = method == SelectionMethod::kPolyMaskClientKey ||
-                           method == SelectionMethod::kPolyMaskServerKey;
-  std::uint64_t share_modulus = std::uint64_t(1) << item_bits;
-  if (needs_prime) {
-    // Also must exceed the database size: the mask polynomial is evaluated
-    // on index points.
-    share_modulus = field::smallest_prime_above(
-        std::max<std::uint64_t>(share_modulus, database.size() + 1));
-  }
-
-  const SelectedShares shares =
-      run_input_selection(net, server_id, database, indices, share_modulus, method, client_sk,
-                          server_sk, pir_depth, client_prg, server_prg);
-
-  const circuits::BooleanCircuit circuit =
-      build_shared_input_circuit(indices.size(), item_bits, share_modulus, body);
-
-  std::size_t share_bits_count = 0;
-  while ((std::uint64_t(1) << share_bits_count) < share_modulus) ++share_bits_count;
-  std::vector<bool> client_bits, server_bits;
-  for (const std::uint64_t b : shares.client_shares) {
-    const auto bits = share_bits(b, share_bits_count);
-    client_bits.insert(client_bits.end(), bits.begin(), bits.end());
-  }
-  for (const std::uint64_t a : shares.server_shares) {
-    const auto bits = share_bits(a, share_bits_count);
-    server_bits.insert(server_bits.end(), bits.begin(), bits.end());
-  }
+  append_share_bits(client_bits, shares.client_shares, item_bits);
+  append_share_bits(server_bits, shares.server_shares, item_bits);
   return mpc::run_yao(net, server_id, circuit, client_bits, server_bits, ot_group, client_prg,
                       server_prg);
 }

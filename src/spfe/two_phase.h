@@ -59,15 +59,6 @@ std::vector<std::uint64_t> run_two_phase_arith(
     const he::PaillierPrivateKey& server_sk, std::size_t pir_depth, crypto::Prg& client_prg,
     crypto::Prg& server_prg);
 
-// Builds the Yao circuit for the Boolean path: reconstruction of m items
-// from share bundles followed by the caller-provided function body.
-// `body` receives the circuit and the m reconstructed item bundles and must
-// register the outputs.
-circuits::BooleanCircuit build_shared_input_circuit(
-    std::size_t m, std::size_t item_bits, std::uint64_t share_modulus,
-    const std::function<void(circuits::BooleanCircuit&,
-                             const std::vector<circuits::WireBundle>&)>& body);
-
 // Boolean two-phase SPFE with a *private function parameter*: the paper
 // notes (§1, §4) that the client's function — or a parameter of it, like
 // the keyword being counted — can itself be hidden by feeding it as an
@@ -102,7 +93,10 @@ std::vector<bool> run_two_phase_boolean_gm(
     crypto::Prg& server_prg);
 
 // Boolean two-phase SPFE: selection produces shares mod `share_modulus`
-// (2^item_bits, or a prime for the poly-mask methods), Yao evaluates.
+// (2^item_bits, or a prime for the poly-mask methods), Yao evaluates a
+// circuit that reconstructs the m items from the share bundles and hands
+// them to `body`, which must register the outputs. The same body as
+// run_two_phase_boolean_private_param with no parameter wires.
 std::vector<bool> run_two_phase_boolean(
     net::StarNetwork& net, std::size_t server_id, std::span<const std::uint64_t> database,
     const std::vector<std::size_t>& indices, std::size_t item_bits, SelectionMethod method,

@@ -13,10 +13,12 @@
 #include <string>
 
 #include "bench_util.h"
-#include "json_check.h"
+#include "common/minijson.h"
 
 namespace spfe::bench {
 namespace {
+
+namespace minijson = spfe::tools::json;
 
 std::string read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -34,7 +36,7 @@ TEST(JsonReport, RoundTripsThroughStrictParser) {
   JsonReport report("roundtrip");
   report.add("paillier_encrypt", 512, 1234.5, 128);
   report.add("modexp", 2048, 0.4, 0);
-  const testjson::Value doc = testjson::parse(report.to_json());
+  const minijson::Value doc = minijson::parse(report.to_json());
   ASSERT_TRUE(doc.is_array());
   ASSERT_EQ(doc.array.size(), 2u);
   EXPECT_EQ(doc.array[0].find("op")->string, "paillier_encrypt");
@@ -45,7 +47,7 @@ TEST(JsonReport, RoundTripsThroughStrictParser) {
 }
 
 TEST(JsonReport, EmptyReportIsValidEmptyArray) {
-  const testjson::Value doc = testjson::parse(JsonReport("empty").to_json());
+  const minijson::Value doc = minijson::parse(JsonReport("empty").to_json());
   ASSERT_TRUE(doc.is_array());
   EXPECT_TRUE(doc.array.empty());
 }
@@ -60,8 +62,8 @@ TEST(JsonReport, NanAndInfTimingsBecomeNull) {
   report.add("neg_inf_row", 3, -std::numeric_limits<double>::infinity(), 4);
   report.add("ok_row", 4, 7.5, 8);
   const std::string json = report.to_json();
-  testjson::Value doc;
-  ASSERT_NO_THROW(doc = testjson::parse(json)) << json;
+  minijson::Value doc;
+  ASSERT_NO_THROW(doc = minijson::parse(json)) << json;
   ASSERT_EQ(doc.array.size(), 4u);
   EXPECT_TRUE(doc.array[0].find("ns_per_op")->is_null());
   EXPECT_TRUE(doc.array[1].find("ns_per_op")->is_null());
@@ -77,8 +79,8 @@ TEST(JsonReport, OpNamesWithMetacharactersAreEscaped) {
   report.add("mul \"wide\"", 1, 1.0, 0);
   report.add("path\\kernel", 2, 2.0, 0);
   const std::string json = report.to_json();
-  testjson::Value doc;
-  ASSERT_NO_THROW(doc = testjson::parse(json)) << json;
+  minijson::Value doc;
+  ASSERT_NO_THROW(doc = minijson::parse(json)) << json;
   EXPECT_EQ(doc.array[0].find("op")->string, "mul \"wide\"");
   EXPECT_EQ(doc.array[1].find("op")->string, "path\\kernel");
 }
@@ -98,8 +100,8 @@ TEST(JsonReport, WriteProducesParsableFileAtomically) {
   EXPECT_EQ(tmp, nullptr);
   if (tmp != nullptr) std::fclose(tmp);
   std::remove(path.c_str());
-  testjson::Value doc;
-  ASSERT_NO_THROW(doc = testjson::parse(content)) << content;
+  minijson::Value doc;
+  ASSERT_NO_THROW(doc = minijson::parse(content)) << content;
   ASSERT_EQ(doc.array.size(), 2u);
   EXPECT_EQ(doc.array[0].find("op")->string, "op_a");
   EXPECT_TRUE(doc.array[1].find("ns_per_op")->is_null());

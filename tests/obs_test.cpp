@@ -6,11 +6,13 @@
 #include <cstdio>
 #include <string>
 
-#include "json_check.h"
+#include "common/minijson.h"
 #include "obs/obs.h"
 
 namespace spfe::obs {
 namespace {
+
+namespace minijson = spfe::tools::json;
 
 // Every test runs with a clean, disabled tracer and leaves it that way:
 // tracing state is process-global, and leaking an enabled tracer would
@@ -172,19 +174,19 @@ TEST_F(ObsTest, ChromeTraceJsonIsStrictlyValid) {
     }
   }
   const std::string json = Tracer::global().chrome_trace_json();
-  testjson::Value doc;
-  ASSERT_NO_THROW(doc = testjson::parse(json)) << json;
+  minijson::Value doc;
+  ASSERT_NO_THROW(doc = minijson::parse(json)) << json;
   ASSERT_TRUE(doc.is_object());
-  const testjson::Value* events = doc.find("traceEvents");
+  const minijson::Value* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
   ASSERT_EQ(events->array.size(), 2u);
-  for (const testjson::Value& ev : events->array) {
+  for (const minijson::Value& ev : events->array) {
     ASSERT_TRUE(ev.is_object());
     ASSERT_NE(ev.find("name"), nullptr);
     ASSERT_NE(ev.find("ts"), nullptr);
     ASSERT_NE(ev.find("dur"), nullptr);
-    const testjson::Value* ph = ev.find("ph");
+    const minijson::Value* ph = ev.find("ph");
     ASSERT_NE(ph, nullptr);
     EXPECT_EQ(ph->string, "X");
     ASSERT_NE(ev.find("args"), nullptr);
@@ -194,7 +196,7 @@ TEST_F(ObsTest, ChromeTraceJsonIsStrictlyValid) {
   EXPECT_EQ(events->array[0].find("name")->string, "phase \"quoted\"\n");
   EXPECT_EQ(events->array[0].find("args")->find("note")->string, "k=v; path=C:\\tmp");
   // Per-event ops carry the recorded counts.
-  const testjson::Value* root_ops = events->array[0].find("args")->find("ops");
+  const minijson::Value* root_ops = events->array[0].find("args")->find("ops");
   ASSERT_NE(root_ops->find("modexp"), nullptr);
   EXPECT_EQ(root_ops->find("modexp")->number, 2.0);
   EXPECT_EQ(root_ops->find("ot_extended")->number, 4.0);
@@ -205,7 +207,7 @@ TEST_F(ObsTest, OpenSpansAreExcludedFromExportAndSummary) {
   Span still_open("unfinished");
   count(Op::kModExp, 1);
   const std::string json = Tracer::global().chrome_trace_json();
-  const testjson::Value doc = testjson::parse(json);
+  const minijson::Value doc = minijson::parse(json);
   EXPECT_TRUE(doc.find("traceEvents")->array.empty());
   EXPECT_TRUE(Tracer::global().summary().empty());
   // spans() still exposes it, flagged open, for debugging.
@@ -234,7 +236,7 @@ TEST_F(ObsTest, WriteChromeTraceIsAtomicAndReportsFailure) {
   while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) content.append(buf, got);
   std::fclose(f);
   std::remove(path.c_str());
-  const testjson::Value doc = testjson::parse(content);
+  const minijson::Value doc = minijson::parse(content);
   EXPECT_EQ(doc.find("traceEvents")->array.size(), 1u);
   // Unwritable destination: clean failure, no throw.
   EXPECT_FALSE(Tracer::global().write_chrome_trace("/nonexistent-dir/trace.json"));

@@ -215,51 +215,6 @@ TEST_F(PrecompTest, PoolDrawsAreCounted) {
   EXPECT_EQ(totals[static_cast<std::size_t>(obs::Op::kPoolRefill)], 1u);
 }
 
-class GmPrecompTest : public ::testing::Test {
- protected:
-  GmPrecompTest() : prg_("gm-precomp-test"), sk_(gm_keygen(prg_, 256)) {}
-
-  crypto::Prg prg_;
-  GmPrivateKey sk_;
-};
-
-TEST_F(GmPrecompTest, PooledGmEncryptMatchesDirectPrg) {
-  const auto& pk = sk_.public_key();
-  constexpr std::size_t kCount = 16;
-
-  crypto::Prg direct("gm-seed");
-  std::vector<BigInt> expected;
-  for (std::size_t i = 0; i < kCount; ++i) {
-    expected.push_back(pk.encrypt((i % 3) == 0, direct));
-  }
-
-  GmRandomnessPool cold(pk, crypto::Prg("gm-seed"));
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(cold.encrypt((i % 3) == 0), expected[i]) << "cold draw " << i;
-  }
-
-  PoolConfig cfg;
-  cfg.capacity = kCount;
-  GmRandomnessPool warm(pk, crypto::Prg("gm-seed"), cfg);
-  EXPECT_EQ(warm.refill(), kCount);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(warm.encrypt((i % 3) == 0), expected[i]) << "warm draw " << i;
-    EXPECT_EQ(sk_.decrypt(expected[i]), (i % 3) == 0);
-  }
-  EXPECT_EQ(warm.stats().hits, kCount);
-}
-
-TEST_F(GmPrecompTest, PooledGmRerandomizeMatchesDirectPrg) {
-  const auto& pk = sk_.public_key();
-  const BigInt c = pk.encrypt(true, prg_);
-  crypto::Prg direct("gm-rr");
-  GmRandomnessPool pool(pk, crypto::Prg("gm-rr"));
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(pool.rerandomize(c), pk.rerandomize(c, direct));
-  }
-  EXPECT_TRUE(sk_.decrypt(pool.rerandomize(c)));
-}
-
 class FixedBaseTest : public ::testing::Test {
  protected:
   FixedBaseTest() : prg_("fbtable-test") {}

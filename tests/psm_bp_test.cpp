@@ -7,6 +7,7 @@
 #include "common/error.h"
 #include "field/gf2.h"
 #include "psm/psm_bp.h"
+#include "psm_message.h"
 
 namespace spfe::psm {
 namespace {
@@ -135,7 +136,7 @@ TEST(BpPsm, ReconstructsEqualityFunction) {
   const BpPsm psm(BranchingProgram::equals_constant(4, 11));
   for (std::uint64_t y = 0; y < 16; ++y) {
     const auto seed = seed_of("eq" + std::to_string(y));
-    const std::vector<Bytes> msgs = {psm.player_message(0, y, seed)};
+    const std::vector<Bytes> msgs = {player_message(psm, 0, y, seed)};
     EXPECT_EQ(psm.reconstruct(msgs, psm.referee_extra(seed)), y == 11) << y;
   }
 }
@@ -147,20 +148,10 @@ TEST(BpPsm, ReconstructsTwoPlayerFormula) {
   for (std::uint64_t a = 0; a < 2; ++a) {
     for (std::uint64_t b = 0; b < 2; ++b) {
       const auto seed = seed_of("or" + std::to_string(a * 2 + b));
-      const std::vector<Bytes> msgs = {psm.player_message(0, a, seed),
-                                       psm.player_message(1, b, seed)};
+      const std::vector<Bytes> msgs = {player_message(psm, 0, a, seed),
+                                       player_message(psm, 1, b, seed)};
       EXPECT_EQ(psm.reconstruct(msgs, psm.referee_extra(seed)), (a | b) != 0);
     }
-  }
-}
-
-TEST(BpPsm, BatchMatchesSingle) {
-  const BpPsm psm(BranchingProgram::equals_constant(6, 42));
-  const auto seed = seed_of("batch");
-  const std::vector<std::uint64_t> ys = {0, 42, 63};
-  const auto batch = psm.player_messages(0, ys, seed);
-  for (std::size_t i = 0; i < ys.size(); ++i) {
-    EXPECT_EQ(batch[i], psm.player_message(0, ys[i], seed));
   }
 }
 
@@ -248,7 +239,7 @@ TEST(BpPsm, MessageSizeMatchesDim) {
   const BpPsm psm(BranchingProgram::equals_constant(8, 0));
   EXPECT_EQ(psm.message_bytes(), Gf2Matrix::byte_size(8));
   const auto seed = seed_of("size");
-  EXPECT_EQ(psm.player_message(0, 5, seed).size(), psm.message_bytes());
+  EXPECT_EQ(player_message(psm, 0, 5, seed).size(), psm.message_bytes());
 }
 
 TEST(BpPsm, Validation) {
@@ -257,7 +248,7 @@ TEST(BpPsm, Validation) {
   EXPECT_THROW(BpPsm{no_inputs}, InvalidArgument);
   const BpPsm psm(BranchingProgram::equals_constant(4, 1));
   const auto seed = seed_of("v");
-  EXPECT_THROW(psm.player_message(1, 0, seed), InvalidArgument);
+  EXPECT_THROW(player_message(psm, 1, 0, seed), InvalidArgument);
   EXPECT_THROW(psm.reconstruct({}, Bytes(Gf2Matrix::byte_size(4))), InvalidArgument);
 }
 

@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "common/serialize.h"
 #include "psm/psm.h"
+#include "psm_message.h"
 
 namespace spfe::psm {
 namespace {
@@ -20,7 +21,7 @@ TEST(SumPsm, ReconstructsSum) {
   const std::uint64_t inputs[] = {10, 990, 5, 7};
   std::vector<Bytes> messages;
   for (std::size_t j = 0; j < 4; ++j) {
-    messages.push_back(psm.player_message(j, inputs[j], seed));
+    messages.push_back(player_message(psm, j, inputs[j], seed));
   }
   EXPECT_EQ(psm.reconstruct(messages, psm.referee_extra(seed)), (10 + 990 + 5 + 7) % 1000u);
 }
@@ -36,7 +37,7 @@ TEST(SumPsm, MasksSumToZero) {
 TEST(SumPsm, SinglePlayer) {
   const SumPsm psm(1, 50);
   const auto seed = seed_of("sum-3");
-  EXPECT_EQ(psm.reconstruct({psm.player_message(0, 42, seed)}, {}), 42u);
+  EXPECT_EQ(psm.reconstruct({player_message(psm, 0, 42, seed)}, {}), 42u);
 }
 
 TEST(SumPsm, MessagesHideInputs) {
@@ -46,9 +47,9 @@ TEST(SumPsm, MessagesHideInputs) {
   std::map<std::uint64_t, int> dist0, dist7;
   for (int trial = 0; trial < 4400; ++trial) {
     const auto seed = crypto::Prg("hiding" + std::to_string(trial)).fork_seed("s");
-    spfe::Reader r0(psm.player_message(0, 0, seed));
+    spfe::Reader r0(player_message(psm, 0, 0, seed));
     dist0[r0.u64()]++;
-    spfe::Reader r7(psm.player_message(0, 7, seed));
+    spfe::Reader r7(player_message(psm, 0, 7, seed));
     dist7[r7.u64()]++;
   }
   for (std::uint64_t v = 0; v < 11; ++v) {
@@ -57,23 +58,12 @@ TEST(SumPsm, MessagesHideInputs) {
   }
 }
 
-TEST(SumPsm, BatchMatchesSingle) {
-  const SumPsm psm(2, 1 << 20);
-  const auto seed = seed_of("batch");
-  const std::vector<std::uint64_t> ys = {1, 2, 3, 99999};
-  const auto batch = psm.player_messages(1, ys, seed);
-  ASSERT_EQ(batch.size(), ys.size());
-  for (std::size_t i = 0; i < ys.size(); ++i) {
-    EXPECT_EQ(batch[i], psm.player_message(1, ys[i], seed));
-  }
-}
-
 TEST(SumPsm, Validation) {
   EXPECT_THROW(SumPsm(0, 10), InvalidArgument);
   EXPECT_THROW(SumPsm(3, 1), InvalidArgument);
   const SumPsm psm(2, 10);
   const auto seed = seed_of("v");
-  EXPECT_THROW(psm.player_message(2, 0, seed), InvalidArgument);
+  EXPECT_THROW(player_message(psm, 2, 0, seed), InvalidArgument);
   EXPECT_THROW(psm.reconstruct({Bytes{}}, {}), InvalidArgument);
 }
 
@@ -96,8 +86,8 @@ TEST_F(YaoPsmTest, ReconstructsFunctionValue) {
   for (std::uint64_t y0 = 0; y0 < 16; y0 += 3) {
     for (std::uint64_t y1 = 0; y1 < 16; y1 += 5) {
       const auto seed = seed_of("yao" + std::to_string(y0 * 16 + y1));
-      const std::vector<Bytes> msgs = {psm.player_message(0, y0, seed),
-                                       psm.player_message(1, y1, seed)};
+      const std::vector<Bytes> msgs = {player_message(psm, 0, y0, seed),
+                                       player_message(psm, 1, y1, seed)};
       const auto out = psm.reconstruct(msgs, psm.referee_extra(seed));
       ASSERT_EQ(out.size(), 1u);
       EXPECT_EQ(out[0], (y0 + y1) % 16 == 9) << y0 << "," << y1;
@@ -108,18 +98,8 @@ TEST_F(YaoPsmTest, ReconstructsFunctionValue) {
 TEST_F(YaoPsmTest, MessageSizesMatchAlpha) {
   const YaoPsm psm(circuit_, 2, 4);
   const auto seed = seed_of("alpha");
-  EXPECT_EQ(psm.player_message(0, 5, seed).size(), psm.message_bytes());
+  EXPECT_EQ(player_message(psm, 0, 5, seed).size(), psm.message_bytes());
   EXPECT_EQ(psm.message_bytes(), 4 * 16u);  // bits * label bytes
-}
-
-TEST_F(YaoPsmTest, BatchMatchesSingle) {
-  const YaoPsm psm(circuit_, 2, 4);
-  const auto seed = seed_of("yao-batch");
-  const std::vector<std::uint64_t> ys = {0, 7, 15};
-  const auto batch = psm.player_messages(0, ys, seed);
-  for (std::size_t i = 0; i < ys.size(); ++i) {
-    EXPECT_EQ(batch[i], psm.player_message(0, ys[i], seed));
-  }
 }
 
 TEST_F(YaoPsmTest, Validation) {
@@ -127,7 +107,7 @@ TEST_F(YaoPsmTest, Validation) {
   EXPECT_THROW(YaoPsm(circuit_, 2, 0), InvalidArgument);
   const YaoPsm psm(circuit_, 2, 4);
   const auto seed = seed_of("v2");
-  EXPECT_THROW(psm.player_message(2, 0, seed), InvalidArgument);
+  EXPECT_THROW(player_message(psm, 2, 0, seed), InvalidArgument);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
-// Strict, dependency-free JSON parser for the static-analysis tools
-// (spfe-analyze baseline/suppression and declassify-audit files).
+// Strict, dependency-free JSON parser and string escaping: the one parser of
+// the repo. It reads the spfe-analyze baseline/suppression and
+// declassify-audit files and checks the perfbench output, and the tests
+// round-trip every emitted document (BENCH_*.json reports, SPFE_TRACE
+// chrome traces) through it, so a formatting regression fails loudly
+// instead of breaking CI artifact consumers.
 //
-// Same grammar and strictness as tests/json_check.h (RFC 8259: no trailing
-// commas, no bare NaN, escaped control characters); kept separate so the
-// tools do not reach into the test tree. Throws std::runtime_error with a
-// byte offset on any violation.
+// RFC 8259 strictness: no trailing commas, no bare NaN, escaped control
+// characters. Throws std::runtime_error with a byte offset on any
+// violation.
 #pragma once
 
 #include <cstddef>

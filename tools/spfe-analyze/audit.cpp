@@ -1,8 +1,8 @@
 // Pass 2 — declassification audit.
 //
-// `Secret<T>::value()` / `SecretBool::declassify()` are the only
-// sanctioned taint exits (src/common/secret.h). Each call site must be
-// justified in the source with an adjacent
+// `.declassify()` / `.value()` calls (`SecretBool::declassify()` in
+// src/common/secret.h) are the only sanctioned taint exits. Each call
+// site must be justified in the source with an adjacent
 //
 //   // SPFE_DECLASSIFY: <reason>
 //

@@ -70,7 +70,7 @@ const std::unordered_set<std::string>& audited_names() {
       "mont_mul", "mont_sqr", "mont_reduce",
       // Limb access: the limbs of a secret are secret.
       "limbs",
-      // SecretBool/Secret factories and selects.
+      // SecretBool factories and mask-driven selects.
       "from_mask", "from_bit", "select",
       // std::move: a cast, data-independent.
       "move",
