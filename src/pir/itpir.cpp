@@ -143,15 +143,19 @@ std::vector<Bytes> InstanceHiding::make_queries(
   return msgs;
 }
 
-Bytes InstanceHiding::answer(std::size_t server_id, std::span<const std::uint64_t> database,
-                             BytesView query, const crypto::Prg::Seed* spir_seed) const {
+void InstanceHiding::check_database(std::span<const std::uint64_t> database) const {
   if (database.size() != n_) throw InvalidArgument("instance hiding: database size mismatch");
-  if (server_id >= k_) throw InvalidArgument("instance hiding: server id out of range");
   if (formula_) {
     for (const std::uint64_t x : database) {
       if (x > 1) throw InvalidArgument("instance hiding: formula database entries must be bits");
     }
   }
+}
+
+Bytes InstanceHiding::answer(std::size_t server_id, std::span<const std::uint64_t> database,
+                             BytesView query, const crypto::Prg::Seed* spir_seed) const {
+  check_database(database);
+  if (server_id >= k_) throw InvalidArgument("instance hiding: server id out of range");
   Reader r(query);
   std::vector<std::uint64_t> point(m_ * l_);
   for (auto& p : point) {
@@ -203,6 +207,7 @@ std::uint64_t InstanceHiding::run(net::StarNetwork& net, std::span<const std::ui
   if (net.num_servers() != k_) {
     throw InvalidArgument("instance hiding: network has wrong server count");
   }
+  check_database(database);
   SPFE_OBS_SPAN("multiserver.run");
   ClientState state;
   std::vector<Bytes> received(k_);
@@ -238,6 +243,7 @@ net::RobustResult InstanceHiding::run_robust(net::SimStarNetwork& net,
   if (net.num_servers() != k_) {
     throw InvalidArgument("instance hiding: network has wrong server count");
   }
+  check_database(database);
   SPFE_OBS_SPAN("multiserver.run_robust");
   auto [value, report] = net::run_robust_star(
       field_, net, degree_, cfg,

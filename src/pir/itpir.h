@@ -99,6 +99,12 @@ class InstanceHiding {
                  std::size_t threshold, std::optional<circuits::Formula> formula);
 
  private:
+  // The database rules every server enforces: n entries, and bits under a
+  // formula. run and run_robust check them once before the first send, so
+  // a bad database fails as the caller's error instead of as k answers
+  // blamed on the servers.
+  void check_database(std::span<const std::uint64_t> database) const;
+
   field::Fp64 field_;
   std::optional<circuits::Formula> formula_;
   std::size_t n_;

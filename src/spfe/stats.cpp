@@ -21,6 +21,7 @@ using detail::mul_mod;
 using detail::pool_for;
 using detail::read_ct;
 using detail::write_ct;
+using u128 = unsigned __int128;
 
 void check_stat_inputs(std::span<const std::uint64_t> database,
                        const std::vector<std::size_t>& indices, std::size_t n, std::size_t m,
@@ -35,13 +36,42 @@ void check_stat_inputs(std::span<const std::uint64_t> database,
   }
 }
 
-// The server's squares view x''_i = x_i^2 mod p of the §4 package.
-std::vector<std::uint64_t> squares_of(std::span<const std::uint64_t> database, std::uint64_t p) {
+// The server's squares view x''_i = x_i^2 of the §4 package. Throws unless
+// m * x^2 < p for every entry, so that the sum of m selected squares
+// cannot wrap mod p.
+std::vector<std::uint64_t> squares_of(std::span<const std::uint64_t> database, std::uint64_t p,
+                                      std::size_t m) {
   std::vector<std::uint64_t> squares(database.size());
   for (std::size_t i = 0; i < database.size(); ++i) {
-    squares[i] = mul_mod(database[i], database[i], p);
+    const u128 square = static_cast<u128>(database[i]) * database[i];
+    if (square > (p - 1) / m) {
+      throw InvalidArgument("statistics: m * x^2 must be below the field modulus");
+    }
+    squares[i] = static_cast<std::uint64_t>(square);
   }
   return squares;
+}
+
+// L = bit_width(m*(2^B - 1)): the low lane of the packed view holds any
+// sum of m values below 2^B. Callers ensure that sum fits 64 bits.
+std::size_t packed_lane_bits(std::size_t m, std::size_t value_bits) {
+  return static_cast<std::size_t>(std::bit_width(m * ((std::uint64_t{1} << value_bits) - 1)));
+}
+
+// Largest B with m*(2^B - 1)^2 * 2^L + m*(2^B - 1) < p, L as above: the
+// values whose x and x^2 sums over m selected entries share one field
+// element without wrapping.
+std::size_t packed_value_bits(std::uint64_t p, std::size_t m) {
+  const auto fits = [&](std::size_t bits) {
+    const u128 max = (u128{1} << bits) - 1;
+    const u128 sum = max * m;
+    if (sum >= p) return false;
+    const u128 squares = sum * max;
+    return squares <= (p - 1 - sum) >> packed_lane_bits(m, bits);
+  };
+  std::size_t bits = 0;
+  while (fits(bits + 1)) ++bits;
+  return bits;
 }
 
 MeanVarianceResult mean_variance_of(std::uint64_t sum, std::uint64_t sum_of_squares,
@@ -190,6 +220,7 @@ MeanVariancePackage::MeanVariancePackage(field::Fp64 field, std::size_t n, std::
   if (field.modulus() <= n) {
     throw InvalidArgument("MeanVariancePackage: field must exceed the database size");
   }
+  if (m == 0 || n == 0) throw InvalidArgument("MeanVariancePackage: empty selection");
 }
 
 MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t server_id,
@@ -199,7 +230,7 @@ MeanVarianceResult MeanVariancePackage::run(net::StarNetwork& net, std::size_t s
                                             crypto::Prg& client_prg, crypto::Prg& server_prg,
                                             const he::ClientPrecomp& precomp) const {
   // The weighted-sum exchange with unit weights over the views {x, x^2}.
-  const std::vector<std::uint64_t> squares = squares_of(database, field_.modulus());
+  const std::vector<std::uint64_t> squares = squares_of(database, field_.modulus(), m_);
   const std::vector<std::uint64_t> sums = masked_weighted_sums(
       field_, n_, pir_depth_, net, server_id, {database, squares}, indices,
       std::vector<std::uint64_t>(m_, 1), client_sk, client_prg, server_prg, precomp);
@@ -210,8 +241,9 @@ RobustStatsSession::RobustStatsSession(field::Fp64 field, std::size_t n, std::si
                                        std::size_t num_servers, std::size_t threshold,
                                        const crypto::Prg::Seed& session_seed,
                                        RobustStatsConfig config)
-    : field_(field),
-      proto_(field, n, m, num_servers, threshold),
+    : proto_(field, n, m, num_servers, threshold),
+      value_bits_(packed_value_bits(field.modulus(), m)),
+      lane_bits_(packed_lane_bits(m, value_bits_)),
       config_(config),
       prg_(session_seed),
       health_(num_servers),
@@ -290,15 +322,22 @@ MeanVarianceResult RobustStatsSession::mean_variance(
     const std::vector<std::size_t>& indices, const std::optional<crypto::Prg::Seed>& spir_seed,
     net::RobustnessReport* sum_report, net::RobustnessReport* squares_report) {
   SPFE_OBS_SPAN("stats.robust_mean_variance");
-  net::RobustResult sum_res = run_one(net, database, indices, spir_seed);
-  if (sum_report != nullptr) *sum_report = sum_res.report;
-
-  // The §4 package's second database: the servers answer the same selection
-  // over x''_i = x_i^2 with an independent query curve.
-  const std::vector<std::uint64_t> squares = squares_of(database, field_.modulus());
-  net::RobustResult sq_res = run_one(net, squares, indices, spir_seed);
-  if (squares_report != nullptr) *squares_report = sq_res.report;
-  return mean_variance_of(sum_res.value, sq_res.value, indices.size());
+  // The packed view y_i = x_i + x_i^2 * 2^L. For x < 2^B, any m selected
+  // entries sum below p (value_bits()), so the run decodes the integer
+  // sum(x) + 2^L * sum(x^2) and sum(x) < 2^L fills the low lane alone.
+  std::vector<std::uint64_t> packed(database.size());
+  for (std::size_t i = 0; i < database.size(); ++i) {
+    const std::uint64_t x = database[i];
+    if ((x >> value_bits_) != 0) {
+      throw InvalidArgument("RobustStatsSession: value at or above 2^value_bits()");
+    }
+    packed[i] = x + ((x * x) << lane_bits_);
+  }
+  net::RobustResult res = run_one(net, packed, indices, spir_seed);
+  if (sum_report != nullptr) *sum_report = std::move(res.report);
+  if (squares_report != nullptr) *squares_report = net::RobustnessReport{};
+  const std::uint64_t low_lane = (std::uint64_t{1} << lane_bits_) - 1;
+  return mean_variance_of(res.value & low_lane, res.value >> lane_bits_, indices.size());
 }
 
 FrequencyProtocol::FrequencyProtocol(field::Fp64 field, std::size_t n, std::size_t m,

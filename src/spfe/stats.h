@@ -76,7 +76,8 @@ struct MeanVarianceResult {
 
 class MeanVariancePackage {
  public:
-  // Field must exceed n and m * max(x)^2.
+  // Field must exceed n and m * max(x)^2; run() checks m * x^2 < p for
+  // every entry and throws InvalidArgument before any message otherwise.
   MeanVariancePackage(field::Fp64 field, std::size_t n, std::size_t m, std::size_t pir_depth);
 
   MeanVarianceResult run(net::StarNetwork& net, std::size_t server_id,
@@ -124,6 +125,9 @@ struct ServerBlameTally {
 // same servers (1) sends to healthy servers first and demotes repeat
 // offenders to hedge-spare duty, and (2) sets its hedge deadline from the
 // latency the deployment actually delivers rather than a static guess.
+// Every query, the mean/variance package included, is one robust run:
+// the package sums the packed view y_i = x_i + x_i^2 * 2^L, whose lane
+// width follows from the public p and m alone (see value_bits()).
 // Everything is driven by the session seed — a session replays
 // deterministically over a seeded SimStarNetwork (zero-latency links with
 // `SimConfig{}`).
@@ -136,6 +140,11 @@ class RobustStatsSession {
                      const crypto::Prg::Seed& session_seed, RobustStatsConfig config = {});
 
   std::size_t num_servers() const { return proto_.num_servers(); }
+  // B, the largest bit count with m*(2^B - 1)^2 * 2^L + m*(2^B - 1) < p,
+  // where L = bit_width(m*(2^B - 1)): mean_variance accepts values below
+  // 2^B, for which the m selected x and x^2 sums share one field element
+  // without wrapping. 18 for p = 2^61 - 1 and m = 8; 19 for m = 2.
+  std::size_t value_bits() const { return value_bits_; }
   const net::ServerHealthTracker& health() const { return health_; }
   std::size_t queries_issued() const { return query_no_; }
 
@@ -149,10 +158,14 @@ class RobustStatsSession {
                         const std::vector<std::size_t>& indices,
                         const std::optional<crypto::Prg::Seed>& spir_seed);
 
-  // §4 mean/variance package over the robust path: one robust sum over x
-  // and one over the server-side squares view x''_i = x_i^2 (independent
-  // query curves). Requires p > m * max(x)^2 for the aggregates to be
-  // integer-exact. Optional out-params expose the per-query reports.
+  // §4 mean/variance package over the robust path, in one robust sum (one
+  // query curve per server) over the packed view y_i = x_i + x_i^2 * 2^L.
+  // The §3.1 exchange is linear in the database, so the client decodes
+  // sum(x) + 2^L * sum(x^2) < p and splits it at bit L. Every entry must be
+  // below 2^value_bits(), else InvalidArgument before any message is sent.
+  // The run's report goes to `sum_report`; `squares_report` is reset to an
+  // empty report, since there is no second run; the parameter stays
+  // because perfbench's kserver workload still passes it.
   MeanVarianceResult mean_variance(net::SimStarNetwork& net,
                                    std::span<const std::uint64_t> database,
                                    const std::vector<std::size_t>& indices,
@@ -169,8 +182,9 @@ class RobustStatsSession {
                             const std::optional<crypto::Prg::Seed>& spir_seed);
   void tally_blame(const net::RobustnessReport& report);
 
-  field::Fp64 field_;
   MultiServerSumSpfe proto_;
+  std::size_t value_bits_;  // B
+  std::size_t lane_bits_;   // L = bit_width(m*(2^B - 1))
   RobustStatsConfig config_;
   crypto::Prg prg_;
   net::ServerHealthTracker health_;

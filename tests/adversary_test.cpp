@@ -13,8 +13,10 @@
 //      quorum guard ablated (budget 0 against a live liar) a single
 //      consistent lie at the bare d+1 interpolation quorum produces a
 //      *silent wrong decode* the report cannot see, and an (e+1)-liar
-//      coalition at the d+1+2e provisioning forces the typed error but
-//      never a wrong value.
+//      coalition on the first abscissae at the d+1+2e provisioning forces
+//      the typed error. Other e+1 positions can decode wrong (the code's
+//      minimum distance is 2e+1); the packed §4 package meets them exactly
+//      as a plain sum does.
 //   3. Selective-failure privacy — the kill decisions of a content-aware
 //      drop adversary are statistically independent of the client's secret
 //      index, because every attempt re-randomizes the query curve; a
@@ -23,6 +25,7 @@
 //      invariant.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <optional>
@@ -437,6 +440,123 @@ TEST(AdversarySoundnessTest, OverBudgetLiarCoalitionForcesTypedErrorNeverWrong) 
   }
 }
 
+// The §4 package on k servers is one robust sum over the packed view
+// y_i = x_i + x_i^2 * 2^L; a lie lands on that one field element.
+
+// One seeded robust run of a 64-entry session against a coalition of
+// `liars` servers playing a lying strategy, on weathered links, with k
+// provisioned for byzantine budget e. `packed` runs the mean/variance
+// package, otherwise a plain sum of the same x. `offset` is the decoded
+// value minus the true one, mod p: 0 for an exact result.
+struct PackedRunOutcome {
+  bool ok = false;
+  std::uint64_t offset = 0;
+  std::size_t attempts = 0;
+};
+
+PackedRunOutcome run_liars_against_session(const std::string& label, std::size_t e,
+                                           std::size_t liars, bool packed) {
+  const Fp64 field(Fp64::kMersenne61);
+  const std::uint64_t p = field.modulus();
+  const std::size_t k = provisioned_servers(6, e, 0);
+  Prg meta(label);
+  const StrategyKind kind = meta.uniform(2) == 0 ? StrategyKind::kConsistentLie
+                                                 : StrategyKind::kEquivocateAcrossRetries;
+  std::vector<std::size_t> ids(k);
+  for (std::size_t i = 0; i < k; ++i) ids[i] = i;
+  for (std::size_t i = k; i > 1; --i) std::swap(ids[i - 1], ids[meta.uniform(i)]);
+  Prg strat_prg = meta.fork("strategy");
+  AdversaryEngine engine(
+      make_strategy(kind, p, strat_prg),
+      std::vector<std::size_t>(ids.begin(), ids.begin() + static_cast<std::ptrdiff_t>(liars)));
+
+  SimConfig cfg;
+  cfg.seed = meta.fork_seed("latency");
+  cfg.profiles.resize(k);
+  for (auto& profile : cfg.profiles) {
+    profile.base_us = 50 + meta.uniform(200);
+    profile.jitter_us = meta.uniform(150);
+  }
+  SimStarNetwork net(k, cfg);
+  net.set_adversary(&engine);
+
+  spfe::protocols::RobustStatsConfig sc;
+  sc.byzantine_budget = e;
+  spfe::protocols::RobustStatsSession session(field, 64, 2, k, 1, meta.fork_seed("session"), sc);
+  const std::size_t value_bits = session.value_bits();
+  const std::size_t lane = std::bit_width(2 * ((std::uint64_t{1} << value_bits) - 1));
+  std::vector<std::uint64_t> db(64);
+  for (auto& x : db) x = meta.uniform(std::uint64_t{1} << value_bits);
+  const std::vector<std::size_t> indices = {meta.uniform(64), meta.uniform(64)};
+  const std::uint64_t a = db[indices[0]], b = db[indices[1]];
+  const auto spir = meta.fork_seed("spir");
+
+  PackedRunOutcome out;
+  try {
+    std::uint64_t got = 0, want = 0;
+    if (packed) {
+      RobustnessReport report;
+      const auto res = session.mean_variance(net, db, indices, spir, &report);
+      got = res.sum + (res.sum_of_squares << lane);
+      want = a + b + ((a * a + b * b) << lane);
+      out.attempts = report.attempts;
+    } else {
+      const RobustResult res = session.sum(net, db, indices, spir);
+      got = res.value;
+      want = a + b;
+      out.attempts = res.report.attempts;
+    }
+    out.ok = true;
+    out.offset = field.sub(got, want);
+  } catch (const RobustProtocolError& err) {
+    EXPECT_FALSE(err.report().success) << label;
+    EXPECT_FALSE(err.report().failure_reason.empty()) << label;
+    out.attempts = err.report().attempts;
+  }
+  EXPECT_TRUE(net.idle()) << label;
+  return out;
+}
+
+TEST(AdversarySoundnessTest, WithinBudgetLiarsOnThePackedPackageNeverYieldAWrongValue) {
+  constexpr std::size_t kRuns = 200;
+  std::size_t successes = 0;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    const std::string label = "packed-within-budget-" + std::to_string(run);
+    const std::size_t e = 1 + run % 2;
+    const PackedRunOutcome out = run_liars_against_session(label, e, 1 + (run / 2) % e, true);
+    if (out.ok) {
+      ASSERT_EQ(out.offset, 0u) << label;
+      ++successes;
+    }
+  }
+  EXPECT_GT(successes, (3 * kRuns) / 4);
+}
+
+TEST(AdversarySoundnessTest, EPlusOneLiarsHitThePackedPackageAsTheyHitAPlainSum) {
+  // Over budget the k = d + 1 + 2e code promises nothing: its minimum
+  // distance is 2e + 1, so e + 1 lies can sit within distance e of another
+  // codeword. With constant-delta liars on servers {4, 5} of 9 (d = 6,
+  // e = 1), P + delta * prod_{h in {2,3,4,7,8,9}} (x - h) / (-144) agrees
+  // with 8 of the 9 answers, and Berlekamp–Welch returns it. Decoding is
+  // translation-invariant, so whether a run fails closed or decodes wrong,
+  // and by how much, depends on the liar positions and deltas only: the
+  // packed package must behave exactly as a plain sum of the same run.
+  constexpr std::size_t kRuns = 60;
+  std::size_t typed_errors = 0, wrong = 0;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    const std::string label = "packed-over-budget-" + std::to_string(run);
+    const PackedRunOutcome packed = run_liars_against_session(label, 1, 2, true);
+    const PackedRunOutcome plain = run_liars_against_session(label, 1, 2, false);
+    EXPECT_EQ(packed.ok, plain.ok) << label;
+    EXPECT_EQ(packed.offset, plain.offset) << label;
+    EXPECT_EQ(packed.attempts, plain.attempts) << label;
+    if (!packed.ok) ++typed_errors;
+    if (packed.ok && packed.offset != 0) ++wrong;
+  }
+  EXPECT_GT(typed_errors, 0u);
+  EXPECT_GT(wrong, 0u);  // the coding bound is real, not hypothetical
+}
+
 // ---------------------------------------------------------------------------
 // Soundness sweep: any within-budget strategy, thousands of schedules.
 
@@ -731,6 +851,47 @@ TEST(AdversarySessionTest, SessionBlameTallyPinsTheLiar) {
   // And the health tracker turned the blame into demotion pressure.
   EXPECT_EQ(session.health().ranked_order().back(), 3u);
   EXPECT_GE(session.health().demerits(3), ServerHealthTracker::kCorrectedDemerit);
+  EXPECT_TRUE(net.idle());
+}
+
+TEST(AdversarySessionTest, PackedMeanVarianceCorrectsTheLiarOncePerPackage) {
+  // One robust run per package: the liar's delta lands on the one packed
+  // value, is corrected there, and costs the liar one tally entry per
+  // package.
+  const Fp64 field(Fp64::kMersenne61);
+  std::vector<std::uint64_t> db(64);
+  for (std::size_t i = 0; i < db.size(); ++i) db[i] = 4099 * i + 17;
+  const std::size_t k = provisioned_servers(6, 1, 0);  // 9: room for one lie
+
+  AdversaryEngine engine(std::make_shared<ConsistentLieStrategy>(field.modulus(), 77), {3});
+  SimStarNetwork net(k, SimConfig{});
+  net.set_adversary(&engine);
+
+  spfe::protocols::RobustStatsConfig sc;
+  sc.byzantine_budget = 1;
+  spfe::protocols::RobustStatsSession session(field, 64, 2, k, 1,
+                                              Prg("packed-liar").fork_seed("session"), sc);
+  Prg seeder("packed-liar-spir");
+  for (std::size_t q = 0; q < 3; ++q) {
+    const std::vector<std::size_t> indices = {(q * 3) % 64, (q * 5 + 7) % 64};
+    const std::uint64_t a = db[indices[0]], b = db[indices[1]];
+    RobustnessReport report;
+    const auto res = session.mean_variance(net, db, indices,
+                                           seeder.fork_seed("q" + std::to_string(q)), &report);
+    EXPECT_EQ(res.sum, a + b) << "query " << q;
+    EXPECT_EQ(res.sum_of_squares, a * a + b * b) << "query " << q;
+    EXPECT_EQ(report.attempts, 1u) << "query " << q;
+    EXPECT_EQ(report.errors_corrected, 1u) << "query " << q;
+    EXPECT_EQ(report.verdicts[3].fate, ServerFate::kCorrected) << "query " << q;
+    EXPECT_EQ(session.blame_tally()[3].byzantine, q + 1) << "query " << q;
+  }
+  EXPECT_EQ(session.queries_issued(), 3u);
+  EXPECT_EQ(engine.total_stats().answers_forged, 3u);
+  for (std::size_t s = 0; s < k; ++s) {
+    if (s != 3) {
+      EXPECT_EQ(session.blame_tally()[s].total(), 0u) << "server " << s;
+    }
+  }
   EXPECT_TRUE(net.idle());
 }
 

@@ -275,10 +275,9 @@ TEST(ChaosStatsSessionTest, MeanVarianceStaysExactAndStragglerIsDemoted) {
 
   for (std::size_t q = 0; q < 4; ++q) {
     const std::vector<std::size_t> indices = {(q * 3) % 64, (q * 5 + 7) % 64};
-    RobustnessReport sum_report, squares_report;
+    RobustnessReport report;
     const auto res = session.mean_variance(net, db, indices,
-                                           seeder.fork_seed("q" + std::to_string(q)),
-                                           &sum_report, &squares_report);
+                                           seeder.fork_seed("q" + std::to_string(q)), &report);
     const std::uint64_t a = db[indices[0]], b = db[indices[1]];
     EXPECT_EQ(res.sum, a + b) << "query " << q;
     EXPECT_EQ(res.sum_of_squares, a * a + b * b) << "query " << q;
@@ -286,20 +285,18 @@ TEST(ChaosStatsSessionTest, MeanVarianceStaysExactAndStragglerIsDemoted) {
     EXPECT_DOUBLE_EQ(res.mean, mean) << "query " << q;
     EXPECT_DOUBLE_EQ(res.variance, static_cast<double>(a * a + b * b) / 2.0 - mean * mean)
         << "query " << q;
-    EXPECT_TRUE(sum_report.success);
-    EXPECT_TRUE(squares_report.success);
+    EXPECT_TRUE(report.success);
     if (q == 0) {
       // First query: the straggler was still a primary; the spare rescued it.
-      EXPECT_EQ(sum_report.verdicts[2].fate, ServerFate::kUnavailable);
+      EXPECT_EQ(report.verdicts[2].fate, ServerFate::kUnavailable);
     } else {
       // Demoted: the tracker moved server 2 to the tail, where it is the
       // hedge spare and is never queried while the healthy servers answer.
-      EXPECT_EQ(sum_report.verdicts[2].fate, ServerFate::kSpare) << "query " << q;
-      EXPECT_EQ(squares_report.verdicts[2].fate, ServerFate::kSpare) << "query " << q;
+      EXPECT_EQ(report.verdicts[2].fate, ServerFate::kSpare) << "query " << q;
     }
   }
 
-  EXPECT_EQ(session.queries_issued(), 8u);  // two robust sums per package
+  EXPECT_EQ(session.queries_issued(), 4u);  // one robust run per package
   EXPECT_GT(session.health().demerits(2), 0u);
   EXPECT_EQ(session.health().ranked_order().back(), 2u);
   EXPECT_TRUE(net.idle());

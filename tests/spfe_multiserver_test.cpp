@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "net/sim.h"
 #include "spfe/multiserver.h"
 
 namespace spfe::protocols {
@@ -89,6 +90,13 @@ TEST_F(MultiServerFormulaTest, RejectsNonBitDatabase) {
   net::StarNetwork net(k);
   std::vector<std::uint64_t> db(8, 5);  // not bits
   EXPECT_THROW(proto.run(net, db, {0, 1}, std::nullopt, prg_), InvalidArgument);
+  EXPECT_TRUE(net.idle());
+  // The robust run refuses it as the caller's error too, before any query
+  // goes out, rather than blaming every server for rejecting it.
+  net::SimStarNetwork sim(k, net::SimConfig{});
+  EXPECT_THROW(proto.run_robust(sim, db, {0, 1}, std::nullopt, prg_), InvalidArgument);
+  EXPECT_EQ(sim.stats().total_bytes(), 0u);
+  EXPECT_TRUE(sim.idle());
 }
 
 TEST_F(MultiServerFormulaTest, RejectsTooFewServers) {

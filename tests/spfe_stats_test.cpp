@@ -2,6 +2,7 @@
 
 #include "common/error.h"
 #include "dbgen/census.h"
+#include "net/sim.h"
 #include "spfe/stats.h"
 
 namespace spfe::protocols {
@@ -206,6 +207,113 @@ TEST_F(StatsTest, Validation) {
   EXPECT_THROW(
       proto.run(net, 0, db, {1, 2}, {1}, client_sk_, client_prg_, server_prg_),
       InvalidArgument);
+
+  // The package needs m * x^2 < p for every entry: at p = 1048583 and
+  // m = 2, x = 724 is exact (2 * 724^2 = 1048352), while x = 725 would wrap
+  // the sum of squares, so it is refused before any message.
+  const Fp64 narrow(1'048'583);
+  const MeanVariancePackage package(narrow, 16, 2, 1);
+  std::vector<std::uint64_t> fits(16, 724);
+  net::StarNetwork fit_net(1);
+  const MeanVarianceResult res =
+      package.run(fit_net, 0, fits, {3, 9}, client_sk_, client_prg_, server_prg_);
+  EXPECT_EQ(res.sum, 1448u);
+  EXPECT_EQ(res.sum_of_squares, 1'048'352u);
+  std::vector<std::uint64_t> wraps = fits;
+  wraps[12] = 725;  // unselected: the server cannot know which entries count
+  net::StarNetwork wrap_net(1);
+  EXPECT_THROW(package.run(wrap_net, 0, wraps, {3, 9}, client_sk_, client_prg_, server_prg_),
+               InvalidArgument);
+  EXPECT_EQ(wrap_net.stats().total_bytes(), 0u);
+  EXPECT_TRUE(wrap_net.idle());
+}
+
+// --- RobustStatsSession: the §4 package as one robust run over the packed view
+
+constexpr std::size_t kSessionN = 64;
+
+RobustStatsSession make_session(std::size_t m, std::size_t k, const std::string& label) {
+  return RobustStatsSession(Fp64(Fp64::kMersenne61), kSessionN, m, k, 1,
+                            crypto::Prg(label).fork_seed("session"));
+}
+
+void expect_untouched(const RobustStatsSession& session) {
+  for (std::size_t s = 0; s < session.num_servers(); ++s) {
+    EXPECT_EQ(session.blame_tally()[s].total(), 0u) << "server " << s;
+    EXPECT_EQ(session.health().demerits(s), 0u) << "server " << s;
+  }
+}
+
+TEST(RobustStatsSessionTest, ValueBitsFollowFieldAndSelectionSize) {
+  // B = 18 at m = 8: L = bit_width(8 * (2^18 - 1)) = 21 and
+  // 8 * (2^18 - 1)^2 * 2^21 + 8 * (2^18 - 1) < 2^61 - 1, while B = 19 would
+  // take the packed sum near 2^63. At m = 2 the lanes are narrower: B = 19.
+  const std::size_t k = MultiServerSumSpfe::min_servers(kSessionN, 1);
+  EXPECT_EQ(make_session(8, k, "value-bits").value_bits(), 18u);
+  EXPECT_EQ(make_session(2, k, "value-bits").value_bits(), 19u);
+}
+
+TEST(RobustStatsSessionTest, PackedPackageIsExactAtTheFitBoundary) {
+  constexpr std::size_t kM = 8;
+  const std::size_t k = MultiServerSumSpfe::min_servers(kSessionN, 1);
+  RobustStatsSession session = make_session(kM, k, "fit-boundary");
+  const std::uint64_t top = (std::uint64_t{1} << session.value_bits()) - 1;
+  std::vector<std::uint64_t> db(kSessionN);
+  for (std::size_t i = 0; i < kSessionN; ++i) db[i] = (i * 7919) % top;
+  const std::vector<std::size_t> indices = {0, 5, 9, 22, 23, 40, 57, 63};
+  for (const std::size_t i : indices) db[i] = top;
+
+  net::SimStarNetwork net(k, net::SimConfig{});
+  net::RobustnessReport report, squares_report;
+  squares_report.attempts = 7;  // must come back empty
+  const MeanVarianceResult res = session.mean_variance(
+      net, db, indices, crypto::Prg("fit-boundary-spir").fork_seed("q"), &report,
+      &squares_report);
+  EXPECT_EQ(res.sum, 2'097'144u);                   // 8 * (2^18 - 1)
+  EXPECT_EQ(res.sum_of_squares, 549'751'619'592u);  // 8 * (2^18 - 1)^2
+  EXPECT_DOUBLE_EQ(res.mean, static_cast<double>(top));
+  EXPECT_TRUE(report.success);
+  EXPECT_EQ(report.attempts, 1u);
+  EXPECT_EQ(squares_report.attempts, 0u);
+  EXPECT_TRUE(squares_report.verdicts.empty());
+  EXPECT_EQ(session.queries_issued(), 1u);  // one robust run per package
+  EXPECT_EQ(net.stats().client_to_server_messages, k);
+  EXPECT_TRUE(net.idle());
+}
+
+TEST(RobustStatsSessionTest, ValueAtTwoToTheBThrowsBeforeAnyMessage) {
+  constexpr std::size_t kM = 8;
+  const std::size_t k = MultiServerSumSpfe::min_servers(kSessionN, 1);
+  RobustStatsSession session = make_session(kM, k, "past-boundary");
+  const std::uint64_t over = std::uint64_t{1} << session.value_bits();
+  const std::vector<std::size_t> indices = {1, 2, 3, 4, 5, 6, 7, 8};
+  for (const std::size_t at : {std::size_t{0}, std::size_t{4}, std::size_t{33}, kSessionN - 1}) {
+    std::vector<std::uint64_t> db(kSessionN, 1);
+    db[at] = over;
+    net::SimStarNetwork net(k, net::SimConfig{});
+    EXPECT_THROW(session.mean_variance(net, db, indices,
+                                       crypto::Prg("past-boundary-spir").fork_seed("q")),
+                 InvalidArgument)
+        << "entry " << at;
+    EXPECT_EQ(net.stats().total_bytes(), 0u) << "entry " << at;
+    EXPECT_TRUE(net.idle()) << "entry " << at;
+  }
+  EXPECT_EQ(session.queries_issued(), 0u);
+  expect_untouched(session);
+}
+
+TEST(RobustStatsSessionTest, ShortDatabaseIsTheCallersErrorNotTheServers) {
+  // A database of the wrong size is the caller's error. It must not reach
+  // the servers, whose rejections the robust driver would blame on them.
+  constexpr std::size_t kServers = 8;
+  RobustStatsSession session = make_session(2, kServers, "short-db");
+  const std::vector<std::uint64_t> db(kSessionN - 1, 5);
+  net::SimStarNetwork net(kServers, net::SimConfig{});
+  EXPECT_THROW(session.sum(net, db, {1, 2}, crypto::Prg("short-db-spir").fork_seed("q")),
+               InvalidArgument);
+  EXPECT_EQ(net.stats().total_bytes(), 0u);
+  EXPECT_TRUE(net.idle());
+  expect_untouched(session);
 }
 
 TEST(CensusGen, GeneratesValidRecords) {

@@ -11,7 +11,9 @@
 #include "common/parallel.h"
 #include "crypto/prg.h"
 #include "he/paillier.h"
+#include "net/adversary.h"
 #include "net/network.h"
+#include "net/sim.h"
 #include "obs/obs.h"
 #include "pir/cpir.h"
 #include "spfe/multiserver.h"
@@ -169,6 +171,69 @@ TEST_F(ThreadInvarianceTest, MultiServerFormulaIsThreadCountInvariant) {
     common::ThreadPool::set_global_threads(threads);
     const MultiServerRun run = run_multiserver(proto, db, indices);
     EXPECT_EQ(run.result, serial.result) << "threads " << threads;
+    expect_same_stats(run.stats, serial.stats, threads);
+  }
+}
+
+// The k-server §4 package (one robust run over the packed view) on weathered
+// links with a consistent liar and a hedge spare: results, attempt counts
+// and CommStats match the serial run.
+struct SessionRun {
+  std::vector<std::uint64_t> results;  // sum, sum of squares per package
+  std::vector<std::size_t> attempts;
+  net::CommStats stats;
+};
+
+SessionRun run_robust_session() {
+  const field::Fp64 field(field::Fp64::kMersenne61);
+  constexpr std::size_t kN = 256, kM = 8;
+  std::vector<std::uint64_t> db(kN);
+  for (std::size_t i = 0; i < kN; ++i) db[i] = (i * 7919 + 3) % 200'001;
+  const std::size_t k = net::provisioned_servers(8, 1, 0, 1);
+  net::SimConfig cfg;
+  cfg.seed = crypto::Prg("ti-session").fork_seed("links");
+  cfg.profiles.assign(k, net::ServerProfile{200, 100, 10, 3});
+  net::SimStarNetwork net(k, cfg);
+  net::AdversaryEngine engine(std::make_shared<net::ConsistentLieStrategy>(field.modulus(), 99),
+                              {4});
+  net.set_adversary(&engine);
+  protocols::RobustStatsConfig sc;
+  sc.byzantine_budget = 1;
+  sc.hedge_spares = 1;
+  protocols::RobustStatsSession session(field, kN, kM, k, 1,
+                                        crypto::Prg("ti-session").fork_seed("session"), sc);
+  crypto::Prg seeder("ti-session-queries");
+  SessionRun run;
+  for (std::size_t q = 0; q < 3; ++q) {
+    std::vector<std::size_t> indices(kM);
+    for (std::size_t j = 0; j < kM; ++j) indices[j] = (q * 41 + j * 29) % kN;
+    net::RobustnessReport report;
+    const protocols::MeanVarianceResult res = session.mean_variance(
+        net, db, indices, seeder.fork_seed("q" + std::to_string(q)), &report);
+    std::uint64_t sum = 0, squares = 0;
+    for (const std::size_t i : indices) {
+      sum += db[i];
+      squares += db[i] * db[i];
+    }
+    EXPECT_EQ(res.sum, sum) << "query " << q;
+    EXPECT_EQ(res.sum_of_squares, squares) << "query " << q;
+    run.results.push_back(res.sum);
+    run.results.push_back(res.sum_of_squares);
+    run.attempts.push_back(report.attempts);
+  }
+  EXPECT_TRUE(net.idle());
+  run.stats = net.stats();
+  return run;
+}
+
+TEST_F(ThreadInvarianceTest, RobustStatsSessionMeanVarianceIsThreadCountInvariant) {
+  common::ThreadPool::set_global_threads(1);
+  const SessionRun serial = run_robust_session();
+  for (const std::size_t threads : kThreadCounts) {
+    common::ThreadPool::set_global_threads(threads);
+    const SessionRun run = run_robust_session();
+    EXPECT_EQ(run.results, serial.results) << "threads " << threads;
+    EXPECT_EQ(run.attempts, serial.attempts) << "threads " << threads;
     expect_same_stats(run.stats, serial.stats, threads);
   }
 }
