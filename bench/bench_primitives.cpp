@@ -2,9 +2,8 @@
 //
 // Grounds the paper's "the underlying constants will typically be very
 // small" remark and the MPC(m,s) = m * SPIR(2,1,kappa) + O(kappa*s) cost
-// model: per-gate garbling cost, per-transfer OT cost (base vs IKNP
-// extension ablation), Paillier operation costs, and the bignum/field
-// kernels everything reduces to.
+// model: per-gate garbling cost, per-transfer base-OT cost, Paillier
+// operation costs, and the bignum/field kernels everything reduces to.
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -21,9 +20,7 @@
 #include "he/paillier.h"
 #include "mpc/yao.h"
 #include "ot/base_ot.h"
-#include "ot/ot_extension.h"
 #include "pir/itpir.h"
-#include "sharing/shamir.h"
 
 namespace {
 
@@ -254,17 +251,6 @@ void BM_SelectionPolynomialEval(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectionPolynomialEval)->Arg(1024)->Arg(65536)->Arg(1 << 20);
 
-void BM_ShamirShareReconstruct(benchmark::State& state) {
-  const field::Fp64 f(field::Fp64::kMersenne61);
-  crypto::Prg prg("bm-shamir");
-  const std::size_t t = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    const auto shares = sharing::shamir_split(f, f.random(prg), 2 * t + 1, t, prg);
-    benchmark::DoNotOptimize(sharing::shamir_reconstruct(f, shares));
-  }
-}
-BENCHMARK(BM_ShamirShareReconstruct)->Arg(2)->Arg(8)->Arg(32);
-
 // --- homomorphic encryption -----------------------------------------------------
 
 class PaillierFixture : public benchmark::Fixture {
@@ -409,23 +395,6 @@ void BM_BaseOtPerTransfer(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_BaseOtPerTransfer)->Arg(8);
-
-void BM_OtExtensionPerTransfer(benchmark::State& state) {
-  const ot::SchnorrGroup group = ot::SchnorrGroup::rfc_like_512();
-  crypto::Prg sprg("bm-ext-s"), rprg("bm-ext-r");
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  const std::vector<bool> choices(batch, true);
-  std::vector<std::pair<Bytes, Bytes>> msgs(batch, {Bytes(16, 1), Bytes(16, 2)});
-  for (auto _ : state) {
-    ot::OtExtensionSender sender(group);
-    ot::OtExtensionReceiver receiver(group, choices);
-    const Bytes m3 = sender.answer(receiver.respond(sender.start(sprg), rprg), msgs);
-    benchmark::DoNotOptimize(receiver.finish(m3));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_OtExtensionPerTransfer)->Arg(1024)->Arg(8192);
 
 // --- observability overhead -------------------------------------------------------
 

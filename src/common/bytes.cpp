@@ -44,13 +44,6 @@ Bytes hex_decode(const std::string& hex) {
 
 void append(Bytes& dst, BytesView src) { dst.insert(dst.end(), src.begin(), src.end()); }
 
-bool ct_equal(BytesView a, BytesView b) {
-  if (a.size() != b.size()) return false;
-  std::uint8_t acc = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc |= static_cast<std::uint8_t>(a[i] ^ b[i]);
-  return acc == 0;
-}
-
 Bytes xor_bytes(BytesView a, BytesView b) {
   if (a.size() != b.size()) {
     throw InvalidArgument("xor_bytes: size mismatch");

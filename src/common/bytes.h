@@ -22,9 +22,6 @@ Bytes hex_decode(const std::string& hex);
 // Appends `src` to `dst` (convenience for message assembly).
 void append(Bytes& dst, BytesView src);
 
-// Constant-time equality; length mismatch returns false (length is public).
-bool ct_equal(BytesView a, BytesView b);
-
 // XOR of equal-length byte strings; throws InvalidArgument on size mismatch.
 Bytes xor_bytes(BytesView a, BytesView b);
 

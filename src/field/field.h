@@ -1,11 +1,11 @@
 // Field abstraction shared by the protocol layers.
 //
-// Generic code (polynomials, Reed–Solomon decoding, Shamir sharing,
-// `net::run_robust_star`) is templated on the `FieldLike` concept. Its one
-// implementation is Fp64, a prime field with a word-sized modulus, which
-// every protocol layer uses: §3.1 needs |F| only to exceed the server
-// count and the data range, and §3.3.2 and §4 embed their Fp64 values
-// into Paillier plaintexts (BigInt) where they meet encryption.
+// Generic code (polynomials, Reed–Solomon decoding, `net::run_robust_star`)
+// is templated on the `FieldLike` concept. Its one implementation is Fp64,
+// a prime field with a word-sized modulus, which every protocol layer uses:
+// §3.1 needs |F| only to exceed the server count and the data range, and
+// §3.3.2 and §4 embed their Fp64 values into Paillier plaintexts (BigInt)
+// where they meet encryption.
 #pragma once
 
 #include <concepts>

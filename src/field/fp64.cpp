@@ -65,12 +65,6 @@ Fp64::Fp64(std::uint64_t modulus) : p_(modulus) {
   }
 }
 
-Fp64::value_type Fp64::from_i64(std::int64_t v) const {
-  if (v >= 0) return static_cast<std::uint64_t>(v) % p_;
-  const std::uint64_t mag = (~static_cast<std::uint64_t>(v) + 1) % p_;
-  return neg(mag);
-}
-
 Fp64::value_type Fp64::pow(value_type base, std::uint64_t exp) const {
   return powmod(base, exp, p_);
 }

@@ -21,8 +21,6 @@ class Fp64 {
   value_type zero() const { return 0; }
   value_type one() const { return 1 % p_; }
   value_type from_u64(std::uint64_t v) const { return v % p_; }
-  // Embeds a signed value (negatives map to p - |v|).
-  value_type from_i64(std::int64_t v) const;
 
   value_type add(value_type a, value_type b) const {
     const std::uint64_t s = a + b;
@@ -62,8 +60,6 @@ class Fp64 {
   value_type random(crypto::Prg& prg) const { return prg.uniform(p_); }
 
   bool eq(value_type a, value_type b) const { return a == b; }
-
-  bool operator==(const Fp64&) const = default;
 
   // Commonly used prime moduli:
   // 2^61 - 1 (Mersenne): plenty of headroom for statistics over 32-bit data.

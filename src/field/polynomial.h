@@ -1,11 +1,10 @@
 // Univariate polynomials over any FieldLike field.
 //
-// Three protocol jobs live here:
+// Two protocol jobs live here:
 //   - instance hiding (§3.1): random curves through a secret point and
 //     Lagrange interpolation of the servers' replies back at w = 0;
 //   - m-wise independent masking (§3.3.2, §4): a random degree-(m-1)
-//     polynomial P_s evaluated at database indices;
-//   - Shamir secret sharing (src/sharing) reuses the same primitives.
+//     polynomial P_s evaluated at database indices.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +46,6 @@ class Polynomial {
     return Polynomial(std::move(field), std::move(c));
   }
 
-  const F& field() const { return field_; }
-  const std::vector<value_type>& coefficients() const { return coeffs_; }
   bool is_zero() const { return coeffs_.empty(); }
   // Degree of the zero polynomial is reported as 0.
   std::size_t degree() const { return coeffs_.empty() ? 0 : coeffs_.size() - 1; }
@@ -61,40 +58,9 @@ class Polynomial {
     return acc;
   }
 
-  Polynomial operator+(const Polynomial& o) const {
-    check_same_field(o);
-    std::vector<value_type> c(std::max(coeffs_.size(), o.coeffs_.size()), field_.zero());
-    for (std::size_t i = 0; i < coeffs_.size(); ++i) c[i] = coeffs_[i];
-    for (std::size_t i = 0; i < o.coeffs_.size(); ++i) c[i] = field_.add(c[i], o.coeffs_[i]);
-    return Polynomial(field_, std::move(c));
-  }
-
-  Polynomial operator*(const Polynomial& o) const {
-    check_same_field(o);
-    if (is_zero() || o.is_zero()) return Polynomial(field_);
-    std::vector<value_type> c(coeffs_.size() + o.coeffs_.size() - 1, field_.zero());
-    for (std::size_t i = 0; i < coeffs_.size(); ++i) {
-      for (std::size_t j = 0; j < o.coeffs_.size(); ++j) {
-        c[i + j] = field_.add(c[i + j], field_.mul(coeffs_[i], o.coeffs_[j]));
-      }
-    }
-    return Polynomial(field_, std::move(c));
-  }
-
-  bool operator==(const Polynomial& o) const {
-    if (coeffs_.size() != o.coeffs_.size()) return false;
-    for (std::size_t i = 0; i < coeffs_.size(); ++i) {
-      if (!field_.eq(coeffs_[i], o.coeffs_[i])) return false;
-    }
-    return true;
-  }
-
  private:
   void trim() {
     while (!coeffs_.empty() && field_.eq(coeffs_.back(), field_.zero())) coeffs_.pop_back();
-  }
-  void check_same_field(const Polynomial& o) const {
-    if (!(field_ == o.field_)) throw InvalidArgument("Polynomial: field mismatch");
   }
 
   F field_;
@@ -129,29 +95,6 @@ typename F::value_type interpolate_at(const F& field,
     acc = field.add(acc, field.mul(ys[i], field.mul(num, field.inv(den))));
   }
   return acc;
-}
-
-// Interpolation weights for evaluating at x = 0 with fixed abscissae; useful
-// when the same server points are reused across many reconstructions.
-template <FieldLike F>
-std::vector<typename F::value_type> lagrange_weights_at_zero(
-    const F& field, const std::vector<typename F::value_type>& xs) {
-  std::vector<typename F::value_type> w(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    typename F::value_type num = field.one();
-    typename F::value_type den = field.one();
-    for (std::size_t j = 0; j < xs.size(); ++j) {
-      if (j == i) continue;
-      num = field.mul(num, field.sub(field.zero(), xs[j]));
-      const auto diff = field.sub(xs[i], xs[j]);
-      if (field.eq(diff, field.zero())) {
-        throw InvalidArgument("lagrange_weights_at_zero: duplicate x coordinate");
-      }
-      den = field.mul(den, diff);
-    }
-    w[i] = field.mul(num, field.inv(den));
-  }
-  return w;
 }
 
 }  // namespace spfe::field

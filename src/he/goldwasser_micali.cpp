@@ -23,10 +23,7 @@ GmPublicKey::GmPublicKey(BigInt n, BigInt z)
 BigInt GmPublicKey::encrypt(bool bit, crypto::Prg& prg) const {
   const BigInt r = random_unit(prg);
   const BigInt r2 = bignum::mod_mul(r, r, n_);
-  return encrypt_with_factors(bit, r2, bignum::mod_mul(z_, r2, n_));
-}
-
-BigInt GmPublicKey::encrypt_with_factors(bool bit, const BigInt& r2, const BigInt& zr2) const {
+  const BigInt zr2 = bignum::mod_mul(z_, r2, n_);
   obs::count(obs::Op::kGmEncrypt);
   return bit ? zr2 : r2;
 }
@@ -53,11 +50,7 @@ BigInt GmPublicKey::xor_ct(const BigInt& ca, const BigInt& cb) const {
 
 BigInt GmPublicKey::rerandomize(const BigInt& c, crypto::Prg& prg) const {
   const BigInt r = random_unit(prg);
-  return rerandomize_with_factor(c, bignum::mod_mul(r, r, n_));
-}
-
-BigInt GmPublicKey::rerandomize_with_factor(const BigInt& c, const BigInt& r2) const {
-  return bignum::mod_mul(c, r2, n_);
+  return bignum::mod_mul(c, bignum::mod_mul(r, r, n_), n_);
 }
 
 void GmPublicKey::serialize(Writer& w) const {

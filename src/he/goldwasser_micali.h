@@ -26,17 +26,9 @@ class GmPublicKey {
   bignum::BigInt encrypt(bool bit, crypto::Prg& prg) const;
   // Uniform randomness in [1, N) for encryption/rerandomization.
   bignum::BigInt random_unit(crypto::Prg& prg) const;
-  // Encrypts with precomputed factors r2 = r^2 mod N, zr2 = z * r^2 mod N
-  // (he/precomp.h pools these). Equals encrypt(bit, prg) when r came from
-  // the same stream position.
-  bignum::BigInt encrypt_with_factors(bool bit, const bignum::BigInt& r2,
-                                      const bignum::BigInt& zr2) const;
   // E(a) * E(b) = E(a ^ b).
   bignum::BigInt xor_ct(const bignum::BigInt& ca, const bignum::BigInt& cb) const;
   bignum::BigInt rerandomize(const bignum::BigInt& c, crypto::Prg& prg) const;
-  // Rerandomization with a precomputed square r2: c * r2 mod N.
-  bignum::BigInt rerandomize_with_factor(const bignum::BigInt& c,
-                                         const bignum::BigInt& r2) const;
 
   void serialize(Writer& w) const;
   static GmPublicKey deserialize(Reader& r);

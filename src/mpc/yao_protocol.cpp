@@ -4,7 +4,6 @@
 #include "common/serialize.h"
 #include "mpc/yao.h"
 #include "obs/obs.h"
-#include "ot/ot_extension.h"
 
 namespace spfe::mpc {
 namespace {
@@ -114,39 +113,6 @@ std::vector<bool> run_yao(net::StarNetwork& net, std::size_t server_id,
   net.client_send(server_id, client.query(client_prg));
   net.server_send(server_id, server.respond(net.server_receive(server_id), server_prg));
   return client.decode(net.client_receive(server_id));
-}
-
-std::vector<bool> run_yao_with_extension(net::StarNetwork& net, std::size_t server_id,
-                                         const circuits::BooleanCircuit& circuit,
-                                         const std::vector<bool>& client_bits,
-                                         const std::vector<bool>& server_bits,
-                                         const ot::SchnorrGroup& group, crypto::Prg& client_prg,
-                                         crypto::Prg& server_prg) {
-  SPFE_OBS_SPAN("yao.run_with_extension");
-  check_split(circuit, client_bits.size(), server_bits.size());
-  const std::size_t client_count = client_bits.size();
-
-  // Server initiates OT extension (it is the OT sender of the label pairs).
-  ot::OtExtensionSender ext_sender(group);
-  ot::OtExtensionReceiver ext_receiver(group, client_bits);
-  net.server_send(server_id, ext_sender.start(server_prg));
-  net.client_send(server_id, ext_receiver.respond(net.client_receive(server_id), client_prg));
-
-  const GarblingResult garbling = garble(circuit, server_prg);
-  const Bytes ext_final =
-      ext_sender.answer(net.server_receive(server_id), client_label_pairs(garbling, client_count));
-  Writer w;
-  w.bytes(ext_final);
-  w.raw(pack_server_payload(garbling, server_bits, client_count));
-  net.server_send(server_id, w.take());
-
-  Reader r(net.client_receive(server_id));
-  const Bytes ext_msg = r.bytes();
-  const ServerPayload payload = unpack_server_payload(r);
-  r.expect_done();
-  std::vector<Bytes> my_labels = ext_receiver.finish(ext_msg);
-  return evaluate(circuit, payload.gc,
-                  assemble_inputs(std::move(my_labels), payload.server_labels));
 }
 
 }  // namespace spfe::mpc

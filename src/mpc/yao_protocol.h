@@ -9,9 +9,6 @@
 // a 1-round protocol (client query -> server response), matching the paper's
 // relaxed secure-MPC definition (no correctness guarantee against a
 // malicious server, weak security against a malicious client).
-//
-// An alternative flow over IKNP OT extension (`run_yao_with_extension`)
-// trades half a round for symmetric-key OTs; bench_primitives quantifies it.
 #pragma once
 
 #include <vector>
@@ -61,13 +58,5 @@ std::vector<bool> run_yao(net::StarNetwork& net, std::size_t server_id,
                           const std::vector<bool>& client_bits,
                           const std::vector<bool>& server_bits, const ot::SchnorrGroup& group,
                           crypto::Prg& client_prg, crypto::Prg& server_prg);
-
-// Same functionality over IKNP OT extension (server speaks first; 1.5 rounds).
-std::vector<bool> run_yao_with_extension(net::StarNetwork& net, std::size_t server_id,
-                                         const circuits::BooleanCircuit& circuit,
-                                         const std::vector<bool>& client_bits,
-                                         const std::vector<bool>& server_bits,
-                                         const ot::SchnorrGroup& group, crypto::Prg& client_prg,
-                                         crypto::Prg& server_prg);
 
 }  // namespace spfe::mpc

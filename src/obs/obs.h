@@ -49,7 +49,8 @@ enum class Op : std::uint8_t {
   kGmDecrypt,           // Goldwasser–Micali bit decryptions
   kGarbledGates,        // nonfree (AND/OR) gates garbled
   kOtBase,              // base-OT transfers prepared (public-key OTs)
-  kOtExtended,          // IKNP-extended transfers prepared (symmetric only)
+  kOtExtended,          // extended OTs: no protocol path counts it, so the
+                        // query benchmark's `ot.extended` reads 0
   kBwDecode,            // Berlekamp–Welch decode attempts
   kRobustRetry,         // robust-star attempts beyond the first
   kMultiexpStraus,      // multi-exp planner picked the Straus kernel

@@ -9,18 +9,13 @@ using bignum::BigInt;
 
 namespace {
 
-// Safe primes found with this library's own random_safe_prime search
+// Safe prime found with this library's own random_safe_prime search
 // (seed "spfe-safe-prime-params-v1"); primality of p and (p-1)/2 is
 // re-verified by the test suite. The generator 4 = 2^2 is a quadratic
 // residue and therefore generates the full order-q subgroup.
 constexpr const char* kSafePrime512 =
     "9098966ce2c4aa7634325f5726fc855cc75d882818e11ed612178ce6707f361f"
     "0f1a590cb27fe14a6443fca690864e8f21bf480d2715ab6458b84ac89ad3ae53";
-constexpr const char* kSafePrime1024 =
-    "f48790ef8b185181709d7d84c42f22e1f82a6bb685eb1ecf43318fbded9c101c"
-    "a368a2a9a26d39f4a1db56c73233b1a86719e4d21349d77b823d3ed3a8e51cb8"
-    "b71d3884bd8b0790911855f26b91ff3fba68165a4ae6574bdff783535db03c9c"
-    "648d673f3f87ae799205df683fbc7f94dd645f85251d8bc116da27c2cf428d83";
 
 }  // namespace
 
@@ -72,10 +67,6 @@ BigInt SchnorrGroup::hash_to_group(const std::string& label) const {
 
 SchnorrGroup SchnorrGroup::rfc_like_512() {
   return SchnorrGroup(BigInt::from_hex(kSafePrime512), BigInt(4));
-}
-
-SchnorrGroup SchnorrGroup::rfc_like_1024() {
-  return SchnorrGroup(BigInt::from_hex(kSafePrime1024), BigInt(4));
 }
 
 }  // namespace spfe::ot

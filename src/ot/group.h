@@ -2,9 +2,9 @@
 //
 // p = 2q + 1 is a safe prime; the group is the order-q subgroup of Z_p^*
 // (the quadratic residues). Fixed published-style parameters are embedded
-// for 512/1024-bit moduli (generated once with this library's own
-// safe-prime search and verified by the test suite); custom parameters can
-// be generated for tests.
+// for a 512-bit modulus (generated once with this library's own safe-prime
+// search and verified by the test suite); custom parameters can be
+// generated for tests.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +48,6 @@ class SchnorrGroup {
 
   // Embedded verified parameters.
   static SchnorrGroup rfc_like_512();
-  static SchnorrGroup rfc_like_1024();
 
  private:
   bignum::BigInt p_;

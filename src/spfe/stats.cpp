@@ -273,13 +273,16 @@ net::RobustResult RobustStatsSession::run_one(net::SimStarNetwork& net,
                                               const std::optional<crypto::Prg::Seed>& spir_seed) {
   const net::RobustConfig cfg = next_query_config();
   crypto::Prg qprg = prg_.fork("query-" + std::to_string(query_no_));
-  ++query_no_;
+  // A query counts once it reached the network: a call refused before any
+  // message (InvalidArgument) leaves the count and the later seeds alone.
   try {
     net::RobustResult result = proto_.run_robust(net, database, indices, spir_seed, qprg, cfg);
+    ++query_no_;
     health_.observe(result.report);
     tally_blame(result.report);
     return result;
   } catch (const net::RobustProtocolError& e) {
+    ++query_no_;
     // A terminal failure is still evidence about who misbehaved.
     health_.observe(e.report());
     tally_blame(e.report());

@@ -146,6 +146,8 @@ class RobustStatsSession {
   // without wrapping. 18 for p = 2^61 - 1 and m = 8; 19 for m = 2.
   std::size_t value_bits() const { return value_bits_; }
   const net::ServerHealthTracker& health() const { return health_; }
+  // Robust runs that reached the network; a call refused before its first
+  // message does not count.
   std::size_t queries_issued() const { return query_no_; }
 
   // One tally per server, folded from every attempt (success or terminal

@@ -394,11 +394,15 @@ TEST(AdversarySoundnessTest, OverBudgetLiarCoalitionForcesTypedErrorNeverWrong) 
   const std::uint64_t expected = field.add(db[5], db[41]);
 
   // Provisioned for e = 1 lie (k = d+1+2 = 9) but facing an (e+1)-liar
-  // coalition sharing one delta: the corrupted points lie on a consistent
-  // wrong polynomial, yet with s = 9 survivors neither P (distance 2) nor
-  // P + delta (distance 7) is within the e_cap = 1 budget — every attempt
-  // must fail closed into the typed error. The tightness is two-sided: the
-  // same provisioning with exactly e liars corrects them (checked below).
+  // coalition sharing one delta at servers 0 and 1 (abscissae 1 and 2): the
+  // corrupted points lie on a consistent wrong polynomial, yet with s = 9
+  // survivors neither P (distance 2) nor P + delta (distance 7) nor any
+  // other degree-d polynomial is within the e_cap = 1 budget of them, so
+  // every attempt fails closed into the typed error. This holds for these
+  // positions only: other pairs decode to another codeword
+  // (ConsistentLieTightness.SomeEPlusOneCoalitionsDecodeToAnotherCodeword in
+  // tests/reed_solomon_test.cpp). The same provisioning with exactly e
+  // liars corrects them (checked below).
   const std::size_t k = 9;
   const spfe::protocols::MultiServerSumSpfe proto(field, 64, 2, k, 1);
 

@@ -2,6 +2,7 @@
 
 #include "common/bytes.h"
 #include "common/error.h"
+#include "common/secret.h"
 #include "common/serialize.h"
 
 namespace spfe {
@@ -31,11 +32,13 @@ TEST(Bytes, XorBytes) {
 }
 
 TEST(Bytes, CtEqual) {
+  // common::ct_eq_bytes, the constant-time equality the CT harness times:
+  // an all-ones mask for equal buffers, zero for a difference anywhere.
   const Bytes a = {1, 2, 3};
-  EXPECT_TRUE(ct_equal(a, Bytes{1, 2, 3}));
-  EXPECT_FALSE(ct_equal(a, Bytes{1, 2, 4}));
-  EXPECT_FALSE(ct_equal(a, Bytes{1, 2}));
-  EXPECT_TRUE(ct_equal({}, {}));
+  EXPECT_EQ(common::ct_eq_bytes(a.data(), Bytes{1, 2, 3}.data(), 3), ~std::uint64_t{0});
+  EXPECT_EQ(common::ct_eq_bytes(a.data(), Bytes{1, 2, 4}.data(), 3), 0u);
+  EXPECT_EQ(common::ct_eq_bytes(a.data(), Bytes{0, 2, 3}.data(), 3), 0u);
+  EXPECT_EQ(common::ct_eq_bytes(a.data(), Bytes{9, 9, 9}.data(), 0), ~std::uint64_t{0});
 }
 
 TEST(Serialize, FixedWidthRoundTrip) {

@@ -23,8 +23,6 @@ TEST(Fp64, BasicArithmetic) {
   EXPECT_EQ(f.neg(5), 12u);
   EXPECT_EQ(f.neg(0), 0u);
   EXPECT_EQ(f.from_u64(100), 15u);
-  EXPECT_EQ(f.from_i64(-1), 16u);
-  EXPECT_EQ(f.from_i64(-18), 16u);
 }
 
 TEST(Fp64, InverseAndPow) {
@@ -99,16 +97,6 @@ TEST(Polynomial, TrimsLeadingZeros) {
   EXPECT_TRUE(z.is_zero());
 }
 
-TEST(Polynomial, AddMul) {
-  const Fp64 f(97);
-  const Polynomial<Fp64> a(f, {1, 2});      // 1 + 2x
-  const Polynomial<Fp64> b(f, {3, 0, 4});   // 3 + 4x^2
-  const Polynomial<Fp64> sum = a + b;
-  EXPECT_EQ(sum.coefficients(), (std::vector<std::uint64_t>{4, 2, 4}));
-  const Polynomial<Fp64> prod = a * b;  // 3 + 6x + 4x^2 + 8x^3
-  EXPECT_EQ(prod.coefficients(), (std::vector<std::uint64_t>{3, 6, 4, 8}));
-}
-
 TEST(Polynomial, RandomWithConstant) {
   const Fp64 f(1009);
   crypto::Prg prg("poly");
@@ -142,21 +130,6 @@ TEST(Polynomial, InterpolateRejectsDuplicates) {
   EXPECT_THROW(interpolate_at(f, std::vector<std::uint64_t>{}, std::vector<std::uint64_t>{},
                               std::uint64_t(0)),
                InvalidArgument);
-}
-
-TEST(Polynomial, LagrangeWeightsMatchInterpolation) {
-  const Fp64 f(1009);
-  crypto::Prg prg("weights");
-  const auto p = Polynomial<Fp64>::random(f, 4, prg);
-  std::vector<std::uint64_t> xs, ys;
-  for (std::uint64_t x = 1; x <= 5; ++x) {
-    xs.push_back(x);
-    ys.push_back(p.eval(x));
-  }
-  const auto w = lagrange_weights_at_zero(f, xs);
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) acc = f.add(acc, f.mul(w[i], ys[i]));
-  EXPECT_EQ(acc, p.eval(0));
 }
 
 TEST(Polynomial, MWiseIndependencePointEvaluations) {

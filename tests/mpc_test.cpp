@@ -159,21 +159,6 @@ TEST_F(YaoProtocolTest, ComparisonCircuit) {
   }
 }
 
-TEST_F(YaoProtocolTest, ExtensionVariantMatches) {
-  constexpr std::size_t kW = 8;
-  BooleanCircuit c(2 * kW);
-  WireBundle a, b;
-  for (std::size_t i = 0; i < kW; ++i) a.push_back(c.input(i));
-  for (std::size_t i = 0; i < kW; ++i) b.push_back(c.input(kW + i));
-  c.add_outputs(circuits::build_add_mod(c, a, b));
-
-  net::StarNetwork net(1);
-  const auto out = run_yao_with_extension(net, 0, c, to_bits(200, kW), to_bits(100, kW), group_,
-                                          client_prg_, server_prg_);
-  EXPECT_EQ(from_bits(out), (200 + 100) % 256);
-  EXPECT_DOUBLE_EQ(net.stats().rounds(), 1.5);
-}
-
 TEST_F(YaoProtocolTest, InputSplitValidation) {
   BooleanCircuit c(4);
   c.add_output(c.and_gate(0, 1));

@@ -4,7 +4,6 @@
 #include "common/error.h"
 #include "ot/base_ot.h"
 #include "ot/group.h"
-#include "ot/ot_extension.h"
 
 namespace spfe::ot {
 namespace {
@@ -13,12 +12,11 @@ using bignum::BigInt;
 
 TEST(SchnorrGroup, EmbeddedParamsAreSafePrimes) {
   crypto::Prg prg("group-check");
-  for (const SchnorrGroup& g : {SchnorrGroup::rfc_like_512(), SchnorrGroup::rfc_like_1024()}) {
-    EXPECT_TRUE(bignum::is_probable_prime(g.p(), prg, 24));
-    EXPECT_TRUE(bignum::is_probable_prime(g.q(), prg, 24));
-    EXPECT_EQ(g.q() * BigInt(2) + BigInt(1), g.p());
-    EXPECT_TRUE(g.is_element(g.g()));
-  }
+  const SchnorrGroup g = SchnorrGroup::rfc_like_512();
+  EXPECT_TRUE(bignum::is_probable_prime(g.p(), prg, 24));
+  EXPECT_TRUE(bignum::is_probable_prime(g.q(), prg, 24));
+  EXPECT_EQ(g.q() * BigInt(2) + BigInt(1), g.p());
+  EXPECT_TRUE(g.is_element(g.g()));
 }
 
 TEST(SchnorrGroup, GeneratorHasOrderQ) {
@@ -91,61 +89,6 @@ TEST(BaseOt, MismatchedCountsThrow) {
   EXPECT_THROW(ot.answer(query, two, prg), ProtocolError);
   std::vector<std::pair<Bytes, Bytes>> uneven = {{Bytes{1}, Bytes{2, 3}}};
   EXPECT_THROW(ot.answer(query, uneven, prg), InvalidArgument);
-}
-
-TEST(OtExtension, TransfersManyMessages) {
-  const SchnorrGroup group = SchnorrGroup::rfc_like_512();
-  crypto::Prg sender_prg("ext-sender");
-  crypto::Prg receiver_prg("ext-receiver");
-  crypto::Prg data_prg("ext-data");
-
-  constexpr std::size_t kN = 300;
-  std::vector<bool> choices(kN);
-  std::vector<std::pair<Bytes, Bytes>> messages(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    choices[i] = data_prg.coin();
-    messages[i] = {data_prg.bytes(16), data_prg.bytes(16)};
-  }
-
-  OtExtensionSender sender(group);
-  OtExtensionReceiver receiver(group, choices);
-  const Bytes m1 = sender.start(sender_prg);
-  const Bytes m2 = receiver.respond(m1, receiver_prg);
-  const Bytes m3 = sender.answer(m2, messages);
-  const std::vector<Bytes> got = receiver.finish(m3);
-
-  ASSERT_EQ(got.size(), kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(got[i], choices[i] ? messages[i].second : messages[i].first) << i;
-  }
-}
-
-TEST(OtExtension, OddBatchSizesAndLongerMessages) {
-  const SchnorrGroup group = SchnorrGroup::rfc_like_512();
-  crypto::Prg sprg("s"), rprg("r"), dprg("d");
-  for (const std::size_t n : {1u, 7u, 65u}) {
-    std::vector<bool> choices(n);
-    std::vector<std::pair<Bytes, Bytes>> messages(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      choices[i] = dprg.coin();
-      messages[i] = {dprg.bytes(33), dprg.bytes(33)};
-    }
-    OtExtensionSender sender(group);
-    OtExtensionReceiver receiver(group, choices);
-    const Bytes m3 = sender.answer(receiver.respond(sender.start(sprg), rprg), messages);
-    const auto got = receiver.finish(m3);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got[i], choices[i] ? messages[i].second : messages[i].first);
-    }
-  }
-}
-
-TEST(OtExtension, ValidatesState) {
-  const SchnorrGroup group = SchnorrGroup::rfc_like_512();
-  OtExtensionSender sender(group);
-  std::vector<std::pair<Bytes, Bytes>> one = {{Bytes{1}, Bytes{2}}};
-  EXPECT_THROW(sender.answer(Bytes{}, one), ProtocolError);
-  EXPECT_THROW(OtExtensionReceiver(group, {}), InvalidArgument);
 }
 
 }  // namespace

@@ -244,10 +244,12 @@ TEST(DecodeWithErasures, BeyondBudgetReturnsNullopt) {
 // points with one shared offset delta, so every lie sits on the *same*
 // degree-d polynomial P + delta — the attack class no per-point check can
 // see. These tests pin the exact decode boundaries `run_robust_star` relies
-// on: e such lies at d+1+2e are corrected, e+1 fail closed (never a wrong
-// value), and at the bare d+1 interpolation quorum a single lie decodes
-// silently wrong — the reason RobustConfig::byzantine_budget raises the
-// early-decode quorum (tests/adversary_test.cpp witnesses it end-to-end).
+// on: e such lies at d+1+2e are corrected; e+1 of them fail closed on the
+// first e+1 abscissae but can decode to another codeword elsewhere (the
+// code's minimum distance is 2e+1, so the guarantee covers <= e liars); and
+// at the bare d+1 interpolation quorum a single lie decodes silently wrong
+// — the reason RobustConfig::byzantine_budget raises the early-decode
+// quorum (tests/adversary_test.cpp witnesses it end-to-end).
 
 TEST(ConsistentLieTightness, ExactlyEConsistentLiesAreCorrected) {
   const Fp64 f(Fp64::kMersenne61);
@@ -273,9 +275,11 @@ TEST(ConsistentLieTightness, ExactlyEConsistentLiesAreCorrected) {
 }
 
 TEST(ConsistentLieTightness, EPlusOneConsistentLiesFailClosedNeverWrong) {
-  // At k = d+1+2e, e+1 colluders on one delta put the points at distance
-  // e+1 from P and distance d+e from P+delta — both beyond the e budget, so
-  // the decode must return nullopt rather than either polynomial.
+  // At k = d+1+2e, e+1 colluders on one delta at the first e+1 abscissae
+  // put the points at distance e+1 from P and distance d+e from P+delta,
+  // both beyond the e budget, and for these positions no other degree-d
+  // polynomial lies within e of them: the decode returns nullopt. Other
+  // positions can decode wrong (SomeEPlusOneCoalitionsDecodeToAnotherCodeword).
   const Fp64 f(Fp64::kMersenne61);
   crypto::Prg prg("lie-overbudget");
   const std::uint64_t delta = 987654321;
@@ -294,6 +298,50 @@ TEST(ConsistentLieTightness, EPlusOneConsistentLiesFailClosedNeverWrong) {
       EXPECT_FALSE(decode_with_erasures(f, xs, ys, d).has_value())
           << "d=" << d << " e=" << e;
     }
+  }
+}
+
+TEST(ConsistentLieTightness, SomeEPlusOneCoalitionsDecodeToAnotherCodeword) {
+  // The guarantee stops at e liars. At k = 9 (d = 6, e = 1) the minimum
+  // distance is 3, so two liars on one delta can sit within distance 1 of a
+  // third codeword Q, which Berlekamp–Welch returns as one corrected error.
+  // Which of the 36 liar pairs do depends only on the abscissae: 22 fail
+  // closed and 14 decode wrong for every P and delta. Liars at {5, 6} give
+  // Q = P + delta * prod_{h in {2,3,4,7,8,9}} (x - h) / (-144), which misses
+  // the points only at abscissa 1, and Q(0) = P(0) - 84 * delta.
+  const Fp64 f(Fp64::kMersenne61);
+  crypto::Prg prg("lie-other-codeword");
+  const std::size_t d = 6, k = 9;
+  std::vector<std::uint64_t> xs(k);
+  for (std::size_t i = 0; i < k; ++i) xs[i] = i + 1;
+  for (int draw = 0; draw < 20; ++draw) {
+    const auto poly = Polynomial<Fp64>::random(f, d, prg);
+    const std::uint64_t delta = 1 + prg.uniform(f.modulus() - 1);
+    std::size_t closed = 0, wrong = 0;
+    for (std::size_t a = 0; a < k; ++a) {
+      for (std::size_t b = a + 1; b < k; ++b) {
+        std::vector<std::uint64_t> ys(k);
+        for (std::size_t i = 0; i < k; ++i) ys[i] = poly.eval(xs[i]);
+        ys[a] = f.add(ys[a], delta);
+        ys[b] = f.add(ys[b], delta);
+        const auto dec = decode_with_erasures(f, xs, ys, d);
+        if (xs[a] == 5 && xs[b] == 6) {
+          ASSERT_TRUE(dec.has_value()) << "draw " << draw;
+          EXPECT_FALSE(dec->agrees[0]) << "blames abscissa 1";
+          for (std::size_t i = 1; i < k; ++i) EXPECT_TRUE(dec->agrees[i]) << "abscissa " << xs[i];
+          EXPECT_EQ(dec->eval(f, f.zero()), f.sub(poly.eval(0), f.mul(84, delta)));
+        }
+        if (!dec.has_value()) {
+          ++closed;
+          continue;
+        }
+        ++wrong;
+        EXPECT_NE(dec->eval(f, f.zero()), poly.eval(0)) << "liars " << xs[a] << "," << xs[b];
+        EXPECT_EQ(dec->num_errors(), 1u) << "liars " << xs[a] << "," << xs[b];
+      }
+    }
+    EXPECT_EQ(closed, 22u) << "draw " << draw;
+    EXPECT_EQ(wrong, 14u) << "draw " << draw;
   }
 }
 

@@ -16,7 +16,6 @@
 #include "net/fault.h"
 #include "net/sim.h"
 #include "ot/base_ot.h"
-#include "ot/ot_extension.h"
 #include "pir/batch_pir.h"
 #include "pir/cpir.h"
 #include "pir/itpir.h"
@@ -142,17 +141,6 @@ TEST(Robustness, BaseOtReceiverRejectsMalformedAnswers) {
   std::vector<std::pair<Bytes, Bytes>> msgs = {{Bytes(8, 1), Bytes(8, 2)}};
   const Bytes valid = ot.answer(query, msgs, prg);
   fuzz_message(valid, [&](const Bytes& a) { (void)ot.decode(a, states); }, "ot-answer");
-}
-
-TEST(Robustness, OtExtensionRejectsMalformedCorrections) {
-  const ot::SchnorrGroup group = ot::SchnorrGroup::rfc_like_512();
-  crypto::Prg sprg("r8s"), rprg("r8r");
-  ot::OtExtensionSender sender(group);
-  ot::OtExtensionReceiver receiver(group, std::vector<bool>(20, true));
-  const Bytes m1 = sender.start(sprg);
-  const Bytes valid = receiver.respond(m1, rprg);
-  std::vector<std::pair<Bytes, Bytes>> msgs(20, {Bytes(16, 1), Bytes(16, 2)});
-  fuzz_message(valid, [&](const Bytes& m2) { (void)sender.answer(m2, msgs); }, "ext-resp");
 }
 
 TEST(Robustness, GarbledCircuitDeserializeRejectsGarbage) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.h"
 #include "dbgen/census.h"
 #include "net/sim.h"
@@ -303,17 +305,53 @@ TEST(RobustStatsSessionTest, ValueAtTwoToTheBThrowsBeforeAnyMessage) {
 }
 
 TEST(RobustStatsSessionTest, ShortDatabaseIsTheCallersErrorNotTheServers) {
-  // A database of the wrong size is the caller's error. It must not reach
-  // the servers, whose rejections the robust driver would blame on them.
-  constexpr std::size_t kServers = 8;
+  // A database of the wrong size, or an index past n, is the caller's
+  // error. It must not reach the servers, whose rejections the robust
+  // driver would blame on them, and it must not count as a query: the next
+  // valid sum runs exactly as a fresh session's first.
+  constexpr std::size_t kServers = 8;  // d = 6 for m = 2, n = 64
   RobustStatsSession session = make_session(2, kServers, "short-db");
-  const std::vector<std::uint64_t> db(kSessionN - 1, 5);
-  net::SimStarNetwork net(kServers, net::SimConfig{});
-  EXPECT_THROW(session.sum(net, db, {1, 2}, crypto::Prg("short-db-spir").fork_seed("q")),
-               InvalidArgument);
-  EXPECT_EQ(net.stats().total_bytes(), 0u);
-  EXPECT_TRUE(net.idle());
-  expect_untouched(session);
+  const crypto::Prg::Seed spir_seed = crypto::Prg("short-db-spir").fork_seed("q");
+  std::vector<std::uint64_t> db(kSessionN);
+  for (std::size_t i = 0; i < kSessionN; ++i) db[i] = 3 * i + 1;
+  const std::vector<std::uint64_t> short_db(kSessionN - 1, 5);
+  const std::vector<std::size_t> indices = {1, 2};
+  const auto refuse = [&](const std::vector<std::uint64_t>& database,
+                          const std::vector<std::size_t>& selection) {
+    net::SimStarNetwork net(kServers, net::SimConfig{});
+    EXPECT_THROW(session.sum(net, database, selection, spir_seed), InvalidArgument);
+    EXPECT_EQ(net.stats().total_bytes(), 0u);
+    EXPECT_TRUE(net.idle());
+    expect_untouched(session);
+    EXPECT_EQ(session.queries_issued(), 0u);
+  };
+  refuse(short_db, indices);
+  refuse(db, {1, kSessionN});  // an index past n
+
+  // Two first answers dropped leave 6 < d + 1: the run retries after a
+  // backoff drawn from the query's seed, so the report's virtual time
+  // tells the seeds apart.
+  const auto valid_sum = [&](RobustStatsSession& s) {
+    net::FaultPlan plan;
+    plan.add(net::Direction::kServerToClient, 0, 0, net::Fault{net::FaultKind::kDrop});
+    plan.add(net::Direction::kServerToClient, 1, 0, net::Fault{net::FaultKind::kDrop});
+    net::SimStarNetwork net(kServers, net::SimConfig{}, std::move(plan));
+    net::RobustResult res = s.sum(net, db, indices, spir_seed);
+    return std::pair{std::move(res), net.stats()};
+  };
+  RobustStatsSession fresh = make_session(2, kServers, "short-db");
+  const auto [res, stats] = valid_sum(session);
+  const auto [fresh_res, fresh_stats] = valid_sum(fresh);
+  EXPECT_EQ(fresh_res.value, db[1] + db[2]);
+  EXPECT_EQ(fresh_res.report.attempts, 2u);
+  EXPECT_EQ(res.value, fresh_res.value);
+  EXPECT_EQ(res.report.summary(), fresh_res.report.summary());
+  EXPECT_EQ(stats.client_to_server_bytes, fresh_stats.client_to_server_bytes);
+  EXPECT_EQ(stats.server_to_client_bytes, fresh_stats.server_to_client_bytes);
+  EXPECT_EQ(stats.client_to_server_messages, fresh_stats.client_to_server_messages);
+  EXPECT_EQ(stats.server_to_client_messages, fresh_stats.server_to_client_messages);
+  EXPECT_EQ(stats.half_rounds, fresh_stats.half_rounds);
+  EXPECT_EQ(session.queries_issued(), 1u);
 }
 
 TEST(CensusGen, GeneratesValidRecords) {
