@@ -73,14 +73,6 @@ BigInt random_prime(crypto::Prg& prg, std::size_t bits, int rounds) {
   }
 }
 
-BigInt next_prime(const BigInt& n, crypto::Prg& prg, int rounds) {
-  BigInt candidate = n < BigInt(2) ? BigInt(2) : n;
-  if (candidate == BigInt(2)) return candidate;
-  if (!candidate.is_odd()) candidate += BigInt(1);
-  while (!is_probable_prime(candidate, prg, rounds)) candidate += BigInt(2);
-  return candidate;
-}
-
 BigInt random_safe_prime(crypto::Prg& prg, std::size_t bits, int rounds) {
   if (bits < 4) throw InvalidArgument("random_safe_prime: need at least 4 bits");
   for (;;) {

@@ -19,9 +19,6 @@ bool is_probable_prime(const BigInt& n, crypto::Prg& prg, int rounds = 32);
 // Uniform prime with exactly `bits` bits (MSB and LSB set before testing).
 BigInt random_prime(crypto::Prg& prg, std::size_t bits, int rounds = 32);
 
-// Smallest probable prime >= n.
-BigInt next_prime(const BigInt& n, crypto::Prg& prg, int rounds = 32);
-
 // Safe prime p = 2q + 1 with q prime; exponential-time search, intended for
 // small test parameters only (<= ~128 bits).
 BigInt random_safe_prime(crypto::Prg& prg, std::size_t bits, int rounds = 20);

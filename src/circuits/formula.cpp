@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/error.h"
+
 namespace spfe::circuits {
 
 Formula Formula::leaf(std::size_t arg_index) {
@@ -141,6 +143,38 @@ std::size_t Formula::arith_degree(std::size_t leaf_degree) const {
     default:
       return left_->arith_degree(leaf_degree) + right_->arith_degree(leaf_degree);
   }
+}
+
+std::uint64_t Formula::eval_arithmetized(const field::Fp64& field,
+                                         const std::vector<std::uint64_t>& leaf_values) const {
+  switch (op_) {
+    case FormulaOp::kLeaf:
+      if (arg_index_ >= leaf_values.size()) {
+        throw InvalidArgument("Formula: leaf index out of range");
+      }
+      return leaf_values[arg_index_];
+    case FormulaOp::kConst:
+      return const_value_ ? field.one() : field.zero();
+    case FormulaOp::kNot:
+      return field.sub(field.one(), left_->eval_arithmetized(field, leaf_values));
+    case FormulaOp::kAnd: {
+      const std::uint64_t a = left_->eval_arithmetized(field, leaf_values);
+      const std::uint64_t b = right_->eval_arithmetized(field, leaf_values);
+      return field.mul(a, b);
+    }
+    case FormulaOp::kOr: {
+      const std::uint64_t a = left_->eval_arithmetized(field, leaf_values);
+      const std::uint64_t b = right_->eval_arithmetized(field, leaf_values);
+      return field.sub(field.add(a, b), field.mul(a, b));
+    }
+    case FormulaOp::kXor: {
+      const std::uint64_t a = left_->eval_arithmetized(field, leaf_values);
+      const std::uint64_t b = right_->eval_arithmetized(field, leaf_values);
+      const std::uint64_t ab = field.mul(a, b);
+      return field.sub(field.add(a, b), field.add(ab, ab));
+    }
+  }
+  throw InvalidArgument("Formula: corrupt op");
 }
 
 std::string Formula::to_string() const {

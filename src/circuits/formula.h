@@ -13,12 +13,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/error.h"
-#include "field/field.h"
+#include "field/fp64.h"
 
 namespace spfe::circuits {
 
@@ -63,38 +63,8 @@ class Formula {
   // Evaluates the gate polynomials over a field, with the leaf j replaced by
   // leaf_values[j] (a field element, typically P_0 evaluated on the client's
   // encoded index block).
-  template <field::FieldLike F>
-  typename F::value_type eval_arithmetized(
-      const F& field, const std::vector<typename F::value_type>& leaf_values) const {
-    switch (op_) {
-      case FormulaOp::kLeaf:
-        if (arg_index_ >= leaf_values.size()) {
-          throw InvalidArgument("Formula: leaf index out of range");
-        }
-        return leaf_values[arg_index_];
-      case FormulaOp::kConst:
-        return const_value_ ? field.one() : field.zero();
-      case FormulaOp::kNot:
-        return field.sub(field.one(), left_->eval_arithmetized(field, leaf_values));
-      case FormulaOp::kAnd: {
-        const auto a = left_->eval_arithmetized(field, leaf_values);
-        const auto b = right_->eval_arithmetized(field, leaf_values);
-        return field.mul(a, b);
-      }
-      case FormulaOp::kOr: {
-        const auto a = left_->eval_arithmetized(field, leaf_values);
-        const auto b = right_->eval_arithmetized(field, leaf_values);
-        return field.sub(field.add(a, b), field.mul(a, b));
-      }
-      case FormulaOp::kXor: {
-        const auto a = left_->eval_arithmetized(field, leaf_values);
-        const auto b = right_->eval_arithmetized(field, leaf_values);
-        const auto ab = field.mul(a, b);
-        return field.sub(field.add(a, b), field.add(ab, ab));
-      }
-    }
-    throw InvalidArgument("Formula: corrupt op");
-  }
+  std::uint64_t eval_arithmetized(const field::Fp64& field,
+                                  const std::vector<std::uint64_t>& leaf_values) const;
 
   std::string to_string() const;
 

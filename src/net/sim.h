@@ -39,7 +39,7 @@
 // Determinism: every latency is sampled by (direction, server, ordinal)
 // from the SimConfig seed, independent of call interleaving and of
 // SPFE_THREADS; a whole chaos schedule replays byte-identically from its
-// seeds. All protocol-visible time must flow through `net::Clock`
+// seeds. All protocol-visible time must flow through `net::SimClock`
 // (enforced tree-wide by the spfe-analyze `wall-clock` hygiene lint).
 #pragma once
 
@@ -56,18 +56,12 @@ namespace spfe::net {
 
 class AdversaryEngine;  // net/adversary.h
 
-// Abstract time source. Protocol code outside src/net/ takes time from here
-// (or not at all) — never from std::chrono wall clocks.
-class Clock {
- public:
-  virtual ~Clock() = default;
-  virtual std::uint64_t now_us() const = 0;
-};
-
 // Virtual microseconds since the simulation epoch; moves only forward.
-class SimClock final : public Clock {
+// Protocol code outside src/net/ takes time from here (or not at all) —
+// never from std::chrono wall clocks.
+class SimClock {
  public:
-  std::uint64_t now_us() const override { return now_us_; }
+  std::uint64_t now_us() const { return now_us_; }
 
   // No-op when `t_us` is in the past (a wait that already elapsed).
   void advance_to(std::uint64_t t_us) {

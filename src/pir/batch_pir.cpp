@@ -108,11 +108,6 @@ std::vector<std::size_t> CuckooBatchPir::place(const CuckooParams& params,
 }
 
 Bytes CuckooBatchPir::make_query(const std::vector<std::size_t>& indices, ClientState& state,
-                                 crypto::Prg& prg) const {
-  return make_query(indices, state, prg, nullptr);
-}
-
-Bytes CuckooBatchPir::make_query(const std::vector<std::size_t>& indices, ClientState& state,
                                  crypto::Prg& prg, he::PaillierRandomnessPool* pool) const {
   if (pool != nullptr && !(pool->public_key() == pk_)) pool = nullptr;
   if (indices.size() != m_) throw InvalidArgument("CuckooBatchPir: wrong batch size");

@@ -64,16 +64,13 @@ class CuckooBatchPir {
 
   // Client: places the m indices (distinct or not — duplicates are served
   // from different buckets) and emits one message: seed + per-bucket query.
-  Bytes make_query(const std::vector<std::size_t>& indices, ClientState& state,
-                   crypto::Prg& prg) const;
-  // Pooled variant: `prg` still drives the hash seed and cuckoo placement,
-  // but the per-bucket encryptions draw precomputed factors from `pool`
-  // (ignored when null or keyed differently — then identical to the
-  // three-argument overload). Pooling splits the randomness into two
+  // `prg` drives the hash seed and cuckoo placement. The per-bucket
+  // encryptions draw precomputed factors from `pool` when it is keyed for
+  // this PIR's key, else from `prg`. Pooling splits the randomness into two
   // streams, so pooled and unpooled transcripts differ; pooled transcripts
   // are deterministic in the two seeds and independent of pool warmth.
   Bytes make_query(const std::vector<std::size_t>& indices, ClientState& state,
-                   crypto::Prg& prg, he::PaillierRandomnessPool* pool) const;
+                   crypto::Prg& prg, he::PaillierRandomnessPool* pool = nullptr) const;
 
   // Server: u64 item database.
   Bytes answer_u64(std::span<const std::uint64_t> database, BytesView query,

@@ -125,10 +125,10 @@ std::vector<Bytes> InstanceHiding::make_queries(
   }
   // SPFE_CT_END
   // Random degree-t curve gamma with gamma(0) = encoded index bits.
-  std::vector<field::Polynomial<field::Fp64>> curve;
+  std::vector<field::Polynomial> curve;
   curve.reserve(constants.size());
   for (const std::uint64_t c : constants) {
-    curve.push_back(field::Polynomial<field::Fp64>::random_with_constant(field_, t_, c, prg));
+    curve.push_back(field::Polynomial::random_with_constant(field_, t_, c, prg));
   }
   state.abscissae.resize(k_);
   std::vector<Bytes> msgs;
@@ -181,7 +181,7 @@ Bytes InstanceHiding::answer(std::size_t server_id, std::span<const std::uint64_
     // Shared masking polynomial R of the answer degree with R(0) = 0:
     // answers still interpolate to f, but reveal nothing else [25].
     crypto::Prg shared(*spir_seed);
-    const auto mask = field::Polynomial<field::Fp64>::random_with_constant(
+    const auto mask = field::Polynomial::random_with_constant(
         field_, degree_, field_.zero(), shared);
     value = field_.add(value, mask.eval(field_.from_u64(server_id + 1)));
   }
@@ -245,7 +245,7 @@ net::RobustResult InstanceHiding::run_robust(net::SimStarNetwork& net,
   }
   check_database(database);
   SPFE_OBS_SPAN("multiserver.run_robust");
-  auto [value, report] = net::run_robust_star(
+  return net::run_robust_star(
       field_, net, degree_, cfg,
       [&](std::size_t /*attempt*/, std::vector<std::uint64_t>& abscissae) {
         // Fresh curve from `prg` every attempt: query points are never
@@ -260,7 +260,6 @@ net::RobustResult InstanceHiding::run_robust(net::SimStarNetwork& net,
         return answer(s, database, query, seed ? &*seed : nullptr);
       },
       [&](const Bytes& ans) { return parse_answer(field_, ans); });
-  return net::RobustResult{value, std::move(report)};
 }
 
 PolyItPir::PolyItPir(field::Fp64 field, std::size_t n, std::size_t num_servers,

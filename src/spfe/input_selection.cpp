@@ -12,12 +12,9 @@ namespace spfe::protocols {
 namespace {
 
 using bignum::BigInt;
-using detail::add_mod;
 using detail::check_blinding_headroom;
 using detail::kStatBits;
 using detail::mask_database;
-using detail::mul_mod;
-using detail::pool_for;
 using detail::read_ct;
 using detail::write_ct;
 
@@ -36,20 +33,16 @@ void check_inputs(std::span<const std::uint64_t> database,
   }
 }
 
-std::uint64_t sub_mod(std::uint64_t a, std::uint64_t b, std::uint64_t u) {
-  return add_mod(a % u, u - b % u, u);
+// §3.3.2 evaluates P_s at i + 1 for every index i < n. With p <= n two
+// indices share a mask point, and the client would read x_i - x_i' off
+// its two SPIR items.
+void check_mask_points(std::uint64_t p, std::size_t n) {
+  if (p <= n) throw InvalidArgument("input selection: poly-mask field must exceed n");
 }
 
-// i^k mod p via repeated multiplication (k <= m is small).
-std::uint64_t pow_mod_u64(std::uint64_t base, std::uint64_t exp, std::uint64_t p) {
-  std::uint64_t result = 1 % p;
-  base %= p;
-  while (exp != 0) {
-    if (exp & 1) result = mul_mod(result, base, p);
-    base = mul_mod(base, base, p);
-    exp >>= 1;
-  }
-  return result;
+// a - b mod u for §3.3.1's share modulus, which need not be prime.
+std::uint64_t sub_mod(std::uint64_t a, std::uint64_t b, std::uint64_t u) {
+  return static_cast<std::uint64_t>((static_cast<unsigned __int128>(a % u) + (u - b % u)) % u);
 }
 
 }  // namespace
@@ -60,24 +53,19 @@ SelectedShares input_selection_per_item(net::StarNetwork& net, std::size_t serve
                                         std::uint64_t modulus,
                                         const he::PaillierPrivateKey& client_sk,
                                         std::size_t pir_depth, crypto::Prg& client_prg,
-                                        crypto::Prg& server_prg,
-                                        const he::ClientPrecomp& precomp) {
+                                        crypto::Prg& server_prg) {
   SPFE_OBS_SPAN("input_selection.per_item");
   check_inputs(database, indices, modulus);
   const std::size_t m = indices.size();
   const std::size_t n = database.size();
   const pir::PaillierPir spir(client_sk.public_key(), n, pir_depth);
-  he::PaillierRandomnessPool* pool = pool_for(precomp, client_sk.public_key());
 
-  // Client: m independent SPIR queries in one message. The client PRG's
-  // only role here is encryption randomness, so the pooled path is
-  // byte-identical to the unpooled one at the same seed.
+  // Client: m independent SPIR queries in one message.
   std::vector<pir::PaillierPir::ClientState> states(m);
   {
     Writer w;
     for (std::size_t j = 0; j < m; ++j) {
-      w.bytes(pool != nullptr ? spir.make_query(indices[j], states[j], *pool)
-                              : spir.make_query(indices[j], states[j], client_prg));
+      w.bytes(spir.make_query(indices[j], states[j], client_prg));
     }
     net.client_send(server_id, w.take());
   }
@@ -115,16 +103,16 @@ SelectedShares input_selection_poly_mask_client_key(
     net::StarNetwork& net, std::size_t server_id, std::span<const std::uint64_t> database,
     const std::vector<std::size_t>& indices, const field::Fp64& field,
     const he::PaillierPrivateKey& client_sk, std::size_t pir_depth, crypto::Prg& client_prg,
-    crypto::Prg& server_prg, const he::ClientPrecomp& precomp) {
+    crypto::Prg& server_prg) {
   SPFE_OBS_SPAN("input_selection.poly_mask_client_key");
   const std::uint64_t p = field.modulus();
   check_inputs(database, indices, p);
   const std::size_t m = indices.size();
   const std::size_t n = database.size();
+  check_mask_points(p, n);
   const he::PaillierPublicKey& pk = client_sk.public_key();
   check_blinding_headroom(pk, BigInt(m) * BigInt(p) * BigInt(p));
   const pir::CuckooBatchPir spir(pk, n, m, pir_depth);
-  he::PaillierRandomnessPool* pool = pool_for(precomp, pk);
 
   // Client: E(i_j^k) for all j, k plus one batched SPIR query.
   pir::CuckooBatchPir::ClientState pir_state;
@@ -132,12 +120,11 @@ SelectedShares input_selection_poly_mask_client_key(
     Writer w;
     for (std::size_t j = 0; j < m; ++j) {
       for (std::size_t k = 0; k < m; ++k) {
-        const BigInt power(pow_mod_u64(indices[j] + 1, k, p));
-        write_ct(w, pk,
-                 pool != nullptr ? pool->encrypt(power) : pk.encrypt(power, client_prg));
+        const BigInt power(field.pow(field.from_u64(indices[j] + 1), k));
+        write_ct(w, pk, pk.encrypt(power, client_prg));
       }
     }
-    w.bytes(spir.make_query(indices, pir_state, client_prg, pool));
+    w.bytes(spir.make_query(indices, pir_state, client_prg));
     net.client_send(server_id, w.take());
   }
 
@@ -159,7 +146,7 @@ SelectedShares input_selection_poly_mask_client_key(
     for (auto& c : s) c = server_prg.uniform(p);
 
     Writer w;
-    w.bytes(spir.answer_u64(mask_database(database, s, p), pir_query, server_prg));
+    w.bytes(spir.answer_u64(mask_database(database, s, field), pir_query, server_prg));
     const BigInt blind_bound = (BigInt(m) * BigInt(p) * BigInt(p)) << kStatBits;
     std::vector<BigInt> s_big(m);
     for (std::size_t k = 0; k < m; ++k) s_big[k] = BigInt(s[k]);
@@ -182,7 +169,7 @@ SelectedShares input_selection_poly_mask_client_key(
       spir.decode_u64(client_sk, r.bytes(), pir_state);
   for (std::size_t j = 0; j < m; ++j) {
     const std::uint64_t d_j = client_sk.decrypt(read_ct(r, pk)).mod_floor(BigInt(p)).to_u64();
-    shares.client_shares[j] = sub_mod(masked_items[j], d_j, p);
+    shares.client_shares[j] = field.sub(field.from_u64(masked_items[j]), d_j);
   }
   r.expect_done();
   return shares;
@@ -192,13 +179,13 @@ SelectedShares input_selection_poly_mask_server_key(
     net::StarNetwork& net, std::size_t server_id, std::span<const std::uint64_t> database,
     const std::vector<std::size_t>& indices, const field::Fp64& field,
     const he::PaillierPrivateKey& server_sk, const he::PaillierPrivateKey& client_sk,
-    std::size_t pir_depth, crypto::Prg& client_prg, crypto::Prg& server_prg,
-    const he::ClientPrecomp& precomp) {
+    std::size_t pir_depth, crypto::Prg& client_prg, crypto::Prg& server_prg) {
   SPFE_OBS_SPAN("input_selection.poly_mask_server_key");
   const std::uint64_t p = field.modulus();
   check_inputs(database, indices, p);
   const std::size_t m = indices.size();
   const std::size_t n = database.size();
+  check_mask_points(p, n);
   const he::PaillierPublicKey& server_pk = server_sk.public_key();
   check_blinding_headroom(server_pk, BigInt(m) * BigInt(p) * BigInt(p));
   const pir::CuckooBatchPir spir(client_sk.public_key(), n, m, pir_depth);
@@ -234,24 +221,19 @@ SelectedShares input_selection_poly_mask_server_key(
     std::vector<std::vector<BigInt>> exps(m, std::vector<BigInt>(m));
     for (std::size_t j = 0; j < m; ++j) {
       for (std::size_t k = 0; k < m; ++k) {
-        exps[k][j] = BigInt(pow_mod_u64(indices[j] + 1, k, p));
+        exps[k][j] = BigInt(field.pow(field.from_u64(indices[j] + 1), k));
       }
     }
     const std::vector<BigInt> sums = pk2.mul_scalar_sum_matrix(coeff_cts, exps);
-    // These encryptions are under the *server's* key pk2: a client-key pool
-    // never serves them (pool_for returns null on the key mismatch).
-    he::PaillierRandomnessPool* pool2 = pool_for(precomp, pk2);
     Writer w;
     for (std::size_t j = 0; j < m; ++j) {
-      BigInt acc = pk2.add(
-          pool2 != nullptr ? pool2->encrypt(BigInt(0)) : pk2.encrypt(BigInt(0), client_prg),
-          sums[j]);
+      BigInt acc = pk2.add(pk2.encrypt(BigInt(0), client_prg), sums[j]);
       const BigInt rho = BigInt::random_below(client_prg, blind_bound);
       rho_mod_p[j] = rho.mod_floor(BigInt(p)).to_u64();
-      acc = pk2.add(acc, pool2 != nullptr ? pool2->encrypt(rho) : pk2.encrypt(rho, client_prg));
+      acc = pk2.add(acc, pk2.encrypt(rho, client_prg));
       write_ct(w, pk2, acc);
     }
-    w.bytes(spir.make_query(indices, pir_state, client_prg, pool_for(precomp, client_sk.public_key())));
+    w.bytes(spir.make_query(indices, pir_state, client_prg));
     net.client_send(server_id, w.take());
   }
 
@@ -264,13 +246,13 @@ SelectedShares input_selection_poly_mask_server_key(
     for (std::size_t j = 0; j < m; ++j) {
       const std::uint64_t e_j =
           server_sk.decrypt(read_ct(r, server_pk)).mod_floor(BigInt(p)).to_u64();
-      shares.server_shares[j] = (p - e_j) % p;
+      shares.server_shares[j] = field.neg(e_j);
     }
     const Bytes pir_query = r.bytes();
     r.expect_done();
 
     net.server_send(server_id,
-                    spir.answer_u64(mask_database(database, s, p), pir_query, server_prg));
+                    spir.answer_u64(mask_database(database, s, field), pir_query, server_prg));
   }
 
   // Client: b_j = x'_{i_j} + rho_j.
@@ -278,7 +260,7 @@ SelectedShares input_selection_poly_mask_server_key(
   const std::vector<std::uint64_t> masked_items =
       spir.decode_u64(client_sk, net.client_receive(server_id), pir_state);
   for (std::size_t j = 0; j < m; ++j) {
-    shares.client_shares[j] = add_mod(masked_items[j], rho_mod_p[j], p);
+    shares.client_shares[j] = field.add(field.from_u64(masked_items[j]), rho_mod_p[j]);
   }
   return shares;
 }
@@ -290,8 +272,7 @@ SelectedShares input_selection_encrypted_db(net::StarNetwork& net, std::size_t s
                                             const he::PaillierPrivateKey& server_sk,
                                             const he::PaillierPrivateKey& client_sk,
                                             std::size_t pir_depth, crypto::Prg& client_prg,
-                                            crypto::Prg& server_prg,
-                                            const he::ClientPrecomp& precomp) {
+                                            crypto::Prg& server_prg) {
   SPFE_OBS_SPAN("input_selection.encrypted_db");
   check_inputs(database, indices, modulus);
   const std::size_t m = indices.size();
@@ -306,9 +287,7 @@ SelectedShares input_selection_encrypted_db(net::StarNetwork& net, std::size_t s
   const pir::CuckooBatchPir spir(client_sk.public_key(), n, m, pir_depth);
 
   pir::CuckooBatchPir::ClientState pir_state;
-  net.client_send(server_id,
-                  spir.make_query(indices, pir_state, client_prg,
-                                  pool_for(precomp, client_sk.public_key())));
+  net.client_send(server_id, spir.make_query(indices, pir_state, client_prg));
 
   // Server: encrypted database (prepared once), one batched SPIR answer.
   {
@@ -334,9 +313,6 @@ SelectedShares input_selection_encrypted_db(net::StarNetwork& net, std::size_t s
     const std::vector<Bytes> items =
         spir.decode_bytes(client_sk, pk2.ciphertext_bytes(), r.bytes(), pir_state);
     r.expect_done();
-    // The re-blind encrypts under the server's key pk2 — a client-key pool
-    // is silently bypassed here by the key check.
-    he::PaillierRandomnessPool* pool2 = pool_for(precomp, pk2);
     Writer w;
     const BigInt u(modulus);
     for (std::size_t j = 0; j < m; ++j) {
@@ -347,9 +323,7 @@ SelectedShares input_selection_encrypted_db(net::StarNetwork& net, std::size_t s
       // rho term statistically hides the carry.
       const BigInt rho = BigInt::random_below(client_prg, BigInt(1) << kStatBits);
       const BigInt blind = u * rho + (u - BigInt(r_j));
-      write_ct(w, pk2,
-               pk2.add(ct, pool2 != nullptr ? pool2->encrypt(blind)
-                                            : pk2.encrypt(blind, client_prg)));
+      write_ct(w, pk2, pk2.add(ct, pk2.encrypt(blind, client_prg)));
     }
     net.client_send(server_id, w.take());
   }
@@ -370,8 +344,7 @@ SelectedXorShares input_selection_encrypted_db_gm(
     net::StarNetwork& net, std::size_t server_id, std::span<const std::uint64_t> database,
     const std::vector<std::size_t>& indices, std::size_t item_bits,
     const he::GmPrivateKey& server_sk, const he::PaillierPrivateKey& client_sk,
-    std::size_t pir_depth, crypto::Prg& client_prg, crypto::Prg& server_prg,
-    const he::ClientPrecomp& precomp) {
+    std::size_t pir_depth, crypto::Prg& client_prg, crypto::Prg& server_prg) {
   SPFE_OBS_SPAN("input_selection.encrypted_db_gm");
   if (item_bits == 0 || item_bits > 63) {
     throw InvalidArgument("GM input selection: item_bits must be in [1, 63]");
@@ -385,13 +358,11 @@ SelectedXorShares input_selection_encrypted_db_gm(
   const pir::PaillierPir spir(client_sk.public_key(), n, pir_depth);
 
   // Client: one SPIR query per selected item.
-  he::PaillierRandomnessPool* pool = pool_for(precomp, client_sk.public_key());
   std::vector<pir::PaillierPir::ClientState> states(m);
   {
     Writer w;
     for (std::size_t j = 0; j < m; ++j) {
-      w.bytes(pool != nullptr ? spir.make_query(indices[j], states[j], *pool)
-                              : spir.make_query(indices[j], states[j], client_prg));
+      w.bytes(spir.make_query(indices[j], states[j], client_prg));
     }
     net.client_send(server_id, w.take());
   }

@@ -39,20 +39,14 @@
 #include "field/fp64.h"
 #include "he/goldwasser_micali.h"
 #include "he/paillier.h"
-#include "he/precomp.h"
 #include "net/network.h"
 
 namespace spfe::protocols {
 
-// Every client entry point takes an optional `precomp` bundle
-// (he/precomp.h). Pools are used only for the Paillier encryption sites
-// whose key matches the pool's key — sites encrypting under the *server's*
-// key (the §3.3.2 variant-2 evaluation, the §3.3.3 re-blinding) silently
-// fall back to the online PRG when the pool is keyed for the client, and
-// the GM XOR-blinding always draws from the PRG. A pooled run is
-// deterministic in the seeds and independent of pool warmth; it matches the
-// unpooled transcript byte-for-byte whenever the protocol's only use of the
-// client PRG is encryption randomness (§3.3.1 per-item selection).
+// Every client encryption draws its randomness online from `client_prg`.
+// No caller of these protocols keeps a randomness pool warm between
+// queries, so none takes one; the one pooled protocol is the §4 package
+// (spfe/stats.h).
 
 struct SelectedShares {
   std::vector<std::uint64_t> client_shares;
@@ -68,25 +62,26 @@ SelectedShares input_selection_per_item(net::StarNetwork& net, std::size_t serve
                                         std::uint64_t modulus,
                                         const he::PaillierPrivateKey& client_sk,
                                         std::size_t pir_depth, crypto::Prg& client_prg,
-                                        crypto::Prg& server_prg,
-                                        const he::ClientPrecomp& precomp = {});
+                                        crypto::Prg& server_prg);
 
 // §3.3.2 variant 1. Shares over the prime field (u = field.modulus());
-// database values must be < u. One round.
+// database values must be < u, and u must exceed the database size n (the
+// mask P_s takes one field point per index), else InvalidArgument before
+// any message. One round.
 SelectedShares input_selection_poly_mask_client_key(
     net::StarNetwork& net, std::size_t server_id, std::span<const std::uint64_t> database,
     const std::vector<std::size_t>& indices, const field::Fp64& field,
     const he::PaillierPrivateKey& client_sk, std::size_t pir_depth, crypto::Prg& client_prg,
-    crypto::Prg& server_prg, const he::ClientPrecomp& precomp = {});
+    crypto::Prg& server_prg);
 
-// §3.3.2 variant 2. Server-side homomorphic key (`server_sk`) for the
-// coefficient encryptions; client key for the SPIR. 1.5 rounds.
+// §3.3.2 variant 2, with variant 1's field requirements. Server-side
+// homomorphic key (`server_sk`) for the coefficient encryptions; client key
+// for the SPIR. 1.5 rounds.
 SelectedShares input_selection_poly_mask_server_key(
     net::StarNetwork& net, std::size_t server_id, std::span<const std::uint64_t> database,
     const std::vector<std::size_t>& indices, const field::Fp64& field,
     const he::PaillierPrivateKey& server_sk, const he::PaillierPrivateKey& client_sk,
-    std::size_t pir_depth, crypto::Prg& client_prg, crypto::Prg& server_prg,
-    const he::ClientPrecomp& precomp = {});
+    std::size_t pir_depth, crypto::Prg& client_prg, crypto::Prg& server_prg);
 
 // §3.3.3. Shares over Z_u; SPIR retrieves server-side ciphertexts (byte
 // items) under the client's PIR key. 1.5 rounds for the selection phase.
@@ -97,8 +92,7 @@ SelectedShares input_selection_encrypted_db(net::StarNetwork& net, std::size_t s
                                             const he::PaillierPrivateKey& server_sk,
                                             const he::PaillierPrivateKey& client_sk,
                                             std::size_t pir_depth, crypto::Prg& client_prg,
-                                            crypto::Prg& server_prg,
-                                            const he::ClientPrecomp& precomp = {});
+                                            crypto::Prg& server_prg);
 
 // XOR-share pair: client ^ server = item, bit-wise over `item_bits` bits.
 struct SelectedXorShares {
@@ -118,7 +112,6 @@ SelectedXorShares input_selection_encrypted_db_gm(
     net::StarNetwork& net, std::size_t server_id, std::span<const std::uint64_t> database,
     const std::vector<std::size_t>& indices, std::size_t item_bits,
     const he::GmPrivateKey& server_sk, const he::PaillierPrivateKey& client_sk,
-    std::size_t pir_depth, crypto::Prg& client_prg, crypto::Prg& server_prg,
-    const he::ClientPrecomp& precomp = {});
+    std::size_t pir_depth, crypto::Prg& client_prg, crypto::Prg& server_prg);
 
 }  // namespace spfe::protocols

@@ -13,12 +13,9 @@ namespace spfe::protocols {
 namespace {
 
 using bignum::BigInt;
-using detail::add_mod;
 using detail::check_blinding_headroom;
 using detail::kStatBits;
 using detail::mask_database;
-using detail::mul_mod;
-using detail::pool_for;
 using detail::read_ct;
 using detail::write_ct;
 using u128 = unsigned __int128;
@@ -99,7 +96,9 @@ std::uint64_t lane(const BigInt& packed, std::size_t v, std::size_t lane_bits) {
 // sum_v x^(v)'_i · 2^(v·L), where x^(v)'_i = x^(v)_i + P_s^(v)(i+1) < p <= 2^L
 // so no lane carries into the next, and replies per view with
 // E(sum_k s_k c_k) = E(sum_j w_j P_s(i_j + 1)), blinded by a multiple of p.
-// Returns sum_j w_j v_{i_j} for every view v.
+// Returns sum_j w_j v_{i_j} for every view v. A `precomp` pool keyed for
+// the client serves the client's encryptions; otherwise they draw from
+// `client_prg`.
 std::vector<std::uint64_t> masked_weighted_sums(
     const field::Fp64& field, std::size_t n, std::size_t pir_depth, net::StarNetwork& net,
     std::size_t server_id, const std::vector<std::span<const std::uint64_t>>& views,
@@ -116,7 +115,9 @@ std::vector<std::uint64_t> masked_weighted_sums(
   const std::size_t item_bytes = (views.size() * lane_bits + 7) / 8;
 
   // Client round-1: the SPIR query + E(c_k).
-  he::PaillierRandomnessPool* pool = pool_for(precomp, pk);
+  he::PaillierRandomnessPool* pool =
+      precomp.paillier != nullptr && precomp.paillier->public_key() == pk ? precomp.paillier
+                                                                          : nullptr;
   pir::CuckooBatchPir::ClientState pir_state;
   {
     Writer w;
@@ -125,9 +126,8 @@ std::vector<std::uint64_t> masked_weighted_sums(
       std::uint64_t c_k = 0;
       for (std::size_t j = 0; j < m; ++j) {
         // Powers of (i_j + 1) — matching the server's mask evaluation points.
-        std::uint64_t power = 1 % p;
-        for (std::size_t e = 0; e < k; ++e) power = mul_mod(power, (indices[j] + 1) % p, p);
-        c_k = add_mod(c_k, mul_mod(weights[j] % p, power, p), p);
+        const std::uint64_t power = field.pow(field.from_u64(indices[j] + 1), k);
+        c_k = field.add(c_k, field.mul(field.from_u64(weights[j]), power));
       }
       write_ct(w, pk,
                pool != nullptr ? pool->encrypt(BigInt(c_k)) : pk.encrypt(BigInt(c_k), client_prg));
@@ -150,7 +150,7 @@ std::vector<std::uint64_t> masked_weighted_sums(
     }
     std::vector<BigInt> packed(n);
     for (std::size_t v = 0; v < views.size(); ++v) {
-      const std::vector<std::uint64_t> masked = mask_database(views[v], masks[v], p);
+      const std::vector<std::uint64_t> masked = mask_database(views[v], masks[v], field);
       for (std::size_t i = 0; i < n; ++i) packed[i] += BigInt(masked[i]) << (v * lane_bits);
     }
     std::vector<Bytes> items(n);
@@ -182,9 +182,10 @@ std::vector<std::uint64_t> masked_weighted_sums(
         client_sk.decrypt(read_ct(r, pk)).mod_floor(BigInt(p)).to_u64();
     std::uint64_t weighted = 0;
     for (std::size_t j = 0; j < m; ++j) {
-      weighted = add_mod(weighted, mul_mod(weights[j] % p, lane(packed[j], v, lane_bits), p), p);
+      weighted = field.add(weighted,
+                           field.mul(field.from_u64(weights[j]), lane(packed[j], v, lane_bits)));
     }
-    sums.push_back(add_mod(weighted, p - mask_sum, p));
+    sums.push_back(field.sub(weighted, mask_sum));
   }
   r.expect_done();
   return sums;
@@ -206,12 +207,11 @@ std::uint64_t WeightedSumProtocol::run(net::StarNetwork& net, std::size_t server
                                        const std::vector<std::size_t>& indices,
                                        const std::vector<std::uint64_t>& weights,
                                        const he::PaillierPrivateKey& client_sk,
-                                       crypto::Prg& client_prg, crypto::Prg& server_prg,
-                                       const he::ClientPrecomp& precomp) const {
+                                       crypto::Prg& client_prg, crypto::Prg& server_prg) const {
   SPFE_OBS_SPAN("stats.weighted_sum");
   if (weights.size() != m_) throw InvalidArgument("WeightedSumProtocol: need m weights");
   return masked_weighted_sums(field_, n_, pir_depth_, net, server_id, {database}, indices,
-                              weights, client_sk, client_prg, server_prg, precomp)[0];
+                              weights, client_sk, client_prg, server_prg, {})[0];
 }
 
 MeanVariancePackage::MeanVariancePackage(field::Fp64 field, std::size_t n, std::size_t m,
@@ -353,8 +353,7 @@ std::size_t FrequencyProtocol::run(net::StarNetwork& net, std::size_t server_id,
                                    std::uint64_t keyword,
                                    const he::PaillierPrivateKey& client_sk,
                                    const he::PaillierPrivateKey& server_sk,
-                                   crypto::Prg& client_prg, crypto::Prg& server_prg,
-                                   const he::ClientPrecomp& precomp) const {
+                                   crypto::Prg& client_prg, crypto::Prg& server_prg) const {
   SPFE_OBS_SPAN("stats.frequency");
   const std::uint64_t p = field_.modulus();
   check_stat_inputs(database, indices, n_, m_, p);
@@ -365,15 +364,14 @@ std::size_t FrequencyProtocol::run(net::StarNetwork& net, std::size_t server_id,
   // Phase 1: additive shares a_j + b_j = x_{i_j} mod p.
   const SelectedShares shares =
       run_input_selection(net, server_id, database, indices, p, method_, client_sk, server_sk,
-                          pir_depth_, client_prg, server_prg, precomp);
+                          pir_depth_, client_prg, server_prg);
 
   // Phase 2, client: E(b_j - keyword + p) (positive representative).
   {
-    he::PaillierRandomnessPool* pool = pool_for(precomp, pk);
     Writer w;
     for (std::size_t j = 0; j < m_; ++j) {
-      const std::uint64_t t = add_mod(shares.client_shares[j], p - keyword % p, p);
-      write_ct(w, pk, pool != nullptr ? pool->encrypt(BigInt(t)) : pk.encrypt(BigInt(t), client_prg));
+      const std::uint64_t t = field_.sub(shares.client_shares[j], keyword);
+      write_ct(w, pk, pk.encrypt(BigInt(t), client_prg));
     }
     net.client_send(server_id, w.take());
   }

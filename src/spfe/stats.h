@@ -35,6 +35,7 @@
 #include "crypto/prg.h"
 #include "field/fp64.h"
 #include "he/paillier.h"
+#include "he/precomp.h"
 #include "net/health.h"
 #include "net/network.h"
 #include "net/robust.h"
@@ -50,15 +51,13 @@ class WeightedSumProtocol {
   // values and weights are field elements.
   WeightedSumProtocol(field::Fp64 field, std::size_t n, std::size_t m, std::size_t pir_depth);
 
-  // One-round run; returns sum_j weights[j] * x_{indices[j]} mod p. The
-  // optional `precomp` pools serve the client-side encryptions when keyed
-  // for the client (see input_selection.h for the contract).
+  // One-round run; returns sum_j weights[j] * x_{indices[j]} mod p.
   std::uint64_t run(net::StarNetwork& net, std::size_t server_id,
                     std::span<const std::uint64_t> database,
                     const std::vector<std::size_t>& indices,
                     const std::vector<std::uint64_t>& weights,
                     const he::PaillierPrivateKey& client_sk, crypto::Prg& client_prg,
-                    crypto::Prg& server_prg, const he::ClientPrecomp& precomp = {}) const;
+                    crypto::Prg& server_prg) const;
 
  private:
   field::Fp64 field_;
@@ -80,6 +79,12 @@ class MeanVariancePackage {
   // every entry and throws InvalidArgument before any message otherwise.
   MeanVariancePackage(field::Fp64 field, std::size_t n, std::size_t m, std::size_t pir_depth);
 
+  // A `precomp.paillier` pool keyed for the client serves the client's
+  // encryptions (the SPIR selectors and E(c_k)) from factors computed
+  // offline, for a caller that keeps the pool warm between queries. The
+  // pooled transcript is deterministic in the seeds and independent of
+  // pool warmth (it differs from the unpooled one: the randomness is split
+  // into two streams).
   MeanVarianceResult run(net::StarNetwork& net, std::size_t server_id,
                          std::span<const std::uint64_t> database,
                          const std::vector<std::size_t>& indices,
@@ -207,7 +212,7 @@ class FrequencyProtocol {
                   const std::vector<std::size_t>& indices, std::uint64_t keyword,
                   const he::PaillierPrivateKey& client_sk,
                   const he::PaillierPrivateKey& server_sk, crypto::Prg& client_prg,
-                  crypto::Prg& server_prg, const he::ClientPrecomp& precomp = {}) const;
+                  crypto::Prg& server_prg) const;
 
  private:
   field::Fp64 field_;

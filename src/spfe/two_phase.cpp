@@ -119,24 +119,24 @@ SelectedShares run_input_selection(net::StarNetwork& net, std::size_t server_id,
                                    const he::PaillierPrivateKey& client_sk,
                                    const he::PaillierPrivateKey& server_sk,
                                    std::size_t pir_depth, crypto::Prg& client_prg,
-                                   crypto::Prg& server_prg, const he::ClientPrecomp& precomp) {
+                                   crypto::Prg& server_prg) {
   obs::Span span("spfe.input_selection");
   span.note(selection_method_name(method));
   switch (method) {
     case SelectionMethod::kPerItem:
       return input_selection_per_item(net, server_id, database, indices, modulus, client_sk,
-                                      pir_depth, client_prg, server_prg, precomp);
+                                      pir_depth, client_prg, server_prg);
     case SelectionMethod::kPolyMaskClientKey:
       return input_selection_poly_mask_client_key(net, server_id, database, indices,
                                                   field::Fp64(modulus), client_sk, pir_depth,
-                                                  client_prg, server_prg, precomp);
+                                                  client_prg, server_prg);
     case SelectionMethod::kPolyMaskServerKey:
       return input_selection_poly_mask_server_key(net, server_id, database, indices,
                                                   field::Fp64(modulus), server_sk, client_sk,
-                                                  pir_depth, client_prg, server_prg, precomp);
+                                                  pir_depth, client_prg, server_prg);
     case SelectionMethod::kEncryptedDb:
       return input_selection_encrypted_db(net, server_id, database, indices, modulus, server_sk,
-                                          client_sk, pir_depth, client_prg, server_prg, precomp);
+                                          client_sk, pir_depth, client_prg, server_prg);
   }
   throw InvalidArgument("run_input_selection: bad method");
 }

@@ -37,9 +37,8 @@ enum class SelectionMethod {
 const char* selection_method_name(SelectionMethod m);
 
 // Runs the chosen input selection. Poly-mask methods require `modulus` to
-// be prime (they work over the field Z_modulus). `precomp` optionally
-// supplies offline-precomputed randomness pools for the client-side
-// encryptions (see input_selection.h).
+// be a prime above the database size (they work over the field
+// Z_modulus).
 SelectedShares run_input_selection(net::StarNetwork& net, std::size_t server_id,
                                    std::span<const std::uint64_t> database,
                                    const std::vector<std::size_t>& indices,
@@ -47,8 +46,7 @@ SelectedShares run_input_selection(net::StarNetwork& net, std::size_t server_id,
                                    const he::PaillierPrivateKey& client_sk,
                                    const he::PaillierPrivateKey& server_sk,
                                    std::size_t pir_depth, crypto::Prg& client_prg,
-                                   crypto::Prg& server_prg,
-                                   const he::ClientPrecomp& precomp = {});
+                                   crypto::Prg& server_prg);
 
 // Arithmetic two-phase SPFE. `circuit` has m inputs (the selected items)
 // over Z_u where u = circuit.modulus(); returns the circuit outputs.

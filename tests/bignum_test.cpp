@@ -320,13 +320,6 @@ TEST(Primes, RandomPrimeHasRequestedSize) {
   }
 }
 
-TEST(Primes, NextPrime) {
-  crypto::Prg prg("np");
-  EXPECT_EQ(next_prime(BigInt(90), prg).to_u64(), 97u);
-  EXPECT_EQ(next_prime(BigInt(97), prg).to_u64(), 97u);
-  EXPECT_EQ(next_prime(BigInt(0), prg).to_u64(), 2u);
-}
-
 TEST(Primes, SafePrime) {
   crypto::Prg prg("sp");
   const BigInt p = random_safe_prime(prg, 48, 16);

@@ -82,34 +82,24 @@ TEST(Fp64, SmallestPrimeAbove) {
 TEST(Polynomial, EvalHorner) {
   const Fp64 f(97);
   // p(x) = 3 + 2x + x^2
-  const Polynomial<Fp64> p(f, {3, 2, 1});
+  const Polynomial p(f, {3, 2, 1});
   EXPECT_EQ(p.eval(0), 3u);
   EXPECT_EQ(p.eval(1), 6u);
   EXPECT_EQ(p.eval(5), (3 + 10 + 25) % 97u);
-  EXPECT_EQ(p.degree(), 2u);
-}
-
-TEST(Polynomial, TrimsLeadingZeros) {
-  const Fp64 f(97);
-  const Polynomial<Fp64> p(f, {5, 0, 0});
-  EXPECT_EQ(p.degree(), 0u);
-  const Polynomial<Fp64> z(f, {0, 0});
-  EXPECT_TRUE(z.is_zero());
 }
 
 TEST(Polynomial, RandomWithConstant) {
   const Fp64 f(1009);
   crypto::Prg prg("poly");
-  const auto p = Polynomial<Fp64>::random_with_constant(f, 5, 42, prg);
+  const auto p = Polynomial::random_with_constant(f, 5, 42, prg);
   EXPECT_EQ(p.eval(0), 42u);
-  EXPECT_LE(p.degree(), 5u);
 }
 
 TEST(Polynomial, InterpolateRecoversPolynomial) {
   const Fp64 f(1009);
   crypto::Prg prg("interp");
   for (std::size_t deg = 0; deg <= 6; ++deg) {
-    const auto p = Polynomial<Fp64>::random(f, deg, prg);
+    const auto p = Polynomial::random(f, deg, prg);
     std::vector<std::uint64_t> xs, ys;
     for (std::uint64_t x = 1; x <= deg + 1; ++x) {
       xs.push_back(x);
@@ -141,7 +131,7 @@ TEST(Polynomial, MWiseIndependencePointEvaluations) {
   constexpr std::size_t kM = 3;
   std::vector<int> counts(17, 0);
   for (int trial = 0; trial < 1700; ++trial) {
-    const auto p = Polynomial<Fp64>::random(f, kM - 1, prg);
+    const auto p = Polynomial::random(f, kM - 1, prg);
     counts[p.eval(5)]++;
   }
   for (int c : counts) {

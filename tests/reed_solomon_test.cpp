@@ -2,6 +2,7 @@
 
 #include "common/error.h"
 #include "field/fp64.h"
+#include "field/polynomial.h"
 #include "field/reed_solomon.h"
 #include "net/fault.h"
 #include "net/robust.h"
@@ -43,7 +44,7 @@ TEST_P(BerlekampWelchTest, CorrectsUpToEErrors) {
   const auto [d, e] = GetParam();
   const Fp64 f(Fp64::kMersenne61);
   crypto::Prg prg("bw");
-  const auto poly = Polynomial<Fp64>::random(f, d, prg);
+  const auto poly = Polynomial::random(f, d, prg);
   const std::size_t k = d + 1 + 2 * e;
   std::vector<std::uint64_t> xs(k), ys(k);
   for (std::size_t i = 0; i < k; ++i) {
@@ -67,7 +68,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BerlekampWelchTest,
 TEST(BerlekampWelch, NoErrorsFastPath) {
   const Fp64 f(1009);
   crypto::Prg prg("bw0");
-  const auto poly = Polynomial<Fp64>::random(f, 3, prg);
+  const auto poly = Polynomial::random(f, 3, prg);
   std::vector<std::uint64_t> xs, ys;
   for (std::uint64_t x = 1; x <= 6; ++x) {
     xs.push_back(x);
@@ -80,7 +81,7 @@ TEST(BerlekampWelch, FailsBeyondBudget) {
   const Fp64 f(Fp64::kMersenne61);
   crypto::Prg prg("bw-fail");
   const std::size_t d = 2, e = 1;
-  const auto poly = Polynomial<Fp64>::random(f, d, prg);
+  const auto poly = Polynomial::random(f, d, prg);
   const std::size_t k = d + 1 + 2 * e;
   std::vector<std::uint64_t> xs(k), ys(k);
   for (std::size_t i = 0; i < k; ++i) {
@@ -121,7 +122,7 @@ TEST(BerlekampWelch, ZeroBudgetDetectsInconsistentPoints) {
   const Fp64 f(Fp64::kMersenne61);
   crypto::Prg prg("bw-zero");
   const std::size_t d = 3;
-  const auto poly = Polynomial<Fp64>::random(f, d, prg);
+  const auto poly = Polynomial::random(f, d, prg);
   std::vector<std::uint64_t> xs, ys;
   for (std::uint64_t x = 1; x <= d + 2; ++x) {
     xs.push_back(x);
@@ -138,7 +139,7 @@ TEST(BerlekampWelch, ExactBoundOneBeyondFails) {
   const Fp64 f(Fp64::kMersenne61);
   crypto::Prg prg("bw-bound");
   const std::size_t d = 4, e = 2;
-  const auto poly = Polynomial<Fp64>::random(f, d, prg);
+  const auto poly = Polynomial::random(f, d, prg);
   const std::size_t k = d + 1 + 2 * e;
   std::vector<std::uint64_t> xs(k), ys(k);
   for (std::size_t i = 0; i < k; ++i) {
@@ -158,7 +159,7 @@ TEST(BerlekampWelchDecode, ReportsErrorPositions) {
   const Fp64 f(Fp64::kMersenne61);
   crypto::Prg prg("bw-positions");
   const std::size_t d = 3, e = 2;
-  const auto poly = Polynomial<Fp64>::random(f, d, prg);
+  const auto poly = Polynomial::random(f, d, prg);
   const std::size_t k = d + 1 + 2 * e;
   std::vector<std::uint64_t> xs(k), ys(k);
   for (std::size_t i = 0; i < k; ++i) {
@@ -186,7 +187,7 @@ TEST(DecodeWithErasures, ErasureAndErrorMixes) {
   for (std::size_t e = 0; e <= 2; ++e) {
     for (std::size_t c = 0; c <= 3; ++c) {
       const std::size_t k = d + 1 + 2 * e + c;
-      const auto poly = Polynomial<Fp64>::random(f, d, prg);
+      const auto poly = Polynomial::random(f, d, prg);
       // Erase the first c points (survivors are the rest), corrupt e.
       std::vector<std::uint64_t> xs, ys;
       for (std::size_t i = c; i < k; ++i) {
@@ -207,7 +208,7 @@ TEST(DecodeWithErasures, ExactMinimumSurvivors) {
   const Fp64 f(Fp64::kMersenne61);
   crypto::Prg prg("erasure-min");
   const std::size_t d = 5;
-  const auto poly = Polynomial<Fp64>::random(f, d, prg);
+  const auto poly = Polynomial::random(f, d, prg);
   std::vector<std::uint64_t> xs, ys;
   for (std::size_t i = 0; i < d + 1; ++i) {
     xs.push_back(i + 3);
@@ -228,7 +229,7 @@ TEST(DecodeWithErasures, BeyondBudgetReturnsNullopt) {
   const Fp64 f(Fp64::kMersenne61);
   crypto::Prg prg("erasure-beyond");
   const std::size_t d = 3;
-  const auto poly = Polynomial<Fp64>::random(f, d, prg);
+  const auto poly = Polynomial::random(f, d, prg);
   std::vector<std::uint64_t> xs, ys;
   for (std::size_t i = 0; i < d + 2; ++i) {
     xs.push_back(i + 1);
@@ -258,7 +259,7 @@ TEST(ConsistentLieTightness, ExactlyEConsistentLiesAreCorrected) {
   for (std::size_t d = 2; d <= 6; ++d) {
     for (std::size_t e = 1; e <= 2; ++e) {
       const std::size_t k = d + 1 + 2 * e;
-      const auto poly = Polynomial<Fp64>::random(f, d, prg);
+      const auto poly = Polynomial::random(f, d, prg);
       std::vector<std::uint64_t> xs(k), ys(k);
       for (std::size_t i = 0; i < k; ++i) {
         xs[i] = i + 1;
@@ -286,7 +287,7 @@ TEST(ConsistentLieTightness, EPlusOneConsistentLiesFailClosedNeverWrong) {
   for (std::size_t d = 2; d <= 6; ++d) {
     for (std::size_t e = 1; e <= 2; ++e) {
       const std::size_t k = d + 1 + 2 * e;
-      const auto poly = Polynomial<Fp64>::random(f, d, prg);
+      const auto poly = Polynomial::random(f, d, prg);
       std::vector<std::uint64_t> xs(k), ys(k);
       for (std::size_t i = 0; i < k; ++i) {
         xs[i] = i + 1;
@@ -315,7 +316,7 @@ TEST(ConsistentLieTightness, SomeEPlusOneCoalitionsDecodeToAnotherCodeword) {
   std::vector<std::uint64_t> xs(k);
   for (std::size_t i = 0; i < k; ++i) xs[i] = i + 1;
   for (int draw = 0; draw < 20; ++draw) {
-    const auto poly = Polynomial<Fp64>::random(f, d, prg);
+    const auto poly = Polynomial::random(f, d, prg);
     const std::uint64_t delta = 1 + prg.uniform(f.modulus() - 1);
     std::size_t closed = 0, wrong = 0;
     for (std::size_t a = 0; a < k; ++a) {
@@ -355,7 +356,7 @@ TEST(ConsistentLieTightness, BareInterpolationQuorumDecodesSilentlyWrong) {
   crypto::Prg prg("lie-bare-quorum");
   const std::size_t d = 4;
   const std::uint64_t delta = 5555;
-  const auto poly = Polynomial<Fp64>::random(f, d, prg);
+  const auto poly = Polynomial::random(f, d, prg);
   std::vector<std::uint64_t> xs(d + 1), ys(d + 1);
   for (std::size_t i = 0; i <= d; ++i) {
     xs[i] = i + 1;
@@ -389,7 +390,7 @@ TEST(ConsistentLieTightness, ErasurePlusLieMixAtTheExactUnitBudgetBoundary) {
   const std::size_t d = 3, e = 2, c = 2;
   const std::uint64_t delta = 424242;
   const std::size_t k = d + 1 + 2 * e + c;
-  const auto poly = Polynomial<Fp64>::random(f, d, prg);
+  const auto poly = Polynomial::random(f, d, prg);
 
   std::vector<std::uint64_t> xs, ys;
   for (std::size_t i = c; i < k; ++i) {  // the first c points are erased

@@ -208,6 +208,44 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, InputSelectionTest,
                            return "Unknown";
                          });
 
+// §3.3.2 evaluates the mask P_s at i + 1 mod p. With p = 37 and n = 40,
+// indices 0 and 37 share the mask point 1, and the client would read
+// x_0 - x_37 off its two SPIR items. Both variants refuse such a field
+// before any message; the smallest prime above n serves the same indices.
+class PolyMaskFieldSize : public SingleServerSpfeTest {};
+
+TEST_F(PolyMaskFieldSize, FieldNotAboveDatabaseSizeIsRefusedBeforeAnyMessage) {
+  constexpr std::size_t kN = 40;
+  const std::vector<std::size_t> indices = {0, 37};
+  for (const std::uint64_t p : {std::uint64_t{37}, field::smallest_prime_above(kN)}) {
+    const Fp64 field(p);
+    const auto db = make_db(kN, p);
+    net::StarNetwork client_key_net(1), server_key_net(1);
+    const auto client_key = [&] {
+      return input_selection_poly_mask_client_key(client_key_net, 0, db, indices, field,
+                                                  client_sk_, 1, client_prg_, server_prg_);
+    };
+    const auto server_key = [&] {
+      return input_selection_poly_mask_server_key(server_key_net, 0, db, indices, field,
+                                                  server_sk_, client_sk_, 1, client_prg_,
+                                                  server_prg_);
+    };
+    if (p <= kN) {
+      EXPECT_THROW(client_key(), InvalidArgument);
+      EXPECT_THROW(server_key(), InvalidArgument);
+      EXPECT_EQ(client_key_net.stats().total_bytes(), 0u);
+      EXPECT_EQ(server_key_net.stats().total_bytes(), 0u);
+      continue;
+    }
+    for (const SelectedShares& shares : {client_key(), server_key()}) {
+      for (std::size_t j = 0; j < indices.size(); ++j) {
+        EXPECT_EQ((shares.client_shares[j] + shares.server_shares[j]) % p, db[indices[j]])
+            << "p = " << p << ", slot " << j;
+      }
+    }
+  }
+}
+
 TEST_F(SingleServerSpfeTest, InputSelectionRoundCounts) {
   constexpr std::size_t kN = 32;
   const std::uint64_t p = field::smallest_prime_above(1000);

@@ -5,6 +5,8 @@
 #include "common/error.h"
 #include "dbgen/census.h"
 #include "net/sim.h"
+#include "pir/batch_pir.h"
+#include "recording_net.h"
 #include "spfe/stats.h"
 
 namespace spfe::protocols {
@@ -117,6 +119,52 @@ TEST_F(StatsTest, PackageIsOneSpirAnswerPlusOneCiphertext) {
               sum_net.stats().total_bytes() + client_sk_.public_key().ciphertext_bytes())
         << "depth " << depth;
   }
+}
+
+// The package with a client randomness pool, the path perfbench's
+// stats-1server measures. The pool serves every client encryption: one
+// factor per cPIR selector ciphertext of each bucket query, plus one per
+// E(c_k). A warm and a cold pool seeded alike give the right sums and the
+// same transcript.
+TEST_F(StatsTest, PooledPackageIsCorrectAndIndependentOfPoolWarmth) {
+  constexpr std::size_t kN = 128, kM = 4, kDepth = 2;
+  const Fp64 field(field::smallest_prime_above(1ull << 30));
+  const auto db = make_db(kN, 10000);
+  const std::vector<std::size_t> indices = {3, 40, 77, 127};
+  std::uint64_t expect_sum = 0, expect_squares = 0;
+  for (const std::size_t i : indices) {
+    expect_sum += db[i];
+    expect_squares += db[i] * db[i];
+  }
+  const he::PaillierPublicKey& pk = client_sk_.public_key();
+  pir::CuckooParams params;
+  params.n = kN;
+  params.num_buckets = pir::CuckooBatchPir(pk, kN, kM, kDepth).num_buckets();
+  const pir::PaillierPir bucket(pk, params.bucket_capacity(), kDepth);
+  std::size_t dims_sum = 0;
+  for (const std::size_t d : bucket.dims()) dims_sum += d;
+  const std::size_t draws = params.num_buckets * dims_sum + kM;
+
+  const MeanVariancePackage proto(field, kN, kM, kDepth);
+  std::vector<std::vector<std::pair<std::size_t, Bytes>>> logs;
+  for (const bool warm : {true, false}) {
+    he::PaillierRandomnessPool pool(pk, crypto::Prg("stats-pool"), he::PoolConfig{draws});
+    if (warm) {
+      EXPECT_EQ(pool.refill(), draws);
+    }
+    crypto::Prg client_prg("pooled-client"), server_prg("pooled-server");
+    testnet::RecordingNet<net::StarNetwork> net(1);
+    const MeanVarianceResult res = proto.run(net, 0, db, indices, client_sk_, client_prg,
+                                             server_prg, he::ClientPrecomp{&pool});
+    EXPECT_EQ(res.sum, expect_sum) << "warm " << warm;
+    EXPECT_EQ(res.sum_of_squares, expect_squares) << "warm " << warm;
+    const he::PoolStats st = pool.stats();
+    EXPECT_EQ(st.draws, draws) << "warm " << warm;
+    EXPECT_EQ(st.hits, warm ? draws : 0u);
+    EXPECT_EQ(st.misses, warm ? 0u : draws);
+    logs.push_back(net.log);
+  }
+  EXPECT_EQ(logs[0], logs[1]);
 }
 
 TEST_F(StatsTest, PackageExactAtWideLanes) {

@@ -47,7 +47,8 @@
 //
 // Findings are emitted as human-readable diagnostics and a machine-
 // readable JSON report. A committed baseline file suppresses accepted
-// findings; every suppression must carry a written reason. Exit status:
+// findings; every suppression must carry a written reason, and one that
+// matches no finding is itself a finding (`baseline-stale`). Exit status:
 // 0 = clean (all findings baselined), 1 = non-baselined findings,
 // 2 = usage/IO/config error.
 //

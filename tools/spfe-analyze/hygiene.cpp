@@ -16,7 +16,7 @@
 // `meter_send`) outside src/net/, bypass the meter (and the fault
 // injector) and are rejected.
 //
-// (c) wall-clock: protocol code must take time from `net::Clock` (or not
+// (c) wall-clock: protocol code must take time from `net::SimClock` (or not
 // at all) so that every run replays deterministically under the
 // virtual-time simulation (net/sim.h). A `std::chrono::*_clock::now()`
 // read or a free call into the POSIX time family outside src/net/ makes
@@ -357,7 +357,7 @@ void Analyzer::pass_hygiene() {
           is_ident(t, i + 2, "now") && is_punct(t, i + 3, "(")) {
         add_finding("wall-clock", sf, t[i].line, where,
                     "wall-clock read `" + w + "::now` outside src/net/; protocol "
-                    "time must come from net::Clock so runs replay deterministically");
+                    "time must come from net::SimClock so runs replay deterministically");
         continue;
       }
       if (time_call_names().count(w) > 0 && is_punct(t, i + 1, "(") &&
@@ -365,7 +365,7 @@ void Analyzer::pass_hygiene() {
                       !is_punct(t, i - 1, "::") && !is_ident(t, i - 1)))) {
         add_finding("wall-clock", sf, t[i].line, where,
                     "wall-clock call `" + w + "` outside src/net/; protocol time "
-                    "must come from net::Clock so runs replay deterministically");
+                    "must come from net::SimClock so runs replay deterministically");
       }
     }
   }

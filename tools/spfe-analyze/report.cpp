@@ -29,7 +29,8 @@ bool read_file(const std::string& path, std::string& out) {
 // "function"?, "detail"?, "reason"}]}. Every entry must carry a reason —
 // an unexplained suppression is a config error, not a quiet pass — and
 // none may name the region check: a leak in an SPFE_CT region is fixed,
-// never accepted.
+// never accepted. An entry that matches no finding fails the run
+// (apply_baseline).
 bool Analyzer::load_baseline() {
   if (cfg_.baseline_path.empty()) return true;
   std::string text;
@@ -89,11 +90,18 @@ void Analyzer::apply_baseline() {
       break;
     }
   }
+  // A stale entry would silently accept whatever flow next lands at its
+  // file and function. Its finding is added after the matching above, so
+  // no entry can suppress it.
   for (const BaselineEntry& be : baseline_) {
-    if (!be.used) {
-      std::cerr << "spfe-analyze: warning: stale suppression (" << be.check << " at "
-                << be.file << ") no longer matches anything\n";
-    }
+    if (be.used) continue;
+    Finding f;
+    f.check = "baseline-stale";
+    f.file = be.file;
+    f.function = be.function;
+    f.message = "suppression of `" + be.check + "` no longer matches any finding — delete "
+                "it, or re-point it at the code that moved";
+    findings_.push_back(std::move(f));
   }
 }
 

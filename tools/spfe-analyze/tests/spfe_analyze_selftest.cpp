@@ -228,6 +228,16 @@ TEST(SpfeAnalyzeSelfTest, BaselineWithoutReasonIsConfigError) {
             2);
 }
 
+// deser_bounded.cpp analyzes clean, so its one suppression matches
+// nothing: a stale entry fails the run instead of lingering.
+TEST(SpfeAnalyzeSelfTest, BaselineStaleSuppressionFails) {
+  std::string out;
+  EXPECT_EQ(run_analyze("deser_bounded.cpp",
+                        "--baseline " + kFixtures + "/baseline_stale.json", &out),
+            1);
+  EXPECT_NE(out.find("[baseline-stale]"), std::string::npos) << out;
+}
+
 TEST(SpfeAnalyzeSelfTest, BaselineCtRegionIsConfigError) {
   EXPECT_EQ(run_analyze("ct_branch.cpp",
                         "--baseline " + kFixtures + "/baseline_ct_region.json"),
