@@ -26,7 +26,13 @@ int main() {
   std::printf("== E2: multi-server SPFE (Theorem 2) ==\n\n");
   const field::Fp64 field(field::Fp64::kMersenne61);
   crypto::Prg prg("e2");
-  const auto spir_seed = crypto::Prg::random_seed();
+  const auto spir_seed = prg.fork_seed("spir");
+  // Every row's `ok` cell; the exit code fails if any was wrong.
+  bool all_ok = true;
+  const auto ok_cell = [&all_ok](bool ok) {
+    all_ok = all_ok && ok;
+    return ok ? "yes" : "WRONG";
+  };
 
   std::printf("--- formula f = OR over s selected bits (database of bits) ---\n");
   bench::Table table({"n", "s", "t", "k servers", "comm (meas)", "comm bound (fields)",
@@ -57,7 +63,7 @@ int main() {
                    std::to_string(bound_fields) + " (" + bench::human_bytes(bound_fields * 8) +
                        ")",
                    bench::fmt("%.1f", ms), bench::rounds_str(net.stats()),
-                   got == (expect ? 1u : 0u) ? "yes" : "WRONG"});
+                   ok_cell(got == (expect ? 1u : 0u))});
       }
     }
   }
@@ -87,11 +93,12 @@ int main() {
                      std::to_string(k), bench::human_bytes(net.stats().total_bytes()),
                      bench::fmt("%.1f", sw.ms()),
                      bench::human_bytes(net.stats().server_to_client_bytes / k),
-                     got == expect ? "yes" : "WRONG"});
+                     ok_cell(got == expect)});
     }
   }
   sum_table.print();
   std::printf("\nShape check: k grows with t*s*log n; answers are single field elements, so\n"
               "repeated statistics over the same data cost one extra answer each (§3.1).\n");
-  return 0;
+  if (!all_ok) std::printf("\nFAIL: a row's ok cell is not yes\n");
+  return all_ok ? 0 : 1;
 }

@@ -220,20 +220,9 @@ void BM_Fp64Mul(benchmark::State& state) {
 }
 BENCHMARK(BM_Fp64Mul);
 
-void BM_Fp64MulLazy(benchmark::State& state) {
-  // The selection-polynomial fold's product: one hardware 128/64 division.
-  const field::Fp64 f(field::Fp64::kMersenne61);
-  crypto::Prg prg("bm-fp64");
-  std::uint64_t a = f.random(prg), b = f.random(prg);
-  for (auto _ : state) {
-    a = f.mul_lazy(a, b);
-    benchmark::DoNotOptimize(a);
-  }
-}
-BENCHMARK(BM_Fp64MulLazy);
-
 void BM_SelectionPolynomialEval(benchmark::State& state) {
-  // The §3.1 / IT-PIR server kernel: P0 at a random point, n - 1 mults.
+  // The §3.1 / IT-PIR server kernel: P0 at a random point, n unreduced
+  // multiply-adds against two weight tables of about sqrt(n) entries each.
   const field::Fp64 f(field::Fp64::kMersenne61);
   crypto::Prg prg("bm-selpoly");
   const std::size_t n = static_cast<std::size_t>(state.range(0));

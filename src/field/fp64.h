@@ -31,26 +31,22 @@ class Fp64 {
   value_type mul(value_type a, value_type b) const {
     return static_cast<std::uint64_t>(static_cast<unsigned __int128>(a) * b % p_);
   }
-  // a * b for a lazily reduced a < 2p and b < p. The high word of a*b is
-  // then below p (a*b < 2p^2 and 2p < 2^64), so the quotient by p fits 64
-  // bits and on x86-64 one 128-by-64-bit `div` gives the remainder (the
-  // instruction traps rather than return a wrong value if the quotient
-  // does not fit); the compiler's u128 % u64 calls a libgcc routine that
-  // cannot assume this. Elsewhere it is mul(). A loop of these is bound by
-  // the divider, which the core's other hardware thread seldom uses, so its
-  // speed varies little with what that thread runs.
-  value_type mul_lazy(value_type a, value_type b) const {
+  // v mod p for v < p * 2^64, such as any 64-bit value times an element.
+  // The quotient by p then fits 64 bits, so on x86-64 one 128-by-64-bit
+  // `div` gives the remainder (the instruction traps rather than return a
+  // wrong value if it does not fit); the compiler's u128 % u64 calls a
+  // libgcc routine that cannot assume this. Elsewhere it is that %.
+  value_type reduce_wide(unsigned __int128 v) const {
 #if defined(__x86_64__)
-    const unsigned __int128 ab = static_cast<unsigned __int128>(a) * b;
     std::uint64_t quotient = 0, remainder = 0;
     asm("divq %4"
         : "=a"(quotient), "=d"(remainder)
-        : "a"(static_cast<std::uint64_t>(ab)), "d"(static_cast<std::uint64_t>(ab >> 64)),
+        : "a"(static_cast<std::uint64_t>(v)), "d"(static_cast<std::uint64_t>(v >> 64)),
           "rm"(p_)
         : "cc");
     return remainder;
 #else
-    return mul(a, b);
+    return static_cast<std::uint64_t>(v % p_);
 #endif
   }
   value_type pow(value_type base, std::uint64_t exp) const;

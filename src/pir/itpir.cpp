@@ -1,5 +1,7 @@
 #include "pir/itpir.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/secret.h"
@@ -19,6 +21,43 @@ std::uint64_t parse_answer(const field::Fp64& field, BytesView answer) {
   return y;
 }
 
+using u128 = unsigned __int128;
+
+// A sum of 128-bit addends reduced once: the low 128 bits and a carry word
+// that counts their wraps.
+struct WideSum {
+  u128 low = 0;
+  std::uint64_t carry = 0;
+
+  void add(u128 v) {
+    low += v;
+    carry += low < v;
+  }
+  // (carry * 2^128 + low) mod p, one word at a time from the top. The carry
+  // can exceed a small p, so it is reduced first: each step's high word is
+  // then below p, as reduce_wide needs.
+  std::uint64_t reduce(const field::Fp64& f) const {
+    std::uint64_t r = f.from_u64(carry);
+    r = f.reduce_wide(static_cast<u128>(r) << 64 | static_cast<std::uint64_t>(low >> 64));
+    return f.reduce_wide(static_cast<u128>(r) << 64 | static_cast<std::uint64_t>(low));
+  }
+};
+
+// table[c] = prod_k (bit k of c ? y : 1 - y) over the coordinates of
+// `coords`, the last being bit 0: each coordinate from the last doubles the
+// table, t -> (t * (1 - y), t * y), one product per new entry.
+void fill_weights(field::Fp64 f, std::span<const std::uint64_t> coords,
+                  std::uint64_t* table) {
+  table[0] = f.one();
+  std::size_t size = 1;
+  for (auto y = coords.rbegin(); y != coords.rend(); ++y, size *= 2) {
+    for (std::size_t i = 0; i < size; ++i) {
+      table[i + size] = f.reduce_wide(static_cast<u128>(table[i]) * *y);
+      table[i] = f.sub(table[i], table[i + size]);
+    }
+  }
+}
+
 }  // namespace
 
 std::size_t selection_bits(std::size_t n) {
@@ -28,7 +67,7 @@ std::size_t selection_bits(std::size_t n) {
 }
 
 // `f` is taken by value, so stores into `scratch` cannot alias its modulus
-// and the folds keep it in a register.
+// and the loops keep it in a register.
 std::uint64_t eval_selection_polynomial(field::Fp64 f, std::span<const std::uint64_t> database,
                                         std::span<const std::uint64_t> point,
                                         std::vector<std::uint64_t>& scratch) {
@@ -41,40 +80,34 @@ std::uint64_t eval_selection_polynomial(field::Fp64 f, std::span<const std::uint
   for (const std::uint64_t y : point) {
     if (y >= f.modulus()) throw InvalidArgument("selection polynomial: coordinate out of field");
   }
-  const std::uint64_t p = f.modulus();
-  const auto entry = [&](std::size_t i) {
-    const std::uint64_t x = database[i];
-    return x < p ? x : x % p;
-  };
 
-  // Fold P0 in place, one index bit per pass, most significant first: with
-  // lo and hi the halves of the table whose bit is 0 and 1, P0 over 2h
-  // entries is lo + y*(hi - lo) over h entries, so the passes take
-  // 2^width - 1 products in all. hi + p - lo < 2p is left unreduced for
-  // mul_lazy. The first pass reads the database and counts entries past
-  // its end as zero.
-  std::uint64_t value = n == 0 ? f.zero() : entry(0);
-  if (width > 0) {
-    std::size_t h = std::size_t(1) << (width - 1);
-    scratch.resize(h);
-    const std::uint64_t* y = point.data() + (l - width);
-    std::uint64_t yk = *y++;
-    for (std::size_t i = 0; i < n - h; ++i) {
-      const std::uint64_t lo = entry(i);
-      scratch[i] = f.add(lo, f.mul_lazy(entry(i + h) + p - lo, yk));
+  // P0's weight for index a * 2^low + c is col[c] * row[a], one table per
+  // half of the width (the low `low` bits and the `width - low` above
+  // them), so P0 = sum_a row[a] * (sum_c x[a * 2^low + c] * col[c]); the
+  // last row ends at n, and entries past it count as zero. Each sum adds
+  // raw products (an entry < 2^64 times a weight < p < 2^63 is below
+  // 2^127, and two of them fit 128 bits) and is reduced once, so entries
+  // need no reduction on read.
+  const std::size_t low = (width + 1) / 2;
+  const std::size_t cols = std::size_t(1) << low;
+  scratch.resize(cols + (std::size_t(1) << (width - low)));
+  std::uint64_t* const col = scratch.data();
+  std::uint64_t* const row = col + cols;
+  fill_weights(f, point.subspan(l - low), col);
+  fill_weights(f, point.subspan(l - width, width - low), row);
+  WideSum total;
+  for (std::size_t a = 0, base = 0; base < n; ++a, base += cols) {
+    const std::uint64_t* const x = database.data() + base;
+    const std::size_t len = std::min(cols, n - base);
+    WideSum sum;
+    std::size_t c = 0;
+    for (; c + 1 < len; c += 2) {
+      sum.add(static_cast<u128>(x[c]) * col[c] + static_cast<u128>(x[c + 1]) * col[c + 1]);
     }
-    for (std::size_t i = n - h; i < h; ++i) {
-      const std::uint64_t lo = entry(i);
-      scratch[i] = f.sub(lo, f.mul_lazy(lo, yk));
-    }
-    for (h /= 2; h > 0; h /= 2) {
-      yk = *y++;
-      for (std::size_t i = 0; i < h; ++i) {
-        scratch[i] = f.add(scratch[i], f.mul_lazy(scratch[i + h] + p - scratch[i], yk));
-      }
-    }
-    value = scratch[0];
+    if (c < len) sum.add(static_cast<u128>(x[c]) * col[c]);
+    total.add(static_cast<u128>(row[a]) * sum.reduce(f));
   }
+  std::uint64_t value = total.reduce(f);
   // Index bits above `width` are 0 for every entry, so each leading
   // coordinate y only scales P0 by 1 - y.
   for (std::size_t k = 0; k + width < l; ++k) value = f.mul(value, f.sub(f.one(), point[k]));
@@ -164,7 +197,7 @@ Bytes InstanceHiding::answer(std::size_t server_id, std::span<const std::uint64_
   }
   r.expect_done();
 
-  // Leaf j = P0 on coordinate block j; the m folds share one scratch buffer.
+  // Leaf j = P0 on coordinate block j; the m leaves share one scratch buffer.
   std::vector<std::uint64_t> leaves(m_);
   std::vector<std::uint64_t> scratch;
   for (std::size_t j = 0; j < m_; ++j) {

@@ -18,9 +18,10 @@
 //        the encoded indices and sends gamma(alpha_h) to server h
 //        (alpha_h = h + 1);
 //      - server h evaluates P at its point without expanding the
-//        exponential monomial form: each leaf folds P0 in place, one index
-//        bit per pass (P0 over 2h entries -> lo + y*(hi - lo) over h), n - 1
-//        field products; the m leaves are then summed, or combined gate by
+//        exponential monomial form: each leaf weighs the entries against
+//        two tables of about sqrt(n) weights, one per half of the index
+//        bits, in n unreduced 64x64-bit multiply-adds and a few hundred
+//        reductions; the m leaves are then summed, or combined gate by
 //        gate by the formula. The server replies with one field
 //        element plus, for symmetric privacy (SPIR, [25]), R(alpha_h) for a
 //        shared random degree-(deg(P)*t) polynomial R with R(0) = 0 drawn
@@ -137,9 +138,12 @@ class PolyItPir : public InstanceHiding {
 // Evaluates the multilinear selection polynomial P0 at an arbitrary field
 // point. `point` holds l < 64 field elements, most significant index bit
 // first (the paper's "k-th leftmost bit"); the database holds n <= 2^l
-// entries. P0 is folded in place one bit per pass in `scratch`, which may
-// be reused across calls. With N = 2^ceil(log2 n) (N = n for n a power of
-// two) the fold takes N - 1 field multiplications and N/2 scratch entries.
+// entries, any 64-bit values (read mod p). With w = ceil(log2 n) and
+// lo = ceil(w/2), P0's weights are the products of a 2^lo-entry table over
+// the low index bits and a 2^(w-lo)-entry table over the high ones, kept
+// in `scratch` (which may be reused across calls): 2^lo + 2^(w-lo) - 2
+// field products build them, then n multiply-adds accumulate unreduced,
+// with three divisions per row of 2^lo entries and three at the end.
 // Throws InvalidArgument on l >= 64, n > 2^l or a coordinate >= p.
 std::uint64_t eval_selection_polynomial(field::Fp64 f, std::span<const std::uint64_t> database,
                                         std::span<const std::uint64_t> point,

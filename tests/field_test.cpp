@@ -47,24 +47,26 @@ TEST(Fp64, Mersenne61LargeProducts) {
   }
 }
 
-TEST(Fp64, LazyMulMatchesMul) {
-  // mul_lazy takes a < 2p: up to the largest prime below 2^63, where
-  // (2p - 1)(p - 1) has the largest high word, the quotient still fits the
-  // hardware division.
-  crypto::Prg prg("fp64-lazy");
+TEST(Fp64, WideReduceMatchesModulo) {
+  // reduce_wide takes v < p * 2^64: up to the largest prime below 2^63,
+  // where v = (p - 1) * 2^64 + 2^64 - 1 has the largest quotient, it still
+  // fits the hardware division.
+  crypto::Prg prg("fp64-wide");
   for (const std::uint64_t p : {std::uint64_t(2), std::uint64_t(1009),
                                 smallest_prime_above(8ull * 200001 * 200001), Fp64::kMersenne61,
                                 (std::uint64_t(1) << 63) - 25}) {
     const Fp64 f(p);
-    std::vector<std::uint64_t> bs = {0, 1, p - 1};
-    std::vector<std::uint64_t> as = {0, 1, p - 1, p, 2 * p - 1};
+    std::vector<std::uint64_t> highs = {0, 1 % p, p - 1};
+    std::vector<std::uint64_t> lows = {0, 1, p - 1, p, ~std::uint64_t(0)};
     for (int i = 0; i < 200; ++i) {
-      bs.push_back(f.random(prg));
-      as.push_back(prg.uniform(2 * p));
+      highs.push_back(f.random(prg));
+      lows.push_back(prg.u64());
     }
-    for (const std::uint64_t b : bs) {
-      for (const std::uint64_t a : as) {
-        ASSERT_EQ(f.mul_lazy(a, b), f.mul(a, b)) << "p=" << p << " a=" << a << " b=" << b;
+    for (const std::uint64_t hi : highs) {
+      for (const std::uint64_t lo : lows) {
+        const unsigned __int128 v = static_cast<unsigned __int128>(hi) << 64 | lo;
+        ASSERT_EQ(f.reduce_wide(v), static_cast<std::uint64_t>(v % p))
+            << "p=" << p << " hi=" << hi << " lo=" << lo;
       }
     }
   }

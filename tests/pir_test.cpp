@@ -46,7 +46,7 @@ TEST(SelectionPolynomial, HandlesNonPowerOfTwoDatabase) {
 }
 
 // P0(y) = sum_i x_i prod_k (bit_k(i) ? y_k : 1 - y_k), bit 0 the leftmost.
-std::uint64_t brute_force_p0(const Fp64& f, const std::vector<std::uint64_t>& db,
+std::uint64_t brute_force_p0(const Fp64& f, std::span<const std::uint64_t> db,
                              const std::vector<std::uint64_t>& y) {
   std::uint64_t acc = f.zero();
   for (std::size_t i = 0; i < db.size(); ++i) {
@@ -61,9 +61,10 @@ std::uint64_t brute_force_p0(const Fp64& f, const std::vector<std::uint64_t>& db
 }
 
 TEST(SelectionPolynomial, MatchesBruteForceAtRandomPoints) {
-  // Non-Boolean points tell the fold order apart; the ragged sizes take the
-  // zero-tail first pass, and points longer than the database's width take
-  // the leading 1 - y factors. Odd trials use unreduced 64-bit entries.
+  // Non-Boolean points tell apart which coordinates weight which half of
+  // the index; the ragged sizes end the last row at n, and points longer
+  // than the database's width take the leading 1 - y factors. Odd trials
+  // use unreduced 64-bit entries.
   crypto::Prg prg("selpoly-property");
   std::vector<std::uint64_t> scratch;
   for (const std::uint64_t p : {std::uint64_t(2), std::uint64_t(1009),
@@ -81,6 +82,21 @@ TEST(SelectionPolynomial, MatchesBruteForceAtRandomPoints) {
               << "p=" << p << " n=" << n << " l=" << l << " trial=" << trial;
         }
       }
+    }
+  }
+  // The sums' worst case at the benchmark's size: entries 2^64 - 1 and
+  // coordinates p - 1 put half the products near 2^127, so the carry word
+  // moves on most additions; 2^16 + 1 entries give an odd width and a
+  // one-entry last row. The database is a prefix of a longer run of such
+  // entries, so reading a row past n changes the value.
+  const Fp64 f((std::uint64_t(1) << 63) - 25);
+  const std::vector<std::uint64_t> ones((1 << 16) + 1024, ~std::uint64_t(0));
+  for (const std::size_t n : {std::size_t(1) << 16, (std::size_t(1) << 16) + 1}) {
+    const std::span<const std::uint64_t> db(ones.data(), n);
+    for (const std::size_t l : {selection_bits(n), std::size_t(40)}) {
+      const std::vector<std::uint64_t> point(l, f.modulus() - 1);
+      ASSERT_EQ(eval_selection_polynomial(f, db, point, scratch), brute_force_p0(f, db, point))
+          << "n=" << n << " l=" << l;
     }
   }
 }
