@@ -221,8 +221,9 @@ void BM_Fp64Mul(benchmark::State& state) {
 BENCHMARK(BM_Fp64Mul);
 
 void BM_SelectionPolynomialEval(benchmark::State& state) {
-  // The §3.1 / IT-PIR server kernel: P0 at a random point, n unreduced
-  // multiply-adds against two weight tables of about sqrt(n) entries each.
+  // The §3.1 / IT-PIR server kernel: P0 at a random point, n products
+  // against two weight tables of about sqrt(n) entries each, one division
+  // per pair of products.
   const field::Fp64 f(field::Fp64::kMersenne61);
   crypto::Prg prg("bm-selpoly");
   const std::size_t n = static_cast<std::size_t>(state.range(0));

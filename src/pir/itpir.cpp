@@ -23,25 +23,15 @@ std::uint64_t parse_answer(const field::Fp64& field, BytesView answer) {
 
 using u128 = unsigned __int128;
 
-// A sum of 128-bit addends reduced once: the low 128 bits and a carry word
-// that counts their wraps.
-struct WideSum {
-  u128 low = 0;
-  std::uint64_t carry = 0;
-
-  void add(u128 v) {
-    low += v;
-    carry += low < v;
-  }
-  // (carry * 2^128 + low) mod p, one word at a time from the top. The carry
-  // can exceed a small p, so it is reduced first: each step's high word is
-  // then below p, as reduce_wide needs.
-  std::uint64_t reduce(const field::Fp64& f) const {
-    std::uint64_t r = f.from_u64(carry);
-    r = f.reduce_wide(static_cast<u128>(r) << 64 | static_cast<std::uint64_t>(low >> 64));
-    return f.reduce_wide(static_cast<u128>(r) << 64 | static_cast<std::uint64_t>(low));
-  }
-};
+// v mod p for v < 2p * 2^64, such as the sum of two products of a 64-bit
+// entry and an element: subtracting p * 2^64 at most once puts the high
+// word below p, as reduce_wide needs.
+std::uint64_t reduce_pair(const field::Fp64& f, u128 v) {
+  const std::uint64_t p = f.modulus();
+  std::uint64_t high = static_cast<std::uint64_t>(v >> 64);
+  high = high >= p ? high - p : high;
+  return f.reduce_wide(static_cast<u128>(high) << 64 | static_cast<std::uint64_t>(v));
+}
 
 // table[c] = prod_k (bit k of c ? y : 1 - y) over the coordinates of
 // `coords`, the last being bit 0: each coordinate from the last doubles the
@@ -84,10 +74,14 @@ std::uint64_t eval_selection_polynomial(field::Fp64 f, std::span<const std::uint
   // P0's weight for index a * 2^low + c is col[c] * row[a], one table per
   // half of the width (the low `low` bits and the `width - low` above
   // them), so P0 = sum_a row[a] * (sum_c x[a * 2^low + c] * col[c]); the
-  // last row ends at n, and entries past it count as zero. Each sum adds
-  // raw products (an entry < 2^64 times a weight < p < 2^63 is below
-  // 2^127, and two of them fit 128 bits) and is reduced once, so entries
-  // need no reduction on read.
+  // last row ends at n, and entries past it count as zero. Raw entries are
+  // multiplied as they are: an entry < 2^64 times a weight < p < 2^63 is
+  // below p * 2^64, so a pair of such products fits 128 bits (three may
+  // not) and one division reduces it. A row's remainders, each below p,
+  // are summed in 128 bits and reduced once, as is the row term and, at
+  // the end, the sum of row terms. The loop is thus bound by the divider,
+  // one division per two entries, which the core's other hardware thread
+  // seldom uses.
   const std::size_t low = (width + 1) / 2;
   const std::size_t cols = std::size_t(1) << low;
   scratch.resize(cols + (std::size_t(1) << (width - low)));
@@ -95,19 +89,20 @@ std::uint64_t eval_selection_polynomial(field::Fp64 f, std::span<const std::uint
   std::uint64_t* const row = col + cols;
   fill_weights(f, point.subspan(l - low), col);
   fill_weights(f, point.subspan(l - width, width - low), row);
-  WideSum total;
+  u128 total = 0;
   for (std::size_t a = 0, base = 0; base < n; ++a, base += cols) {
     const std::uint64_t* const x = database.data() + base;
     const std::size_t len = std::min(cols, n - base);
-    WideSum sum;
+    u128 sum = 0;
     std::size_t c = 0;
     for (; c + 1 < len; c += 2) {
-      sum.add(static_cast<u128>(x[c]) * col[c] + static_cast<u128>(x[c + 1]) * col[c + 1]);
+      sum += reduce_pair(
+          f, static_cast<u128>(x[c]) * col[c] + static_cast<u128>(x[c + 1]) * col[c + 1]);
     }
-    if (c < len) sum.add(static_cast<u128>(x[c]) * col[c]);
-    total.add(static_cast<u128>(row[a]) * sum.reduce(f));
+    if (c < len) sum += f.reduce_wide(static_cast<u128>(x[c]) * col[c]);
+    total += f.reduce_wide(static_cast<u128>(row[a]) * f.reduce_wide(sum));
   }
-  std::uint64_t value = total.reduce(f);
+  std::uint64_t value = f.reduce_wide(total);
   // Index bits above `width` are 0 for every entry, so each leading
   // coordinate y only scales P0 by 1 - y.
   for (std::size_t k = 0; k + width < l; ++k) value = f.mul(value, f.sub(f.one(), point[k]));

@@ -20,12 +20,12 @@
 //      - server h evaluates P at its point without expanding the
 //        exponential monomial form: each leaf weighs the entries against
 //        two tables of about sqrt(n) weights, one per half of the index
-//        bits, in n unreduced 64x64-bit multiply-adds and a few hundred
-//        reductions; the m leaves are then summed, or combined gate by
-//        gate by the formula. The server replies with one field
-//        element plus, for symmetric privacy (SPIR, [25]), R(alpha_h) for a
-//        shared random degree-(deg(P)*t) polynomial R with R(0) = 0 drawn
-//        from a common PRG seed (the paper's "common random input ...
+//        bits, in n products with one division per pair of them; the m
+//        leaves are then summed, or combined gate by gate by the formula.
+//        The server replies with one field element plus, for symmetric
+//        privacy (SPIR, [25]), R(alpha_h) for a shared random
+//        degree-(deg(P)*t) polynomial R with R(0) = 0 drawn from a
+//        common PRG seed (the paper's "common random input ...
 //        regarded as an extension of the database");
 //      - the client interpolates P(gamma(w)) at w = 0 (`decode`), or, in
 //        `run_robust`, decodes it through crashes and up to e lies.
@@ -142,8 +142,9 @@ class PolyItPir : public InstanceHiding {
 // lo = ceil(w/2), P0's weights are the products of a 2^lo-entry table over
 // the low index bits and a 2^(w-lo)-entry table over the high ones, kept
 // in `scratch` (which may be reused across calls): 2^lo + 2^(w-lo) - 2
-// field products build them, then n multiply-adds accumulate unreduced,
-// with three divisions per row of 2^lo entries and three at the end.
+// field products build them, then the n products against them are reduced
+// two at a time, one division per pair, with two more per row of 2^lo
+// entries and one at the end.
 // Throws InvalidArgument on l >= 64, n > 2^l or a coordinate >= p.
 std::uint64_t eval_selection_polynomial(field::Fp64 f, std::span<const std::uint64_t> database,
                                         std::span<const std::uint64_t> point,

@@ -84,10 +84,11 @@ TEST(SelectionPolynomial, MatchesBruteForceAtRandomPoints) {
       }
     }
   }
-  // The sums' worst case at the benchmark's size: entries 2^64 - 1 and
-  // coordinates p - 1 put half the products near 2^127, so the carry word
-  // moves on most additions; 2^16 + 1 entries give an odd width and a
-  // one-entry last row. The database is a prefix of a longer run of such
+  // The pairs' worst case at the benchmark's size: entries 2^64 - 1 and
+  // coordinates p - 1 put half the products near 2^127, so about half the
+  // pair sums have a high word of p or more and must drop p * 2^64 before
+  // their division; 2^16 + 1 entries give an odd width and a one-entry
+  // last row. The database is a prefix of a longer run of such
   // entries, so reading a row past n changes the value.
   const Fp64 f((std::uint64_t(1) << 63) - 25);
   const std::vector<std::uint64_t> ones((1 << 16) + 1024, ~std::uint64_t(0));
