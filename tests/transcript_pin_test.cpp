@@ -1,7 +1,8 @@
-// Transcript pins for the §3.2 PSM-SPFE exchanges and the §3.3 Boolean
-// two-phase path. At fixed seeds and 512-bit keys:
-//   - the single-server PSM-SPFE runs and the Boolean runs must send exactly
-//     the recorded bytes (SHA-256 over the send log, both directions);
+// Transcript pins for the §3.2 PSM-SPFE exchanges, the §3.3 Boolean and
+// arithmetic two-phase paths and the §4 single-server statistics. At fixed
+// seeds and 512-bit keys:
+//   - the single-server runs must send exactly the recorded bytes (SHA-256
+//     over the send log, both directions);
 //   - the k-server PSM-SPFE runs must keep their byte, message and round
 //     counts and their outputs (their SPIR mask values are not pinned).
 // A refactor of these paths that claims no transcript change must leave
@@ -11,12 +12,15 @@
 #include <string>
 #include <vector>
 
+#include "circuits/arith_circuit.h"
 #include "circuits/formula.h"
 #include "common/serialize.h"
 #include "crypto/sha256.h"
+#include "field/fp64.h"
 #include "obs/obs.h"
 #include "recording_net.h"
 #include "spfe/psm_spfe.h"
+#include "spfe/stats.h"
 #include "spfe/two_phase.h"
 
 namespace spfe::protocols {
@@ -275,6 +279,55 @@ TEST_F(BooleanPinTest, GmTranscript) {
   EXPECT_EQ(as_number(out), 3u);
   EXPECT_EQ(log_digest(net.log),
             "cd32280cd8228d354f79be17294264774124035a8ee991b29150e3c388a03eef");
+}
+
+// ---- §3.3 arithmetic two-phase and §4 statistics ---------------------------------
+
+// Phase 2 is the arithmetic MPC: the client's E(b_j) shares, then one
+// interaction per multiplicative level with the client's E(d1 * d2).
+TEST_F(TranscriptPinTest, ArithTwoPhaseTranscript) {
+  const auto db = pin_db(48, 1000);
+  const std::uint64_t p = field::smallest_prime_above(1u << 21);
+  const auto circuit = circuits::ArithCircuit::sum_and_sum_of_squares(3, p);
+  RecordingNet<net::StarNetwork> net(1);
+  const auto out = run_two_phase_arith(net, 0, db, {2, 21, 40}, circuit,
+                                       SelectionMethod::kPolyMaskClientKey, client_sk_,
+                                       server_sk_, 1, client_prg_, server_prg_);
+  EXPECT_EQ(out, circuit.eval({db[2], db[21], db[40]}));
+  EXPECT_EQ(log_digest(net.log),
+            "f25386b3af6fb46c32f493855b3740d7881adb0276bee170cbe3a06e1872acd5");
+}
+
+// The unpooled package: the client's SPIR selectors and E(c_k) draw from
+// its Prg.
+TEST_F(TranscriptPinTest, MeanVariancePackageUnpooledTranscript) {
+  const auto db = pin_db(40, 1000);
+  const field::Fp64 field(field::smallest_prime_above(1ull << 30));
+  const MeanVariancePackage proto(field, 40, 4, 2);
+  RecordingNet<net::StarNetwork> net(1);
+  const MeanVarianceResult res =
+      proto.run(net, 0, db, {0, 13, 26, 39}, client_sk_, client_prg_, server_prg_);
+  EXPECT_EQ(res.sum, db[0] + db[13] + db[26] + db[39]);
+  EXPECT_EQ(res.sum_of_squares,
+            db[0] * db[0] + db[13] * db[13] + db[26] * db[26] + db[39] * db[39]);
+  EXPECT_EQ(log_digest(net.log),
+            "f08be5c16f44b15a71b4d0445de7cf0fe8a298b1bf0eaf8dacea94d1f2c265b9");
+}
+
+// Phase 1 by poly-mask selection under the client's key, then the client's
+// E(b_j - keyword).
+TEST_F(TranscriptPinTest, FrequencyTranscript) {
+  std::vector<std::uint64_t> db(30);
+  for (std::size_t i = 0; i < db.size(); ++i) db[i] = i % 5;
+  const field::Fp64 field(field::smallest_prime_above(1u << 16));
+  const FrequencyProtocol proto(field, 30, 6, SelectionMethod::kPolyMaskClientKey, 1);
+  RecordingNet<net::StarNetwork> net(1);
+  // Values {2, 2, 0, 3, 2, 4}: keyword 2 appears 3 times.
+  EXPECT_EQ(proto.run(net, 0, db, {2, 7, 10, 13, 22, 29}, 2, client_sk_, server_sk_,
+                      client_prg_, server_prg_),
+            3u);
+  EXPECT_EQ(log_digest(net.log),
+            "44130208a92314095f135a60250269a07c167bede42a929a1fcec62d924bb117");
 }
 
 }  // namespace
