@@ -11,11 +11,14 @@
 //       (same bytes, shared squaring chains + window tables);
 //   (5) the offline/online split for client query generation — a warm
 //       randomness pool (he/precomp.h) turns every query encryption into
-//       one modular multiplication, with a byte-identical transcript.
+//       one modular multiplication, with the same transcript as the key
+//       holder's CRT encryption.
 //
 // `--smoke` shrinks every size so CI can run the full flow in seconds.
 // Emits BENCH_spir.json (see bench_util.h JsonReport) next to the tables.
+// Exits 1 if any ok or identical cell does not read yes, or if a row throws.
 #include <cstdio>
+#include <exception>
 
 #include "bench_util.h"
 #include "common/parallel.h"
@@ -25,7 +28,9 @@
 #include "pir/cpir.h"
 #include "pir/itpir.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace spfe;
 
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
@@ -34,6 +39,11 @@ int main(int argc, char** argv) {
   std::printf("== E5: SPIR primitive costs%s ==\n\n", smoke ? " (--smoke)" : "");
   crypto::Prg prg("e5");
   const he::PaillierPrivateKey sk = he::paillier_keygen(prg, smoke ? 256 : 512);
+  bool all_ok = true;
+  const auto check = [&all_ok](bool ok, const char* bad) {
+    all_ok = all_ok && ok;
+    return ok ? "yes" : bad;
+  };
 
   // --- cPIR depth ablation ---------------------------------------------------
   const std::size_t ablate_n = smoke ? 256 : 4096;
@@ -46,7 +56,7 @@ int main(int argc, char** argv) {
     for (const std::size_t depth : {1u, 2u, 3u}) {
       const pir::PaillierPir p(sk.public_key(), kN, depth);
       pir::PaillierPir::ClientState state;
-      const Bytes query = p.make_query(kN / 3, state, prg);
+      const Bytes query = p.make_query(sk, kN / 3, state, prg);
       bench::Stopwatch s_server;
       const Bytes answer = p.answer_u64(db, query, prg);
       const double server_ms = s_server.ms();
@@ -56,7 +66,7 @@ int main(int argc, char** argv) {
                  bench::human_bytes(answer.size()),
                  bench::human_bytes(query.size() + answer.size()),
                  bench::fmt("%.0f", server_ms), bench::fmt("%.1f", s_client.ms()),
-                 got == db[kN / 3] ? "yes" : "WRONG"});
+                 check(got == db[kN / 3], "WRONG")});
       json.add("cpir_answer_d" + std::to_string(depth), kN, server_ms * 1e6,
                query.size() + answer.size());
     }
@@ -72,9 +82,9 @@ int main(int argc, char** argv) {
     bench::Table table({"scheme", "n", "pool", "client ms", "speedup", "identical"});
 
     // Single-item depth-1 cPIR at full key size. Every PRG draw in
-    // make_query is encryption randomness, so the pooled transcripts are
-    // byte-identical to the plain-Prg one at the same seed (the precomp.h
-    // determinism contract), warm or cold.
+    // make_query is encryption randomness, so the pooled transcripts (public
+    // factors) are byte-identical to the key holder's CRT one at the same
+    // seed (the precomp.h determinism contract), warm or cold.
     {
       const std::size_t kN = smoke ? 256 : 4096;
       const he::PaillierPrivateKey qsk = smoke ? sk : he::paillier_keygen(prg, 1024);
@@ -83,7 +93,7 @@ int main(int argc, char** argv) {
 
       pir::PaillierPir::ClientState st_plain, st_cold, st_warm;
       crypto::Prg uprg("e5-qgen");
-      const Bytes q_plain = p.make_query(kN / 3, st_plain, uprg);
+      const Bytes q_plain = p.make_query(qsk, kN / 3, st_plain, uprg);
 
       he::PoolConfig cfg;
       cfg.capacity = kN;  // a depth-1 query over n items consumes n factors
@@ -101,9 +111,9 @@ int main(int argc, char** argv) {
       const bool identical = q_plain == q_cold && q_plain == q_warm;
       const std::string scheme = "cPIR d1 (" + std::to_string(qpk.n().bit_length()) + "b)";
       table.add({scheme, std::to_string(kN), "cold", bench::fmt("%.0f", cold_ms), "1.00x",
-                 identical ? "yes" : "NO (BUG)"});
+                 check(identical, "NO (BUG)")});
       table.add({scheme, std::to_string(kN), "warm", bench::fmt("%.1f", warm_ms),
-                 bench::fmt("%.1fx", cold_ms / warm_ms), identical ? "yes" : "NO (BUG)"});
+                 bench::fmt("%.1fx", cold_ms / warm_ms), check(identical, "NO (BUG)")});
       json.add("cpir_query_gen_cold", kN, cold_ms * 1e6, q_cold.size());
       json.add("cpir_query_gen_warm", kN, warm_ms * 1e6, q_warm.size());
     }
@@ -123,7 +133,7 @@ int main(int argc, char** argv) {
       he::PaillierRandomnessPool cold(sk.public_key(), crypto::Prg("e5-qgen-pool"), {});
       crypto::Prg cprg("e5-qgen-batch");
       bench::Stopwatch sw_cold;
-      const Bytes q_cold = p.make_query(indices, st_cold, cprg, &cold);
+      const Bytes q_cold = p.make_query(sk, indices, st_cold, cprg, &cold);
       const double cold_ms = sw_cold.ms();
 
       he::PoolConfig wcfg;
@@ -132,14 +142,14 @@ int main(int argc, char** argv) {
       warm.refill();
       crypto::Prg wprg("e5-qgen-batch");
       bench::Stopwatch sw_warm;
-      const Bytes q_warm = p.make_query(indices, st_warm, wprg, &warm);
+      const Bytes q_warm = p.make_query(sk, indices, st_warm, wprg, &warm);
       const double warm_ms = sw_warm.ms();
 
       const bool identical = q_cold == q_warm && warm.stats().misses == 0;
       table.add({"batch SPIR d1", std::to_string(n), "cold", bench::fmt("%.0f", cold_ms),
-                 "1.00x", identical ? "yes" : "NO (BUG)"});
+                 "1.00x", check(identical, "NO (BUG)")});
       table.add({"batch SPIR d1", std::to_string(n), "warm", bench::fmt("%.1f", warm_ms),
-                 bench::fmt("%.1fx", cold_ms / warm_ms), identical ? "yes" : "NO (BUG)"});
+                 bench::fmt("%.1fx", cold_ms / warm_ms), check(identical, "NO (BUG)")});
       json.add("spir_query_gen_cold", n, cold_ms * 1e6, q_cold.size());
       json.add("spir_query_gen_warm", n, warm_ms * 1e6, q_warm.size());
     }
@@ -162,7 +172,7 @@ int main(int argc, char** argv) {
       naive.set_fold_kernel(pir::PaillierPir::FoldKernel::kNaive);
       pir::PaillierPir::ClientState state;
       crypto::Prg qprg("e5-kernel-query");
-      const Bytes query = multi.make_query(kN / 3, state, qprg);
+      const Bytes query = multi.make_query(sk, kN / 3, state, qprg);
       // Identically seeded server PRGs: the kernels must emit the same bytes.
       crypto::Prg prg_naive("e5-kernel-answer"), prg_multi("e5-kernel-answer");
       bench::Stopwatch sw_naive;
@@ -173,9 +183,9 @@ int main(int argc, char** argv) {
       const double multi_ms = sw_multi.ms();
       const bool identical = a_naive == a_multi && multi.decode_u64(sk, a_multi) == db[kN / 3];
       table.add({std::to_string(depth), "naive", bench::fmt("%.0f", naive_ms), "1.00x",
-                 identical ? "yes" : "NO (BUG)"});
+                 check(identical, "NO (BUG)")});
       table.add({std::to_string(depth), "multi-exp", bench::fmt("%.0f", multi_ms),
-                 bench::fmt("%.2fx", naive_ms / multi_ms), identical ? "yes" : "NO (BUG)"});
+                 bench::fmt("%.2fx", naive_ms / multi_ms), check(identical, "NO (BUG)")});
       json.add("cpir_answer_d" + std::to_string(depth) + "_kernel_naive", kN, naive_ms * 1e6,
                a_naive.size());
       json.add("cpir_answer_d" + std::to_string(depth) + "_kernel_multiexp", kN, multi_ms * 1e6,
@@ -194,7 +204,7 @@ int main(int argc, char** argv) {
     const pir::PaillierPir p(sk.public_key(), kN, 2);
     pir::PaillierPir::ClientState state;
     crypto::Prg qprg("e5-threads-query");
-    const Bytes query = p.make_query(kN / 3, state, qprg);
+    const Bytes query = p.make_query(sk, kN / 3, state, qprg);
     bench::Table table({"threads", "server ms", "speedup", "answer identical"});
     double serial_ms = 0;
     Bytes serial_answer;
@@ -212,7 +222,7 @@ int main(int argc, char** argv) {
       }
       table.add({std::to_string(threads), bench::fmt("%.0f", ms),
                  bench::fmt("%.2fx", serial_ms / ms),
-                 answer == serial_answer ? "yes" : "NO (BUG)"});
+                 check(answer == serial_answer, "NO (BUG)")});
       json.add("cpir_answer_d2_threads" + std::to_string(threads), kN, ms * 1e6, answer.size());
     }
     common::ThreadPool::set_global_threads(0);  // back to SPFE_THREADS / hw default
@@ -240,7 +250,7 @@ int main(int argc, char** argv) {
         bool ok = true;
         for (const std::size_t idx : indices) {
           pir::PaillierPir::ClientState state;
-          const Bytes q = p.make_query(idx, state, prg);
+          const Bytes q = p.make_query(sk, idx, state, prg);
           up += q.size();
           bench::Stopwatch sw;
           const Bytes a = p.answer_u64(db, q, prg);
@@ -250,13 +260,13 @@ int main(int argc, char** argv) {
         }
         batch_table.add({std::to_string(n), std::to_string(m), "m x SPIR(n,1) d2",
                          bench::human_bytes(up), bench::human_bytes(down),
-                         bench::fmt("%.0f", server_ms), ok ? "yes" : "WRONG"});
+                         bench::fmt("%.0f", server_ms), check(ok, "WRONG")});
         json.add("spir_per_item_m" + std::to_string(m), n, server_ms * 1e6, up + down);
       }
       for (const std::size_t depth : {1u, 2u}) {  // cuckoo-batched query
         const pir::CuckooBatchPir p(sk.public_key(), n, m, depth);
         pir::CuckooBatchPir::ClientState state;
-        const Bytes q = p.make_query(indices, state, prg);
+        const Bytes q = p.make_query(sk, indices, state, prg);
         bench::Stopwatch sw;
         const Bytes a = p.answer_u64(db, q, prg);
         const double server_ms = sw.ms();
@@ -266,7 +276,7 @@ int main(int argc, char** argv) {
         batch_table.add({std::to_string(n), std::to_string(m),
                          "SPIR(n,m) cuckoo d" + std::to_string(depth),
                          bench::human_bytes(q.size()), bench::human_bytes(a.size()),
-                         bench::fmt("%.0f", server_ms), ok ? "yes" : "WRONG"});
+                         bench::fmt("%.0f", server_ms), check(ok, "WRONG")});
         json.add("spir_batch_m" + std::to_string(m) + "_d" + std::to_string(depth), n,
                  server_ms * 1e6, q.size() + a.size());
       }
@@ -278,7 +288,7 @@ int main(int argc, char** argv) {
   std::printf("\n--- multi-server IT SPIR (t = 1) vs single-server cPIR, one item ---\n");
   bench::Table it_table({"n", "scheme", "servers", "total comm", "server(s) ms", "ok"});
   const field::Fp64 field(field::Fp64::kMersenne61);
-  const auto spir_seed = crypto::Prg::random_seed();
+  const auto spir_seed = prg.fork_seed("itpir-spir");  // fixed, so a WRONG row reproduces
   const std::vector<std::size_t> it_ns = smoke ? std::vector<std::size_t>{1024}
                                                : std::vector<std::size_t>{4096, 65536};
   for (const std::size_t n : it_ns) {
@@ -301,7 +311,7 @@ int main(int argc, char** argv) {
       }
       const bool ok = p.decode(answers, state) == db[n / 3];
       it_table.add({std::to_string(n), "PolyItPir (IT)", std::to_string(k),
-                    bench::human_bytes(comm), bench::fmt("%.1f", ms), ok ? "yes" : "WRONG"});
+                    bench::human_bytes(comm), bench::fmt("%.1f", ms), check(ok, "WRONG")});
       json.add("itpir_poly_answer", n, ms * 1e6, comm);
     }
     {
@@ -319,20 +329,20 @@ int main(int argc, char** argv) {
       const bool ok = p.decode(a0, a1, state) == bytes_db[n / 3];
       it_table.add({std::to_string(n), "2-server XOR (sqrt n)", "2",
                     bench::human_bytes(q0.size() + q1.size() + a0.size() + a1.size()),
-                    bench::fmt("%.1f", ms), ok ? "yes" : "WRONG"});
+                    bench::fmt("%.1f", ms), check(ok, "WRONG")});
       json.add("itpir_xor_answer", n, ms * 1e6, q0.size() + q1.size() + a0.size() + a1.size());
     }
     {
       const pir::PaillierPir p(sk.public_key(), n, 2);
       pir::PaillierPir::ClientState state;
-      const Bytes q = p.make_query(n / 3, state, prg);
+      const Bytes q = p.make_query(sk, n / 3, state, prg);
       bench::Stopwatch sw;
       const Bytes a = p.answer_u64(db, q, prg);
       const double ms = sw.ms();
       const bool ok = p.decode_u64(sk, a) == db[n / 3];
       it_table.add({std::to_string(n), "Paillier cPIR d2", "1",
                     bench::human_bytes(q.size() + a.size()), bench::fmt("%.0f", ms),
-                    ok ? "yes" : "WRONG"});
+                    check(ok, "WRONG")});
       json.add("cpir_answer_d2_vs_it", n, ms * 1e6, q.size() + a.size());
     }
   }
@@ -341,5 +351,19 @@ int main(int argc, char** argv) {
               "~linear in m (Omega(mn) vs ~3n); multi-server IT schemes are orders of\n"
               "magnitude cheaper computationally, at the price of k servers (§1.1).\n");
   json.write();
-  return 0;
+  if (!all_ok) std::printf("\nFAIL: an ok or identical cell is not yes\n");
+  return all_ok ? 0 : 1;
+}
+
+}  // namespace
+
+// A throw fails the run as a wrong cell does: the decode of a wrong answer
+// can throw before its row is printed.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::printf("\nFAIL: %s\n", e.what());
+    return 1;
+  }
 }

@@ -13,8 +13,10 @@
 //   §3.3.3  encrypted-db selection + Yao           2 rounds, none*
 // Communication and rounds are measured on the metered network; the paper's
 // qualitative ordering (round counts, m^2 vs m ciphertext terms, strong vs
-// weak security) is what EXPERIMENTS.md checks against.
+// weak security) is what EXPERIMENTS.md checks against. Exits 1 if a row is
+// WRONG or throws, or, traced, if the span summary is inconsistent.
 #include <cstdio>
+#include <exception>
 
 #include "bench_util.h"
 #include "circuits/boolean_circuit.h"
@@ -60,9 +62,7 @@ struct Measured {
   bool correct;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const bool smoke = spfe::bench::has_flag(argc, argv, "--smoke");
   std::printf("== T1: Table 1 reproduction — single-server SPFE approaches ==\n");
   std::printf("f = |{j : x_ij == %llu}| over m 8-bit items; 512-bit Paillier; PIR depth 2\n\n",
@@ -79,6 +79,8 @@ int main(int argc, char** argv) {
   // totals) only holds over the protocol runs below.
   obs::Tracer::global().reset();
 
+  // Every ok cell feeds the exit code, as the trace consistency check does.
+  bool all_ok = true;
   const std::vector<std::size_t> sizes = smoke ? std::vector<std::size_t>{512}
                                                : std::vector<std::size_t>{512, 2048};
   const std::vector<std::size_t> widths = smoke ? std::vector<std::size_t>{4}
@@ -154,6 +156,7 @@ int main(int argc, char** argv) {
       bench::Table table({"section", "rounds", "client->server", "server->client", "total",
                           "wall ms", "security", "arith circuits?", "ok"});
       for (const RowSpec& r : rows) {
+        all_ok = all_ok && r.meas.correct;
         table.add({r.section, bench::fmt("%.1f", r.meas.rounds),
                    bench::human_bytes(r.meas.up), bench::human_bytes(r.meas.down),
                    bench::human_bytes(r.meas.up + r.meas.down),
@@ -174,5 +177,19 @@ int main(int argc, char** argv) {
     std::printf("\n== per-phase observability summary ==\n");
     obs_ok = spfe::bench::print_obs_summary();
   }
-  return obs_ok ? 0 : 1;
+  if (!all_ok) std::printf("\nFAIL: a row's ok cell is not yes\n");
+  return all_ok && obs_ok ? 0 : 1;
+}
+
+}  // namespace
+
+// A throw fails the run as a wrong cell does: the decode of a wrong answer
+// can throw before its row is printed.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::printf("\nFAIL: %s\n", e.what());
+    return 1;
+  }
 }

@@ -141,7 +141,7 @@ std::vector<std::uint64_t> run_arith_mpc_on_ciphertexts(
       for (std::uint64_t i = 0; i < count; ++i) {
         const BigInt d1 = sk.decrypt(bignum::read_bigint(r)).mod_floor(u);
         const BigInt d2 = sk.decrypt(bignum::read_bigint(r)).mod_floor(u);
-        bignum::write_bigint(products, pk.encrypt(d1 * d2, client_prg));
+        bignum::write_bigint(products, sk.encrypt(d1 * d2, client_prg));
       }
       r.expect_done();
       net.client_send(server_id, products.take());
@@ -224,7 +224,7 @@ std::vector<std::uint64_t> run_arith_mpc_shared(
   pk.serialize(w);
   w.varint(client_shares.size());
   for (const std::uint64_t b : client_shares) {
-    bignum::write_bigint(w, pk.encrypt(BigInt(b % circuit.modulus()), client_prg));
+    bignum::write_bigint(w, sk.encrypt(BigInt(b % circuit.modulus()), client_prg));
   }
   net.client_send(server_id, w.take());
 

@@ -107,8 +107,12 @@ std::vector<std::size_t> CuckooBatchPir::place(const CuckooParams& params,
   return slot_bucket;
 }
 
-Bytes CuckooBatchPir::make_query(const std::vector<std::size_t>& indices, ClientState& state,
+Bytes CuckooBatchPir::make_query(const he::PaillierPrivateKey& sk,
+                                 const std::vector<std::size_t>& indices, ClientState& state,
                                  crypto::Prg& prg, he::PaillierRandomnessPool* pool) const {
+  if (!(sk.public_key() == pk_)) {
+    throw InvalidArgument("CuckooBatchPir: private key is for a different public key");
+  }
   if (pool != nullptr && !(pool->public_key() == pk_)) pool = nullptr;
   if (indices.size() != m_) throw InvalidArgument("CuckooBatchPir: wrong batch size");
   for (const std::size_t i : indices) {
@@ -151,7 +155,7 @@ Bytes CuckooBatchPir::make_query(const std::vector<std::size_t>& indices, Client
       position = static_cast<std::size_t>(it - contents.begin());
     }
     w.bytes(pool != nullptr ? bucket_pir.make_query(position, state.pir_states[b], *pool)
-                            : bucket_pir.make_query(position, state.pir_states[b], prg));
+                            : bucket_pir.make_query(sk, position, state.pir_states[b], prg));
   }
   return w.take();
 }

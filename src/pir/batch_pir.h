@@ -64,13 +64,16 @@ class CuckooBatchPir {
 
   // Client: places the m indices (distinct or not — duplicates are served
   // from different buckets) and emits one message: seed + per-bucket query.
-  // `prg` drives the hash seed and cuckoo placement. The per-bucket
-  // encryptions draw precomputed factors from `pool` when it is keyed for
-  // this PIR's key, else from `prg`. Pooling splits the randomness into two
-  // streams, so pooled and unpooled transcripts differ; pooled transcripts
-  // are deterministic in the two seeds and independent of pool warmth.
-  Bytes make_query(const std::vector<std::size_t>& indices, ClientState& state,
-                   crypto::Prg& prg, he::PaillierRandomnessPool* pool = nullptr) const;
+  // `sk` is the client's key, whose public key must be this PIR's
+  // (InvalidArgument otherwise). `prg` drives the hash seed and cuckoo
+  // placement. The per-bucket encryptions draw precomputed factors from
+  // `pool` when it is keyed for this PIR's key, else from `prg` through
+  // `sk`'s CRT encryption. Pooling splits the randomness into two streams,
+  // so pooled and unpooled transcripts differ; pooled transcripts are
+  // deterministic in the two seeds and independent of pool warmth.
+  Bytes make_query(const he::PaillierPrivateKey& sk, const std::vector<std::size_t>& indices,
+                   ClientState& state, crypto::Prg& prg,
+                   he::PaillierRandomnessPool* pool = nullptr) const;
 
   // Server: u64 item database.
   Bytes answer_u64(std::span<const std::uint64_t> database, BytesView query,

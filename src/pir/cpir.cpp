@@ -57,10 +57,13 @@ std::size_t PaillierPir::chunk_bytes() const {
   return (pk_.modulus_bits() - 16) / 8;
 }
 
-Bytes PaillierPir::make_query(std::size_t /*secret*/ index, ClientState& state,
-                              crypto::Prg& prg) const {
+Bytes PaillierPir::make_query(const he::PaillierPrivateKey& sk, std::size_t /*secret*/ index,
+                              ClientState& state, crypto::Prg& prg) const {
+  if (!(sk.public_key() == pk_)) {
+    throw InvalidArgument("PaillierPir: private key is for a different public key");
+  }
   return make_query_impl(index, state,
-                         [&](const BigInt& bit) { return pk_.encrypt(bit, prg); });
+                         [&](const BigInt& bit) { return sk.encrypt(bit, prg); });
 }
 
 Bytes PaillierPir::make_query(std::size_t /*secret*/ index, ClientState& state,

@@ -52,8 +52,11 @@ class PaillierPir {
     std::vector<std::size_t> positions;  // per-dimension coordinate
   };
 
-  // Client: encrypted selector per dimension (sum(dims) ciphertexts).
-  Bytes make_query(std::size_t index, ClientState& state, crypto::Prg& prg) const;
+  // Client: encrypted selector per dimension (sum(dims) ciphertexts). The
+  // client encrypts under its own key, so `sk` (whose public key must be
+  // this PIR's; InvalidArgument otherwise) computes each factor by CRT.
+  Bytes make_query(const he::PaillierPrivateKey& sk, std::size_t index, ClientState& state,
+                   crypto::Prg& prg) const;
   // Pooled client query: encryption factors come from the precomputation
   // pool (he/precomp.h). Byte-identical to the Prg overload when the pool's
   // stream is seeded with the same seed, whatever the pool's warmth. The

@@ -65,7 +65,7 @@ SelectedShares input_selection_per_item(net::StarNetwork& net, std::size_t serve
   {
     Writer w;
     for (std::size_t j = 0; j < m; ++j) {
-      w.bytes(spir.make_query(indices[j], states[j], client_prg));
+      w.bytes(spir.make_query(client_sk, indices[j], states[j], client_prg));
     }
     net.client_send(server_id, w.take());
   }
@@ -121,10 +121,10 @@ SelectedShares input_selection_poly_mask_client_key(
     for (std::size_t j = 0; j < m; ++j) {
       for (std::size_t k = 0; k < m; ++k) {
         const BigInt power(field.pow(field.from_u64(indices[j] + 1), k));
-        write_ct(w, pk, pk.encrypt(power, client_prg));
+        write_ct(w, pk, client_sk.encrypt(power, client_prg));
       }
     }
-    w.bytes(spir.make_query(indices, pir_state, client_prg));
+    w.bytes(spir.make_query(client_sk, indices, pir_state, client_prg));
     net.client_send(server_id, w.take());
   }
 
@@ -233,7 +233,7 @@ SelectedShares input_selection_poly_mask_server_key(
       acc = pk2.add(acc, pk2.encrypt(rho, client_prg));
       write_ct(w, pk2, acc);
     }
-    w.bytes(spir.make_query(indices, pir_state, client_prg));
+    w.bytes(spir.make_query(client_sk, indices, pir_state, client_prg));
     net.client_send(server_id, w.take());
   }
 
@@ -287,7 +287,7 @@ SelectedShares input_selection_encrypted_db(net::StarNetwork& net, std::size_t s
   const pir::CuckooBatchPir spir(client_sk.public_key(), n, m, pir_depth);
 
   pir::CuckooBatchPir::ClientState pir_state;
-  net.client_send(server_id, spir.make_query(indices, pir_state, client_prg));
+  net.client_send(server_id, spir.make_query(client_sk, indices, pir_state, client_prg));
 
   // Server: encrypted database (prepared once), one batched SPIR answer.
   {
@@ -362,7 +362,7 @@ SelectedXorShares input_selection_encrypted_db_gm(
   {
     Writer w;
     for (std::size_t j = 0; j < m; ++j) {
-      w.bytes(spir.make_query(indices[j], states[j], client_prg));
+      w.bytes(spir.make_query(client_sk, indices[j], states[j], client_prg));
     }
     net.client_send(server_id, w.take());
   }

@@ -98,7 +98,9 @@ PsmOutput<Psm> PsmSpfeOneServer<Psm>::run(net::StarNetwork& net,
   std::vector<pir::PaillierPir::ClientState> states(m);
   {
     Writer w;
-    for (std::size_t j = 0; j < m; ++j) w.bytes(spir.make_query(indices[j], states[j], client_prg));
+    for (std::size_t j = 0; j < m; ++j) {
+      w.bytes(spir.make_query(sk, indices[j], states[j], client_prg));
+    }
     net.client_send(0, w.take());
   }
 

@@ -121,7 +121,7 @@ std::vector<std::uint64_t> masked_weighted_sums(
   pir::CuckooBatchPir::ClientState pir_state;
   {
     Writer w;
-    w.bytes(spir.make_query(indices, pir_state, client_prg, pool));
+    w.bytes(spir.make_query(client_sk, indices, pir_state, client_prg, pool));
     for (std::size_t k = 0; k < m; ++k) {
       std::uint64_t c_k = 0;
       for (std::size_t j = 0; j < m; ++j) {
@@ -130,7 +130,8 @@ std::vector<std::uint64_t> masked_weighted_sums(
         c_k = field.add(c_k, field.mul(field.from_u64(weights[j]), power));
       }
       write_ct(w, pk,
-               pool != nullptr ? pool->encrypt(BigInt(c_k)) : pk.encrypt(BigInt(c_k), client_prg));
+               pool != nullptr ? pool->encrypt(BigInt(c_k))
+                               : client_sk.encrypt(BigInt(c_k), client_prg));
     }
     net.client_send(server_id, w.take());
   }
@@ -371,7 +372,7 @@ std::size_t FrequencyProtocol::run(net::StarNetwork& net, std::size_t server_id,
     Writer w;
     for (std::size_t j = 0; j < m_; ++j) {
       const std::uint64_t t = field_.sub(shares.client_shares[j], keyword);
-      write_ct(w, pk, pk.encrypt(BigInt(t), client_prg));
+      write_ct(w, pk, client_sk.encrypt(BigInt(t), client_prg));
     }
     net.client_send(server_id, w.take());
   }

@@ -238,6 +238,29 @@ TEST(CtHarness, PaillierCrtDecryptFixedVsRandom) {
       << " fixed=" << result.mean_fixed << "ns random=" << result.mean_random << "ns";
 }
 
+// The key holder's CRT encryption factor runs the secret exponents p and q
+// (and the residues of the secret randomness r) through the same
+// constant-time pow as CRT decryption: a fixed r and fresh random ones must
+// be indistinguishable.
+TEST(CtHarness, PaillierKeyHolderEncryptFixedVsRandom) {
+  crypto::Prg prg("ct-harness-paillier-encrypt");
+  const he::PaillierPrivateKey sk = he::paillier_keygen(prg, 256);
+  const he::PaillierPublicKey& pk = sk.public_key();
+  const BigInt fixed_r = pk.random_unit(prg);
+  constexpr int kReps = 4;
+  BigInt r;
+  const auto result = run_experiment(
+      prg, [&](int cls) { r = cls == 0 ? fixed_r : pk.random_unit(prg); },
+      [&] {
+        std::uint64_t acc = 0;
+        for (int i = 0; i < kReps; ++i) acc ^= sk.encryption_factor(r).low_u64();
+        return acc;
+      });
+  EXPECT_LT(std::abs(result.t), kSmokeThreshold)
+      << "CRT encryption timing distinguishes fixed vs random r: t=" << result.t
+      << " fixed=" << result.mean_fixed << "ns random=" << result.mean_random << "ns";
+}
+
 // The comb-table exponentiation behind the offline/online split: every
 // window does a masked full-table scan plus an unconditional mont_mul, so
 // a fixed exponent and a fresh random one of the same (policy-public) bit

@@ -142,6 +142,44 @@ TEST_F(PaillierTest, CrtMatchesReferenceOnRandomCiphertexts) {
   }
 }
 
+// The key holder's CRT encryption must give the public path's factor and
+// ciphertext for every r in [1, N): seeded draws, then the boundaries,
+// including the r that share a prime with N (there r^N is 0 mod p^2 or
+// mod q^2).
+TEST_F(PaillierTest, KeyHolderEncryptionEqualsPublicEncryption) {
+  for (const std::size_t bits : {256u, 512u, 1024u}) {
+    BigInt p, q;
+    do {
+      p = bignum::random_prime(prg_, bits / 2);
+      q = bignum::random_prime(prg_, bits - bits / 2);
+    } while (p == q || !bignum::gcd(p * q, (p - BigInt(1)) * (q - BigInt(1))).is_one());
+    const PaillierPrivateKey sk(p, q);
+    const PaillierPublicKey& pk = sk.public_key();
+    const BigInt& n = pk.n();
+
+    for (int i = 0; i < 1000; ++i) {
+      const BigInt r = pk.random_unit(prg_);
+      ASSERT_EQ(sk.encryption_factor(r), pk.encryption_factor(r)) << bits << "-bit, draw " << i;
+    }
+    for (const BigInt& r : {BigInt(1), BigInt(2), n - BigInt(1), p, q, p + p, n - q}) {
+      EXPECT_EQ(sk.encryption_factor(r), pk.encryption_factor(r))
+          << bits << "-bit, r = " << r.to_hex();
+    }
+
+    const BigInt random_m = BigInt::random_below(prg_, n);
+    for (const BigInt& m : {BigInt(0), BigInt(1), n - BigInt(1), random_m}) {
+      const crypto::Prg::Seed seed = prg_.fork_seed("encrypt-" + m.to_hex());
+      crypto::Prg key_holder(seed), public_side(seed);
+      const BigInt c = sk.encrypt(m, key_holder);
+      EXPECT_EQ(c.to_bytes_be_padded(pk.ciphertext_bytes()),
+                pk.encrypt(m, public_side).to_bytes_be_padded(pk.ciphertext_bytes()))
+          << bits << "-bit, m = " << m.to_hex();
+      EXPECT_EQ(key_holder.u64(), public_side.u64()) << "Prg states differ after encrypt";
+      EXPECT_EQ(sk.decrypt(c), m);
+    }
+  }
+}
+
 TEST_F(PaillierTest, DecryptAllMatchesDecrypt) {
   const auto& pk = sk_.public_key();
   std::vector<BigInt> cts;

@@ -278,7 +278,7 @@ TEST_F(PaillierPirTest, DepthOneRetrieves) {
   const auto db = make_db(kN, 1u << 30);
   for (const std::size_t i : {0u, 7u, 19u}) {
     PaillierPir::ClientState state;
-    const Bytes q = pir.make_query(i, state, prg_);
+    const Bytes q = pir.make_query(sk_, i, state, prg_);
     const Bytes a = pir.answer_u64(db, q, prg_);
     EXPECT_EQ(pir.decode_u64(sk_, a), db[i]) << i;
   }
@@ -290,7 +290,7 @@ TEST_F(PaillierPirTest, DepthTwoRetrieves) {
   const auto db = make_db(kN, 1u << 30);
   for (const std::size_t i : {0u, 1u, 6u, 7u, 23u, 49u}) {
     PaillierPir::ClientState state;
-    const Bytes q = pir.make_query(i, state, prg_);
+    const Bytes q = pir.make_query(sk_, i, state, prg_);
     const Bytes a = pir.answer_u64(db, q, prg_);
     EXPECT_EQ(pir.decode_u64(sk_, a), db[i]) << i;
   }
@@ -302,7 +302,7 @@ TEST_F(PaillierPirTest, DepthThreeRetrieves) {
   const auto db = make_db(kN, 1000000);
   for (const std::size_t i : {0u, 13u, 29u}) {
     PaillierPir::ClientState state;
-    const Bytes q = pir.make_query(i, state, prg_);
+    const Bytes q = pir.make_query(sk_, i, state, prg_);
     const Bytes a = pir.answer_u64(db, q, prg_);
     EXPECT_EQ(pir.decode_u64(sk_, a), db[i]) << i;
   }
@@ -316,7 +316,7 @@ TEST_F(PaillierPirTest, ByteItemsRoundTrip) {
   for (auto& item : db) item = data.bytes(kItem);
   for (const std::size_t i : {0u, 5u, 11u}) {
     PaillierPir::ClientState state;
-    const Bytes q = pir.make_query(i, state, prg_);
+    const Bytes q = pir.make_query(sk_, i, state, prg_);
     const Bytes a = pir.answer_bytes(db, kItem, q, prg_);
     EXPECT_EQ(pir.decode_bytes(sk_, kItem, a), db[i]) << i;
   }
@@ -333,7 +333,7 @@ TEST_F(PaillierPirTest, FoldKernelsByteIdenticalU64) {
     naive.set_fold_kernel(PaillierPir::FoldKernel::kNaive);
     ASSERT_EQ(multi.fold_kernel(), PaillierPir::FoldKernel::kMultiExp);
     PaillierPir::ClientState state;
-    const Bytes q = multi.make_query(23, state, prg_);
+    const Bytes q = multi.make_query(sk_, 23, state, prg_);
     crypto::Prg s1("fold-kernel-server"), s2("fold-kernel-server");
     const Bytes a_multi = multi.answer_u64(db, q, s1);
     const Bytes a_naive = naive.answer_u64(db, q, s2);
@@ -351,7 +351,7 @@ TEST_F(PaillierPirTest, FoldKernelsByteIdenticalBytesMultiChunk) {
   crypto::Prg data("bytedata-kernel");
   for (auto& item : db) item = data.bytes(kItem);
   PaillierPir::ClientState state;
-  const Bytes q = multi.make_query(5, state, prg_);
+  const Bytes q = multi.make_query(sk_, 5, state, prg_);
   crypto::Prg s1("fold-kernel-bytes"), s2("fold-kernel-bytes");
   const Bytes a_multi = multi.answer_bytes(db, kItem, q, s1);
   const Bytes a_naive = naive.answer_bytes(db, kItem, q, s2);
@@ -364,8 +364,8 @@ TEST_F(PaillierPirTest, DepthTwoCommunicationBeatsDepthOne) {
   const PaillierPir d1(sk_.public_key(), kN, 1);
   const PaillierPir d2(sk_.public_key(), kN, 2);
   PaillierPir::ClientState s1, s2;
-  const Bytes q1 = d1.make_query(3, s1, prg_);
-  const Bytes q2 = d2.make_query(3, s2, prg_);
+  const Bytes q1 = d1.make_query(sk_, 3, s1, prg_);
+  const Bytes q2 = d2.make_query(sk_, 3, s2, prg_);
   EXPECT_LT(q2.size(), q1.size() / 3);
 }
 
@@ -377,8 +377,7 @@ TEST_F(PaillierPirTest, MaliciousLinearCombinationIsWeakSecurity) {
   const auto db = make_db(kN, 1000);
   Writer w;
   for (std::size_t i = 0; i < kN; ++i) {
-    w.raw(sk_.public_key()
-              .encrypt(BigInt(i < 2 ? 1 : 0), prg_)
+    w.raw(sk_.encrypt(BigInt(i < 2 ? 1 : 0), prg_)
               .to_bytes_be_padded(sk_.public_key().ciphertext_bytes()));
   }
   const Bytes a = pir.answer_u64(db, w.data(), prg_);
@@ -402,7 +401,7 @@ TEST_F(PaillierPirTest, AnswerRandomizesEachCiphertextOnce) {
   const PaillierPir pir(sk_.public_key(), kN, 2);
   const auto db = make_db(kN, 1u << 30);
   PaillierPir::ClientState state;
-  const Bytes q = pir.make_query(23, state, prg_);
+  const Bytes q = pir.make_query(sk_, 23, state, prg_);
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.set_enabled(true);
   tracer.reset();
@@ -426,7 +425,7 @@ TEST_F(PaillierPirTest, AnswersUnderDifferentServerSeedsShareNoCiphertext) {
   for (const std::size_t depth : {1u, 2u, 3u}) {
     const PaillierPir pir(sk_.public_key(), kN, depth);
     PaillierPir::ClientState state;
-    const Bytes q = pir.make_query(13, state, prg_);
+    const Bytes q = pir.make_query(sk_, 13, state, prg_);
     crypto::Prg s1("answer-seed-1"), s2("answer-seed-2");
     const Bytes a1 = pir.answer_u64(db, q, s1);
     const Bytes a2 = pir.answer_u64(db, q, s2);
@@ -447,7 +446,20 @@ TEST_F(PaillierPirTest, ValidatesGeometry) {
   EXPECT_THROW(PaillierPir(sk_.public_key(), 8, 5), InvalidArgument);
   const PaillierPir pir(sk_.public_key(), 8, 1);
   PaillierPir::ClientState state;
-  EXPECT_THROW(pir.make_query(8, state, prg_), InvalidArgument);
+  EXPECT_THROW(pir.make_query(sk_, 8, state, prg_), InvalidArgument);
+}
+
+TEST_F(PaillierPirTest, QueryUnderAnotherKeyThrowsBeforeDrawing) {
+  crypto::Prg other_prg("cpir-other-key");
+  const he::PaillierPrivateKey other = he::paillier_keygen(other_prg, 256);
+  const PaillierPir pir(sk_.public_key(), 20, 2);
+  const CuckooBatchPir batch(sk_.public_key(), 50, 3, 1);
+  crypto::Prg untouched = prg_;
+  PaillierPir::ClientState state;
+  EXPECT_THROW(pir.make_query(other, 7, state, prg_), InvalidArgument);
+  CuckooBatchPir::ClientState batch_state;
+  EXPECT_THROW(batch.make_query(other, {1, 2, 3}, batch_state, prg_), InvalidArgument);
+  EXPECT_EQ(prg_.u64(), untouched.u64()) << "a refused query drew from the Prg";
 }
 
 // ---- CuckooBatchPir ---------------------------------------------------------
@@ -466,7 +478,7 @@ TEST_F(CuckooBatchPirTest, RetrievesBatch) {
   const auto db = make_db(kN, 1u << 20);
   const std::vector<std::size_t> indices = {3, 77, 121, 0, 199, 42, 58, 90};
   CuckooBatchPir::ClientState state;
-  const Bytes q = pir.make_query(indices, state, prg_);
+  const Bytes q = pir.make_query(sk_, indices, state, prg_);
   const Bytes a = pir.answer_u64(db, q, prg_);
   const auto got = pir.decode_u64(sk_, a, state);
   ASSERT_EQ(got.size(), kM);
@@ -480,7 +492,7 @@ TEST_F(CuckooBatchPirTest, DepthTwoBuckets) {
   const std::vector<std::size_t> indices = {10, 20, 30, 140};
   CuckooBatchPir::ClientState state;
   const auto got = pir.decode_u64(
-      sk_, pir.answer_u64(db, pir.make_query(indices, state, prg_), prg_), state);
+      sk_, pir.answer_u64(db, pir.make_query(sk_, indices, state, prg_), prg_), state);
   for (std::size_t j = 0; j < kM; ++j) EXPECT_EQ(got[j], db[indices[j]]);
 }
 
@@ -491,7 +503,7 @@ TEST_F(CuckooBatchPirTest, DuplicateIndicesServedFromDistinctBuckets) {
   const std::vector<std::size_t> indices = {55, 55, 7, 99};
   CuckooBatchPir::ClientState state;
   const auto got = pir.decode_u64(
-      sk_, pir.answer_u64(db, pir.make_query(indices, state, prg_), prg_), state);
+      sk_, pir.answer_u64(db, pir.make_query(sk_, indices, state, prg_), prg_), state);
   for (std::size_t j = 0; j < kM; ++j) EXPECT_EQ(got[j], db[indices[j]]);
 }
 
@@ -503,7 +515,7 @@ TEST_F(CuckooBatchPirTest, ByteItemsRoundTrip) {
   for (auto& item : db) item = data.bytes(kItem);
   const std::vector<std::size_t> indices = {0, 33, 77, 119};
   CuckooBatchPir::ClientState state;
-  const Bytes q = pir.make_query(indices, state, prg_);
+  const Bytes q = pir.make_query(sk_, indices, state, prg_);
   const Bytes a = pir.answer_bytes(db, kItem, q, prg_);
   const auto got = pir.decode_bytes(sk_, kItem, a, state);
   ASSERT_EQ(got.size(), kM);
@@ -513,8 +525,8 @@ TEST_F(CuckooBatchPirTest, ByteItemsRoundTrip) {
 TEST_F(CuckooBatchPirTest, Validation) {
   const CuckooBatchPir pir(sk_.public_key(), 50, 3, 1);
   CuckooBatchPir::ClientState state;
-  EXPECT_THROW(pir.make_query({1, 2}, state, prg_), InvalidArgument);
-  EXPECT_THROW(pir.make_query({1, 2, 50}, state, prg_), InvalidArgument);
+  EXPECT_THROW(pir.make_query(sk_, {1, 2}, state, prg_), InvalidArgument);
+  EXPECT_THROW(pir.make_query(sk_, {1, 2, 50}, state, prg_), InvalidArgument);
 }
 
 // ---- Robust itPIR -----------------------------------------------------------

@@ -158,9 +158,10 @@ TEST_F(PrecompTest, ConcurrentDrawAndRefillServeTheStream) {
   EXPECT_EQ(st.hits + st.misses, st.draws);
 }
 
-// The consumer-level contract from ISSUE/DESIGN: PaillierPir::make_query's
-// only PRG use is encryption randomness, so the pooled overload emits
-// byte-identical queries — cold pool, warm pool, or no pool at all.
+// The consumer-level contract (DESIGN.md): PaillierPir::make_query's only
+// PRG use is encryption randomness, so the pooled overload, whose factors
+// come from the public key, emits the same bytes as the key holder's
+// query, whose factors come by CRT — cold pool, warm pool, or no pool.
 TEST_F(PrecompTest, PooledCpirQueryIsByteIdentical) {
   const auto& pk = sk_.public_key();
   constexpr std::size_t kN = 64;
@@ -168,7 +169,7 @@ TEST_F(PrecompTest, PooledCpirQueryIsByteIdentical) {
 
   pir::PaillierPir::ClientState st_plain, st_cold, st_warm;
   crypto::Prg direct("query-seed");
-  const Bytes q_plain = p.make_query(kN / 3, st_plain, direct);
+  const Bytes q_plain = p.make_query(sk_, kN / 3, st_plain, direct);
 
   PaillierRandomnessPool cold(pk, crypto::Prg("query-seed"));
   EXPECT_EQ(p.make_query(kN / 3, st_cold, cold), q_plain);

@@ -97,7 +97,7 @@ TEST(Robustness, PaillierPirServerRejectsMalformedQueries) {
   const pir::PaillierPir pir(sk.public_key(), 16, 2);
   std::vector<std::uint64_t> db(16, 9);
   pir::PaillierPir::ClientState state;
-  const Bytes valid = pir.make_query(5, state, prg);
+  const Bytes valid = pir.make_query(sk, 5, state, prg);
   fuzz_message(valid, [&](const Bytes& q) { (void)pir.answer_u64(db, q, prg); },
                "cpir-query");
 }
@@ -108,7 +108,7 @@ TEST(Robustness, PaillierPirClientRejectsMalformedAnswers) {
   const pir::PaillierPir pir(sk.public_key(), 16, 2);
   std::vector<std::uint64_t> db(16, 9);
   pir::PaillierPir::ClientState state;
-  const Bytes valid = pir.answer_u64(db, pir.make_query(5, state, prg), prg);
+  const Bytes valid = pir.answer_u64(db, pir.make_query(sk, 5, state, prg), prg);
   fuzz_message(valid, [&](const Bytes& a) { (void)pir.decode_u64(sk, a); }, "cpir-answer");
 }
 
@@ -118,7 +118,7 @@ TEST(Robustness, CuckooBatchPirServerRejectsMalformedQueries) {
   const pir::CuckooBatchPir pir(sk.public_key(), 50, 3, 1);
   std::vector<std::uint64_t> db(50, 2);
   pir::CuckooBatchPir::ClientState state;
-  const Bytes valid = pir.make_query({1, 2, 3}, state, prg);
+  const Bytes valid = pir.make_query(sk, {1, 2, 3}, state, prg);
   fuzz_message(valid, [&](const Bytes& q) { (void)pir.answer_u64(db, q, prg); },
                "batch-query");
 }
@@ -228,7 +228,7 @@ TEST(TruncationSweep, CpirAnswerEveryPrefix) {
   const pir::PaillierPir pir(sk.public_key(), 16, 2);
   std::vector<std::uint64_t> db(16, 9);
   pir::PaillierPir::ClientState state;
-  const Bytes valid = pir.answer_u64(db, pir.make_query(5, state, prg), prg);
+  const Bytes valid = pir.answer_u64(db, pir.make_query(sk, 5, state, prg), prg);
   truncation_sweep(valid, [&](const Bytes& a) { (void)pir.decode_u64(sk, a); }, "cpir-answer");
 }
 

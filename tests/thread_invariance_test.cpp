@@ -51,7 +51,7 @@ PirTranscript run_pir(const he::PaillierPrivateKey& sk, std::size_t depth) {
   crypto::Prg server_prg("ti-pir-server");
   PirTranscript t;
   pir::PaillierPir::ClientState state;
-  t.query = p.make_query(77, state, client_prg);
+  t.query = p.make_query(sk, 77, state, client_prg);
   t.answer = p.answer_u64(db, t.query, server_prg);
   t.decoded = p.decode_u64(sk, t.answer);
   return t;
