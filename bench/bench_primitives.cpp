@@ -83,14 +83,6 @@ void BM_ModPowNaiveDivmod(benchmark::State& state) {
 }
 BENCHMARK(BM_ModPowNaiveDivmod)->Arg(512)->Arg(1024);
 
-void BM_BigIntSqr(benchmark::State& state) {
-  crypto::Prg prg("bm-sqr");
-  const std::size_t bits = static_cast<std::size_t>(state.range(0));
-  const BigInt a = BigInt::random_bits(prg, bits);
-  for (auto _ : state) benchmark::DoNotOptimize(a.sqr());
-}
-BENCHMARK(BM_BigIntSqr)->Arg(512)->Arg(1024)->Arg(4096);
-
 void BM_MontMulSelf(benchmark::State& state) {
   // Baseline for BM_MontSqr: the generic CIOS product of a with itself.
   crypto::Prg prg("bm-mont-mul");
@@ -166,15 +158,15 @@ void BM_NaiveFoldCell(benchmark::State& state) {
 BENCHMARK(BM_NaiveFoldCell)->Arg(64)->Arg(256);
 
 void BM_FixedBasePow(benchmark::State& state) {
-  // Amortized fixed-base comb vs ctx.pow (BM_ModPowMontgomery) at the same
-  // width; the table build is outside the timed loop, as in the matrix fold.
+  // The constant-time comb behind SchnorrGroup::exp_g vs ctx.pow
+  // (BM_ModPowMontgomery) at the same width; the table build is outside the
+  // timed loop, as FixedBaseCache builds it once per process.
   crypto::Prg prg("bm-fixed-base");
   const std::size_t bits = static_cast<std::size_t>(state.range(0));
   BigInt mod = BigInt::random_bits(prg, bits);
   if (!mod.is_odd()) mod += BigInt(1);
-  const bignum::MontgomeryContext ctx(mod);
   const BigInt base = BigInt::random_below(prg, mod);
-  const bignum::FixedBasePowTable table(ctx, base, bits);
+  const bignum::CtFixedBaseTable table(mod, base, bits);
   const BigInt exp = BigInt::random_bits(prg, bits);
   for (auto _ : state) benchmark::DoNotOptimize(table.pow(exp));
 }

@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
   std::printf("== E8: robust-mode overhead (e Byzantine + c crashed servers)%s ==\n\n",
               smoke ? " (--smoke)" : "");
   const field::Fp64 field(field::Fp64::kMersenne61);
-  const auto spir_seed = std::optional<crypto::Prg::Seed>(crypto::Prg::random_seed());
+  // Fixed, so a failing row reproduces from run to run.
+  const auto spir_seed = std::optional<crypto::Prg::Seed>(crypto::Prg("e8").fork_seed("spir"));
 
   // --- robust polynomial itPIR ----------------------------------------------
   const std::size_t pir_n = smoke ? 256 : 4096;

@@ -23,6 +23,14 @@ int main() {
 
   std::printf("== E6: private statistics (§4) on the census workload ==\n\n");
   crypto::Prg client_prg("e6-client"), server_prg("e6-server"), data_prg("e6-data");
+  // Fixed, so a WRONG row reproduces from run to run.
+  const auto spir_seed = server_prg.fork_seed("spir");
+  // Every row's `ok` cell; the exit code fails if any was wrong.
+  bool all_ok = true;
+  const auto ok_cell = [&all_ok](bool ok) {
+    all_ok = all_ok && ok;
+    return ok ? "yes" : "WRONG";
+  };
   const he::PaillierPrivateKey client_sk = he::paillier_keygen(client_prg, 512);
   const he::PaillierPrivateKey server_sk = he::paillier_keygen(server_prg, 512);
 
@@ -55,7 +63,7 @@ int main() {
                                           client_prg, server_prg);
       table.add({std::to_string(m), "§4 weighted-sum", bench::rounds_str(net.stats()),
                  bench::human_bytes(net.stats().total_bytes()), bench::fmt("%.0f", sw.ms()),
-                 got == expect ? "yes" : "WRONG"});
+                 ok_cell(got == expect)});
     }
     for (const SelectionMethod method :
          {SelectionMethod::kPolyMaskClientKey, SelectionMethod::kEncryptedDb}) {
@@ -68,7 +76,7 @@ int main() {
       table.add({std::to_string(m),
                  std::string("two-phase ") + protocols::selection_method_name(method),
                  bench::rounds_str(net.stats()), bench::human_bytes(net.stats().total_bytes()),
-                 bench::fmt("%.0f", sw.ms()), out[0] == expect ? "yes" : "WRONG"});
+                 bench::fmt("%.0f", sw.ms()), ok_cell(out[0] == expect)});
     }
     {  // multi-server sum (§3.1 / §4 "efficiency of previous constructions").
       const field::Fp64 f61(field::Fp64::kMersenne61);
@@ -77,10 +85,10 @@ int main() {
       net::StarNetwork net(k);
       bench::Stopwatch sw;
       const std::uint64_t got =
-          proto.run(net, salaries, indices, crypto::Prg::random_seed(), client_prg);
+          proto.run(net, salaries, indices, spir_seed, client_prg);
       table.add({std::to_string(m), "multi-server sum (k=" + std::to_string(k) + ")",
                  bench::rounds_str(net.stats()), bench::human_bytes(net.stats().total_bytes()),
-                 bench::fmt("%.0f", sw.ms()), got == expect ? "yes" : "WRONG"});
+                 bench::fmt("%.0f", sw.ms()), ok_cell(got == expect)});
     }
   }
   table.print();
@@ -92,14 +100,21 @@ int main() {
         [](const dbgen::CensusRecord& r) { return r.age_bracket >= 5; }, kM);
     const field::Fp64 field(field::smallest_prime_above(
         kM * 100'001ull * 100'001ull));
-    bench::Table pkg({"protocol", "rounds", "total comm", "wall ms"});
+    std::uint64_t expect_sum = 0, expect_sum_sq = 0;
+    for (const std::size_t i : indices) {
+      expect_sum += salaries[i];
+      expect_sum_sq += salaries[i] * salaries[i];
+    }
+    bench::Table pkg({"protocol", "rounds", "total comm", "wall ms", "ok"});
     {
       const protocols::MeanVariancePackage proto(field, n, kM, 2);
       net::StarNetwork net(1);
       bench::Stopwatch sw;
-      (void)proto.run(net, 0, salaries, indices, client_sk, client_prg, server_prg);
+      const protocols::MeanVarianceResult got =
+          proto.run(net, 0, salaries, indices, client_sk, client_prg, server_prg);
       pkg.add({"mean+variance package", bench::rounds_str(net.stats()),
-               bench::human_bytes(net.stats().total_bytes()), bench::fmt("%.0f", sw.ms())});
+               bench::human_bytes(net.stats().total_bytes()), bench::fmt("%.0f", sw.ms()),
+               ok_cell(got.sum == expect_sum && got.sum_of_squares == expect_sum_sq)});
     }
     {
       const protocols::WeightedSumProtocol proto(field, n, kM, 2);
@@ -107,12 +122,14 @@ int main() {
       for (std::size_t i = 0; i < n; ++i) squares[i] = salaries[i] * salaries[i];
       net::StarNetwork net(1);
       bench::Stopwatch sw;
-      (void)proto.run(net, 0, salaries, indices, std::vector<std::uint64_t>(kM, 1), client_sk,
-                      client_prg, server_prg);
-      (void)proto.run(net, 0, squares, indices, std::vector<std::uint64_t>(kM, 1), client_sk,
-                      client_prg, server_prg);
+      const std::vector<std::uint64_t> ones(kM, 1);
+      const std::uint64_t sum =
+          proto.run(net, 0, salaries, indices, ones, client_sk, client_prg, server_prg);
+      const std::uint64_t sum_sq =
+          proto.run(net, 0, squares, indices, ones, client_sk, client_prg, server_prg);
       pkg.add({"2 x weighted-sum (sum, sum sq)", bench::rounds_str(net.stats()),
-               bench::human_bytes(net.stats().total_bytes()), bench::fmt("%.0f", sw.ms())});
+               bench::human_bytes(net.stats().total_bytes()), bench::fmt("%.0f", sw.ms()),
+               ok_cell(sum == expect_sum && sum_sq == expect_sum_sq)});
     }
     pkg.print();
   }
@@ -139,7 +156,7 @@ int main() {
         freq.add({std::to_string(m), protocols::selection_method_name(method),
                   bench::rounds_str(net.stats()),
                   bench::human_bytes(net.stats().total_bytes()), bench::fmt("%.0f", sw.ms()),
-                  got == expect ? "yes" : "WRONG"});
+                  ok_cell(got == expect)});
       }
     }
     freq.print();
@@ -147,5 +164,6 @@ int main() {
   std::printf("\nShape check: §4 weighted-sum wins on rounds (1.0) and communication vs the\n"
               "two-phase constructions; the package costs one weighted sum plus one\n"
               "ciphertext; frequency = selection rounds + 1.\n");
-  return 0;
+  if (!all_ok) std::printf("\nFAIL: a row's ok cell is not yes\n");
+  return all_ok ? 0 : 1;
 }

@@ -1,6 +1,5 @@
 #include "bignum/bigint.h"
 
-#include <algorithm>
 #include <bit>
 #include <compare>
 
@@ -13,8 +12,6 @@ namespace {
 
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
-
-constexpr std::size_t kKaratsubaThreshold = 32;  // limbs
 
 }  // namespace
 
@@ -133,20 +130,21 @@ BigInt BigInt::abs() const {
   return r;
 }
 
-BigInt BigInt::operator+(const BigInt& o) const {
-  if (negative_ == o.negative_) {
-    return from_limbs(add_mag(mag_, o.mag_), negative_);
-  }
-  const int c = cmp_mag(*this, o);
-  if (c == 0) return BigInt();
-  if (c > 0) return from_limbs(sub_mag(mag_, o.mag_), negative_);
-  return from_limbs(sub_mag(o.mag_, mag_), o.negative_);
+// a + (-1)^b_negative * |b|. Equal magnitudes subtract through sub_mag like
+// any others, and subtraction negates no copy of its operand, so a zero
+// operand or a zero result costs what any value of its width costs.
+BigInt BigInt::add_signed(const BigInt& a, const BigInt& b, bool b_negative) {
+  if (a.negative_ == b_negative) return from_limbs(add_mag(a.mag_, b.mag_), a.negative_);
+  if (cmp_mag(a, b) >= 0) return from_limbs(sub_mag(a.mag_, b.mag_), a.negative_);
+  return from_limbs(sub_mag(b.mag_, a.mag_), b_negative);
 }
 
-BigInt BigInt::operator-(const BigInt& o) const { return *this + (-o); }
+BigInt BigInt::operator+(const BigInt& o) const { return add_signed(*this, o, o.negative_); }
 
-std::vector<u64> BigInt::mul_schoolbook(const std::vector<u64>& a, const std::vector<u64>& b) {
-  if (a.empty() || b.empty()) return {};
+BigInt BigInt::operator-(const BigInt& o) const { return add_signed(*this, o, !o.negative_); }
+
+// Schoolbook product; operator* has already returned for a zero operand.
+std::vector<u64> BigInt::mul_mag(const std::vector<u64>& a, const std::vector<u64>& b) {
   std::vector<u64> out(a.size() + b.size(), 0);
   for (std::size_t i = 0; i < a.size(); ++i) {
     u64 carry = 0;
@@ -163,117 +161,10 @@ std::vector<u64> BigInt::mul_schoolbook(const std::vector<u64>& a, const std::ve
   return out;
 }
 
-std::vector<u64> BigInt::karatsuba_combine(const std::vector<u64>& z0, const std::vector<u64>& z1,
-                                           const std::vector<u64>& z2, std::size_t half) {
-  std::vector<u64> out(std::max({z0.size(), z1.size() + half, z2.size() + 2 * half}) + 1, 0);
-  std::copy(z0.begin(), z0.end(), out.begin());
-  auto add_shifted = [&](const std::vector<u64>& v, std::size_t shift) {
-    u64 carry = 0;
-    std::size_t i = 0;
-    for (; i < v.size(); ++i) {
-      const u128 s = static_cast<u128>(out[shift + i]) + v[i] + carry;
-      out[shift + i] = static_cast<u64>(s);
-      carry = static_cast<u64>(s >> 64);
-    }
-    while (carry != 0) {
-      const u128 s = static_cast<u128>(out[shift + i]) + carry;
-      out[shift + i] = static_cast<u64>(s);
-      carry = static_cast<u64>(s >> 64);
-      ++i;
-    }
-  };
-  add_shifted(z1, half);
-  add_shifted(z2, 2 * half);
-  while (!out.empty() && out.back() == 0) out.pop_back();
-  return out;
-}
-
-std::vector<u64> BigInt::mul_karatsuba(const std::vector<u64>& a, const std::vector<u64>& b) {
-  const std::size_t half = (std::max(a.size(), b.size()) + 1) / 2;
-  auto low = [&](const std::vector<u64>& v) {
-    return std::vector<u64>(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(
-                                                       std::min(half, v.size())));
-  };
-  auto high = [&](const std::vector<u64>& v) {
-    if (v.size() <= half) return std::vector<u64>{};
-    return std::vector<u64>(v.begin() + static_cast<std::ptrdiff_t>(half), v.end());
-  };
-  const std::vector<u64> a0 = low(a), a1 = high(a), b0 = low(b), b1 = high(b);
-
-  std::vector<u64> z0 = mul_mag(a0, b0);
-  std::vector<u64> z2 = mul_mag(a1, b1);
-  std::vector<u64> sa = add_mag(a0, a1);
-  std::vector<u64> sb = add_mag(b0, b1);
-  std::vector<u64> z1 = mul_mag(sa, sb);           // (a0+a1)(b0+b1)
-  z1 = sub_mag(z1, add_mag(z0, z2));               // z1 = middle term
-
-  return karatsuba_combine(z0, z1, z2, half);
-}
-
-// Schoolbook squaring: each cross product a[i]*a[j] (i < j) is computed once
-// and doubled, so the inner loop does ~k^2/2 limb multiplies instead of k^2.
-std::vector<u64> BigInt::sqr_schoolbook(const std::vector<u64>& a) {
-  const std::size_t k = a.size();
-  std::vector<u64> out(2 * k, 0);
-  for (std::size_t i = 0; i < k; ++i) {
-    const u64 ai = a[i];
-    if (ai == 0) continue;
-    u64 carry = 0;
-    for (std::size_t j = i + 1; j < k; ++j) {
-      const u128 t = static_cast<u128>(ai) * a[j] + out[i + j] + carry;
-      out[i + j] = static_cast<u64>(t);
-      carry = static_cast<u64>(t >> 64);
-    }
-    out[i + k] = carry;  // rows only ever wrote indices < i + k
-  }
-  // Double the cross terms, then add the diagonal squares.
-  u64 carry = 0;
-  for (std::size_t i = 0; i < 2 * k; ++i) {
-    const u64 v = out[i];
-    out[i] = (v << 1) | carry;
-    carry = v >> 63;
-  }
-  carry = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const u128 sq = static_cast<u128>(a[i]) * a[i];
-    u128 s = static_cast<u128>(out[2 * i]) + static_cast<u64>(sq) + carry;
-    out[2 * i] = static_cast<u64>(s);
-    carry = static_cast<u64>(s >> 64);
-    s = static_cast<u128>(out[2 * i + 1]) + static_cast<u64>(sq >> 64) + carry;
-    out[2 * i + 1] = static_cast<u64>(s);
-    carry = static_cast<u64>(s >> 64);
-  }
-  while (!out.empty() && out.back() == 0) out.pop_back();
-  return out;
-}
-
-std::vector<u64> BigInt::sqr_mag(const std::vector<u64>& a) {
-  if (a.empty()) return {};
-  if (a.size() < kKaratsubaThreshold) return sqr_schoolbook(a);
-  // Karatsuba on squares: (a1*B + a0)^2 = a1^2 B^2 + ((a0+a1)^2 - a0^2 - a1^2) B + a0^2.
-  const std::size_t half = (a.size() + 1) / 2;
-  const std::vector<u64> a0(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(half));
-  const std::vector<u64> a1(a.begin() + static_cast<std::ptrdiff_t>(half), a.end());
-  std::vector<u64> z0 = sqr_mag(a0);
-  std::vector<u64> z2 = sqr_mag(a1);
-  std::vector<u64> z1 = sqr_mag(add_mag(a0, a1));
-  z1 = sub_mag(z1, add_mag(z0, z2));
-  return karatsuba_combine(z0, z1, z2, half);
-}
-
-std::vector<u64> BigInt::mul_mag(const std::vector<u64>& a, const std::vector<u64>& b) {
-  if (a.empty() || b.empty()) return {};
-  if (std::min(a.size(), b.size()) < kKaratsubaThreshold) return mul_schoolbook(a, b);
-  return mul_karatsuba(a, b);
-}
-
 BigInt BigInt::operator*(const BigInt& o) const {
   if (is_zero() || o.is_zero()) return BigInt();
-  if (this == &o) return sqr();
   return from_limbs(mul_mag(mag_, o.mag_), negative_ != o.negative_);
 }
-
-BigInt BigInt::sqr() const { return from_limbs(sqr_mag(mag_), false); }
 
 // Knuth Algorithm D on 64-bit limbs (magnitudes only).
 void BigInt::divmod_mag(const BigInt& a, const BigInt& b, BigInt& q, BigInt& r) {
@@ -352,9 +243,14 @@ void BigInt::divmod_mag(const BigInt& a, const BigInt& b, BigInt& q, BigInt& r) 
     qm[j] = static_cast<u64>(qhat);
   }
 
+  // Undo the normalization shift in place.
   un.resize(n);
+  if (shift != 0) {
+    for (std::size_t i = 0; i + 1 < n; ++i) un[i] = (un[i] >> shift) | (un[i + 1] << (64 - shift));
+    un[n - 1] >>= shift;
+  }
   q = from_limbs(std::move(qm), false);
-  r = from_limbs(std::move(un), false) >> static_cast<std::size_t>(shift);
+  r = from_limbs(std::move(un), false);
 }
 
 void BigInt::divmod(const BigInt& a, const BigInt& b, BigInt& q, BigInt& r) {

@@ -2,9 +2,10 @@
 //
 // Sign-magnitude representation over 64-bit limbs (little-endian, always
 // normalized: no trailing zero limbs, zero is non-negative). Multiplication
-// switches to Karatsuba above a limb threshold; division is Knuth's
-// Algorithm D. This is the substrate for the homomorphic encryption (Paillier,
-// Goldwasser–Micali), the Naor–Pinkas OT group, and the bignum prime field.
+// is schoolbook (the operands of every protocol stay far below where a
+// subquadratic method would pay); division is Knuth's Algorithm D. This is
+// the substrate for the homomorphic encryption (Paillier, Goldwasser–Micali),
+// the Naor–Pinkas OT group, and the bignum prime field.
 #pragma once
 
 #include <compare>
@@ -62,9 +63,6 @@ class BigInt {
   BigInt operator+(const BigInt& o) const;
   BigInt operator-(const BigInt& o) const;
   BigInt operator*(const BigInt& o) const;
-  // this * this, computing each cross product once (~2x fewer limb
-  // multiplies than operator*); result is always non-negative.
-  BigInt sqr() const;
   // Truncated division (C++ semantics): quotient rounds toward zero.
   BigInt operator/(const BigInt& o) const;
   // Remainder with the sign of the dividend (C++ semantics).
@@ -105,18 +103,8 @@ class BigInt {
                                             const std::vector<std::uint64_t>& b);
   static std::vector<std::uint64_t> mul_mag(const std::vector<std::uint64_t>& a,
                                             const std::vector<std::uint64_t>& b);
-  static std::vector<std::uint64_t> mul_schoolbook(const std::vector<std::uint64_t>& a,
-                                                   const std::vector<std::uint64_t>& b);
-  static std::vector<std::uint64_t> mul_karatsuba(const std::vector<std::uint64_t>& a,
-                                                  const std::vector<std::uint64_t>& b);
-  static std::vector<std::uint64_t> sqr_mag(const std::vector<std::uint64_t>& a);
-  static std::vector<std::uint64_t> sqr_schoolbook(const std::vector<std::uint64_t>& a);
-  // result = z0 + (z1 << 64*half) + (z2 << 128*half); shared by the
-  // Karatsuba multiply and square recombination steps.
-  static std::vector<std::uint64_t> karatsuba_combine(const std::vector<std::uint64_t>& z0,
-                                                      const std::vector<std::uint64_t>& z1,
-                                                      const std::vector<std::uint64_t>& z2,
-                                                      std::size_t half);
+  // a + b with b's sign replaced by b_negative: operator+ and operator-.
+  static BigInt add_signed(const BigInt& a, const BigInt& b, bool b_negative);
   static void divmod_mag(const BigInt& a, const BigInt& b, BigInt& q, BigInt& r);
 
   std::vector<std::uint64_t> mag_;

@@ -1,8 +1,10 @@
 #include "bignum/modarith.h"
 
-#include <array>
+#include <algorithm>
+#include <string>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "common/secret.h"
 #include "obs/obs.h"
 
@@ -11,6 +13,7 @@ namespace {
 
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
+using Window = std::array<std::vector<u64>, 16>;
 
 // Canonicalizing step shared by mont_mul and mont_reduce: t holds k+1 limbs
 // (t[k] is the overflow limb) with value < 2n; subtract n iff t >= n. The
@@ -38,8 +41,7 @@ void ct_cond_sub_modulus(u64* /*secret*/ t, const u64* n, std::size_t k) {
 // one matching `digit` under an equality mask, so the memory access pattern
 // is independent of the secret exponent digit.
 // SPFE_CT_BEGIN(mont_table_lookup)
-void ct_lookup_window(const std::array<std::vector<u64>, 16>& table, u64 /*secret*/ digit,
-                      std::vector<u64>& out) {
+void ct_lookup_window(const Window& table, u64 /*secret*/ digit, std::vector<u64>& out) {
   const std::size_t k = out.size();
   for (std::size_t i = 0; i < k; ++i) out[i] = 0;
   for (std::size_t e = 0; e < 16; ++e) {
@@ -49,6 +51,19 @@ void ct_lookup_window(const std::array<std::vector<u64>, 16>& table, u64 /*secre
   }
 }
 // SPFE_CT_END
+
+// b^0..b^15 in Montgomery form (even entries by squaring, odd ones by a
+// multiply): the window table of MontgomeryContext::pow and each window of
+// CtFixedBaseTable. b itself is not secret (ciphertexts, generators).
+Window build_window(const MontgomeryContext& ctx, const std::vector<u64>& b) {
+  Window table;
+  table[0] = ctx.mont_one();
+  table[1] = b;
+  for (std::size_t i = 2; i < 16; ++i) {
+    table[i] = (i % 2 == 0) ? ctx.mont_sqr(table[i / 2]) : ctx.mont_mul(table[i - 1], b);
+  }
+  return table;
+}
 
 }  // namespace
 
@@ -94,29 +109,16 @@ BigInt mod_inverse(const BigInt& a, const BigInt& m) {
   return e.x.mod_floor(m);
 }
 
-BigInt mod_sub(const BigInt& a, const BigInt& b, const BigInt& m) {
-  return (a - b).mod_floor(m);
-}
-
 BigInt mod_mul(const BigInt& a, const BigInt& b, const BigInt& m) {
   return (a * b).mod_floor(m);
 }
 
 BigInt mod_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
   if (m.is_zero() || m.is_negative()) throw InvalidArgument("mod_pow: modulus must be positive");
+  if (!m.is_odd()) throw InvalidArgument("mod_pow: modulus must be odd");
   if (exp.is_negative()) throw InvalidArgument("mod_pow: negative exponent");
   if (m.is_one()) return BigInt();
-  if (m.is_odd()) return MontgomeryContext(m).pow(base, exp);
-  // Even modulus: plain left-to-right square-and-multiply. (The odd-modulus
-  // path is counted inside MontgomeryContext::pow.)
-  obs::count(obs::Op::kModExp);
-  BigInt result(1);
-  BigInt b = base.mod_floor(m);
-  for (std::size_t i = exp.bit_length(); i-- > 0;) {
-    result = mod_mul(result, result, m);
-    if (exp.bit(i)) result = mod_mul(result, b, m);
-  }
-  return result;
+  return MontgomeryContext(m).pow(base, exp);
 }
 
 int jacobi(const BigInt& a_in, const BigInt& n_in) {
@@ -139,17 +141,19 @@ int jacobi(const BigInt& a_in, const BigInt& n_in) {
   return n.is_one() ? result : 0;
 }
 
-BigInt crt_combine(const BigInt& r1, const BigInt& m1, const BigInt& r2, const BigInt& m2) {
-  return crt_combine(r1, m1, r2, m2, mod_inverse(m1, m2));
-}
-
+// Garner: x = r1 + m1 * t with t = (r2 - r1) * m1^{-1} mod m2 in [0, m2).
+// BigInt multiplies and divides a zero operand by an early exit, which
+// would time a zero residue (a zero plaintext in CRT decryption) apart from
+// every other, so no operand here is zero: a shifted k * m2 > m1 keeps the
+// difference positive, and m1 * (t + 1) - m1 stands for m1 * t. The shift
+// depends only on the widths of the public moduli.
 BigInt crt_combine(const BigInt& r1, const BigInt& m1, const BigInt& r2, const BigInt& m2,
                    const BigInt& m1_inv_mod_m2) {
-  // x = r1 + m1 * ((r2 - r1) * m1^{-1} mod m2); with r1 reduced into
-  // [0, m1) first, x lands in [0, m1*m2) directly — no wide final division.
-  const BigInt r1r = r1.mod_floor(m1);
-  const BigInt t = mod_mul(mod_sub(r2, r1r, m2), m1_inv_mod_m2, m2);
-  return r1r + m1 * t;
+  const std::size_t b1 = m1.bit_length() + 1;
+  const std::size_t b2 = m2.bit_length();
+  const BigInt km2 = m2 << (b1 > b2 ? b1 - b2 : 0);
+  const BigInt t = mod_mul(r2 + km2 - r1, m1_inv_mod_m2, m2);
+  return r1 + m1 * (t + BigInt(1)) - m1;
 }
 
 MontgomeryContext::MontgomeryContext(const BigInt& modulus) : modulus_(modulus) {
@@ -316,15 +320,7 @@ BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& /*secret*/ exp) 
   obs::count(obs::Op::kModExp);
   if (exp.is_zero()) return BigInt(1).mod_floor(modulus_);
 
-  const std::vector<u64> b = to_mont(base);
-  // Precompute b^0..b^15 in Montgomery form (even entries by squaring, odd
-  // ones by a multiply); b itself is not secret (ciphertexts, generators).
-  std::array<std::vector<u64>, 16> table;
-  table[0] = one_;
-  table[1] = b;
-  for (int i = 2; i < 16; ++i) {
-    table[i] = (i % 2 == 0) ? mont_sqr(table[i / 2]) : mont_mul(table[i - 1], b);
-  }
+  const Window table = build_window(*this, to_mont(base));
 
   const std::size_t bits = exp.bit_length();
   const std::size_t windows = (bits + 3) / 4;
@@ -347,6 +343,91 @@ BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& /*secret*/ exp) 
   }
   // SPFE_CT_END
   return from_mont(acc);
+}
+
+// --- CtFixedBaseTable --------------------------------------------------------
+
+CtFixedBaseTable::CtFixedBaseTable(const BigInt& modulus, const BigInt& base,
+                                   std::size_t max_exp_bits)
+    : ctx_(modulus), windows_((std::max<std::size_t>(max_exp_bits, 1) + 3) / 4) {
+  // Comb anchors g_j = base^(16^j): a serial squaring chain, then each
+  // window's 16 entries g_j^d fill independently across the thread pool.
+  std::vector<std::vector<u64>> anchors(windows_.size());
+  anchors[0] = ctx_.to_mont(base);
+  for (std::size_t j = 1; j < anchors.size(); ++j) {
+    std::vector<u64> p = anchors[j - 1];
+    for (int s = 0; s < 4; ++s) p = ctx_.mont_sqr(p);
+    anchors[j] = std::move(p);
+  }
+  common::parallel_for(windows_.size(),
+                       [&](std::size_t j) { windows_[j] = build_window(ctx_, anchors[j]); });
+}
+
+BigInt CtFixedBaseTable::pow(const BigInt& /*secret*/ exp) const {
+  if (exp.is_negative()) throw InvalidArgument("CtFixedBaseTable: negative exponent");
+  const std::size_t bits = exp.bit_length();
+  if (bits > max_exp_bits()) {
+    throw InvalidArgument("CtFixedBaseTable: exponent exceeds table capacity");
+  }
+  // The cached comb is still one modular exponentiation to the caller, so
+  // it meters like MontgomeryContext::pow (whose result it reproduces).
+  obs::count(obs::Op::kModExp);
+  if (exp.is_zero()) return BigInt(1).mod_floor(ctx_.modulus());
+  const std::size_t used = (bits + 3) / 4;  // public, as in pow
+  const std::vector<u64>& el = exp.limbs();
+  std::vector<u64> acc = ctx_.mont_one();
+  std::vector<u64> entry(ctx_.limbs());
+  // Every window pays one masked full-table scan and one unconditional
+  // multiply (digit 0 multiplies by the Montgomery identity) — no squarings
+  // and no value-dependent skips.
+  // SPFE_CT_BEGIN(fbtable_pow)
+  for (std::size_t j = 0; j < used; ++j) {
+    // 4-bit windows never straddle a limb; the limb index is the public
+    // window position.
+    const u64 digit = (el[(4 * j) / 64] >> ((4 * j) % 64)) & 0xf;
+    ct_lookup_window(windows_[j], digit, entry);
+    acc = ctx_.mont_mul(acc, entry);
+  }
+  // SPFE_CT_END
+  return ctx_.from_mont(acc);
+}
+
+// --- FixedBaseCache ----------------------------------------------------------
+
+FixedBaseCache& FixedBaseCache::global() {
+  static FixedBaseCache cache;
+  return cache;
+}
+
+std::shared_ptr<const CtFixedBaseTable> FixedBaseCache::get(const BigInt& modulus,
+                                                            const BigInt& base,
+                                                            std::size_t max_exp_bits) {
+  // Key on the window count so requests within the same 4-bit round-up
+  // share one table.
+  const std::size_t windows = (std::max<std::size_t>(max_exp_bits, 1) + 3) / 4;
+  const auto key = std::make_tuple(modulus, base, windows);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = tables_.find(key);
+    if (it != tables_.end()) {
+      obs::count(obs::Op::kFbTableHit);
+      return it->second;
+    }
+  }
+  // Build outside the lock: a long build must not serialize unrelated keys.
+  // A racing build of the same key keeps the first insertion.
+  obs::Span span("precomp.fbtable_build");
+  span.note("bits=" + std::to_string(windows * 4));
+  auto table = std::make_shared<const CtFixedBaseTable>(modulus, base, windows * 4);
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto [it, inserted] = tables_.emplace(key, std::move(table));
+  obs::count(inserted ? obs::Op::kFbTableBuild : obs::Op::kFbTableHit);
+  return it->second;
+}
+
+void FixedBaseCache::clear() {
+  std::lock_guard<std::mutex> lk(mu_);
+  tables_.clear();
 }
 
 }  // namespace spfe::bignum

@@ -1,7 +1,6 @@
 #include "bignum/multiexp.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -17,7 +16,7 @@ using MontVec = std::vector<u64>;
 // computes each cross product once and reduces in a separate pass.
 constexpr double kSqrCost = 0.7;
 
-// w-bit digit of e at comb/window position `window_index` (LSB digit = 0).
+// w-bit digit of e at window position `window_index` (LSB digit = 0).
 // Bits are gathered arithmetically from the limb array — no per-bit branch
 // on the exponent value. (The zero-digit skips in the evaluation strategies
 // below deliberately remain: multi-exp exponents are server-side public
@@ -156,16 +155,10 @@ MultiExpPlan plan_multi_exp(std::size_t count, std::size_t columns, std::size_t 
     const double straus = n * table + cols * (chain + n * windows);
     // Pippenger: no tables, but the bucket combine is paid per window.
     const double pip = cols * (chain + windows * (n + buckets));
-    // Fixed-base comb: per-base table of `windows` squaring steps built
-    // once; evaluation pays the Yao combine per (base, column) but shares
-    // no squaring chain (there are no evaluation-time squarings at all).
-    const double fixed = n * chain + cols * n * (windows + buckets);
     struct {
       MultiExpKind kind;
       double cost;
-    } cand[3] = {{MultiExpKind::kStraus, straus},
-                 {MultiExpKind::kPippenger, pip},
-                 {MultiExpKind::kFixedBase, fixed}};
+    } cand[2] = {{MultiExpKind::kStraus, straus}, {MultiExpKind::kPippenger, pip}};
     for (const auto& c : cand) {
       if (best_cost < 0 || c.cost < best_cost) {
         best_cost = c.cost;
@@ -174,21 +167,6 @@ MultiExpPlan plan_multi_exp(std::size_t count, std::size_t columns, std::size_t 
     }
   }
   return best;
-}
-
-unsigned plan_fixed_base_window(std::size_t max_bits) {
-  const double bits = static_cast<double>(std::max<std::size_t>(max_bits, 1));
-  unsigned best_w = 1;
-  double best_cost = -1;
-  for (unsigned w = 1; w <= 8; ++w) {
-    const double cost =
-        (bits + w - 1) / w + static_cast<double>(2 * ((std::size_t(1) << w) - 1));
-    if (best_cost < 0 || cost < best_cost) {
-      best_cost = cost;
-      best_w = w;
-    }
-  }
-  return best_w;
 }
 
 }  // namespace detail
@@ -213,9 +191,8 @@ std::vector<BigInt> multi_pow_matrix(const MontgomeryContext& ctx, std::span<con
   if (count == 0 || columns == 0 || max_bits == 0) return out;
 
   const detail::MultiExpPlan plan = detail::plan_multi_exp(count, columns, max_bits);
-  obs::count(plan.kind == detail::MultiExpKind::kFixedBase ? obs::Op::kMultiexpFixedBase
-             : plan.kind == detail::MultiExpKind::kStraus  ? obs::Op::kMultiexpStraus
-                                                           : obs::Op::kMultiexpPippenger);
+  obs::count(plan.kind == detail::MultiExpKind::kStraus ? obs::Op::kMultiexpStraus
+                                                         : obs::Op::kMultiexpPippenger);
   const unsigned w = plan.window;
   const std::size_t windows = (max_bits + w - 1) / w;
   const std::size_t parts = column_partitions(count, columns);
@@ -227,27 +204,6 @@ std::vector<BigInt> multi_pow_matrix(const MontgomeryContext& ctx, std::span<con
     i0 = p * count / parts;
     i1 = (p + 1) * count / parts;
   };
-
-  if (plan.kind == detail::MultiExpKind::kFixedBase) {
-    // Comb tables per base, shared read-only across the column fan-out.
-    std::vector<std::unique_ptr<FixedBasePowTable>> tables(count);
-    common::parallel_for(count, [&](std::size_t i) {
-      if (used[i]) tables[i] = std::make_unique<FixedBasePowTable>(ctx, bases[i], max_bits);
-    });
-    common::parallel_for(columns * parts, [&](std::size_t cell) {
-      std::size_t c, i0, i1;
-      cell_range(cell, c, i0, i1);
-      MontVec acc;
-      for (std::size_t i = i0; i < i1; ++i) {
-        if (!used[i] || exps[i][c].is_zero()) continue;
-        MontVec p = tables[i]->pow_mont(exps[i][c]);
-        acc = acc.empty() ? std::move(p) : ctx.mont_mul(acc, p);
-      }
-      partials[cell] = std::move(acc);
-    });
-    combine_partials(ctx, partials, columns, parts, out);
-    return out;
-  }
 
   std::vector<MontVec> mont_bases(count);
   common::parallel_for(count, [&](std::size_t i) {
@@ -289,44 +245,5 @@ BigInt multi_pow(const MontgomeryContext& ctx, std::span<const BigInt> bases,
   for (std::size_t i = 0; i < bases.size(); ++i) m[i] = {exps[i]};
   return multi_pow_matrix(ctx, bases, m)[0];
 }
-
-FixedBasePowTable::FixedBasePowTable(const MontgomeryContext& ctx, const BigInt& base,
-                                     std::size_t max_exp_bits)
-    : ctx_(&ctx), window_(detail::plan_fixed_base_window(max_exp_bits)) {
-  const std::size_t bits = std::max<std::size_t>(max_exp_bits, 1);
-  digits_ = (bits + window_ - 1) / window_;
-  powers_.resize(digits_);
-  powers_[0] = ctx.to_mont(base);
-  for (std::size_t j = 1; j < digits_; ++j) {
-    MontVec p = powers_[j - 1];
-    for (unsigned s = 0; s < window_; ++s) p = ctx.mont_sqr(p);
-    powers_[j] = std::move(p);
-  }
-}
-
-std::vector<std::uint64_t> FixedBasePowTable::pow_mont(const BigInt& exp) const {
-  if (exp.is_negative()) throw InvalidArgument("FixedBasePowTable: negative exponent");
-  if (exp.bit_length() > digits_ * window_) {
-    throw InvalidArgument("FixedBasePowTable: exponent exceeds table capacity");
-  }
-  // Yao's method: group comb positions by digit value, then evaluate
-  // prod_d (prod_{j : digit_j = d} powers_[j])^d with running products.
-  std::vector<MontVec> bucket(std::size_t(1) << window_);
-  for (std::size_t j = 0; j < digits_; ++j) {
-    const unsigned d = digit_at(exp, j, window_);
-    if (d == 0) continue;
-    bucket[d] = bucket[d].empty() ? powers_[j] : ctx_->mont_mul(bucket[d], powers_[j]);
-  }
-  MontVec running, acc;
-  for (std::size_t d = bucket.size(); d-- > 1;) {
-    if (!bucket[d].empty()) {
-      running = running.empty() ? bucket[d] : ctx_->mont_mul(running, bucket[d]);
-    }
-    if (!running.empty()) acc = acc.empty() ? running : ctx_->mont_mul(acc, running);
-  }
-  return acc.empty() ? ctx_->mont_one() : acc;
-}
-
-BigInt FixedBasePowTable::pow(const BigInt& exp) const { return ctx_->from_mont(pow_mont(exp)); }
 
 }  // namespace spfe::bignum

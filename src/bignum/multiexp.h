@@ -3,20 +3,18 @@
 // Paillier weighted sums in the §4 statistics protocols, and the
 // arithmetic-circuit SPFE cross-term elimination).
 //
-// Three evaluation strategies, selected per call by a cost model (costs in
+// Two evaluation strategies, selected per call by a cost model (costs in
 // Montgomery multiplications, squarings weighted cheaper via mont_sqr):
 //   * Straus interleaving — one shared squaring chain for all bases, a
 //     2^w-entry window table per base. Tables are shared across all columns
-//     of a matrix call. Best for a moderate base count with large exponents.
+//     of a matrix call. Best for a moderate base count with large exponents:
+//     every multi-exp the query benchmark's workloads run.
 //   * Pippenger bucketing — no per-base tables; each window accumulates
 //     bases into 2^w-1 buckets combined with the running-product trick.
 //     Takes over above a base-count threshold (and for small exponents,
-//     where Straus tables would dominate).
-//   * Fixed-base comb (FixedBasePowTable) — per-base tables of b^(2^(w*j)),
-//     no squarings at evaluation time. Wins for a matrix with few bases and
-//     many columns, where the table cost amortizes across the columns.
+//     where Straus tables would dominate): the depth-1 cPIR fold of E5.
 //
-// Every strategy returns the canonical representative in [0, modulus), so
+// Both strategies return the canonical representative in [0, modulus), so
 // results are byte-identical to the naive product of mod_pow calls — the
 // engine changes evaluation order only, never transcripts.
 #pragma once
@@ -38,39 +36,18 @@ BigInt multi_pow(const MontgomeryContext& ctx, std::span<const BigInt> bases,
 
 // Column-wise multi-exp over a base-major exponent matrix:
 //   out[c] = prod_i bases[i]^{exps[i][c]}  for c in [0, columns).
-// All rows must have the same length. Window tables (Straus) or comb tables
-// (fixed-base) are built once and shared across columns; columns are fanned
-// out across the global thread pool (outputs are per-column, so the result
-// is bit-identical at every SPFE_THREADS setting).
+// All rows must have the same length. Straus window tables are built once
+// and shared across columns; columns are fanned out across the global
+// thread pool (outputs are per-column, so the result is bit-identical at
+// every SPFE_THREADS setting).
 std::vector<BigInt> multi_pow_matrix(const MontgomeryContext& ctx, std::span<const BigInt> bases,
                                      const std::vector<std::vector<BigInt>>& exps);
-
-// Fixed-base windowing: precomputes base^(2^(w*j)) for all comb positions so
-// each pow() costs ~bits/w multiplies and no squarings. The context must
-// outlive the table. Exponents above max_exp_bits throw InvalidArgument.
-class FixedBasePowTable {
- public:
-  FixedBasePowTable(const MontgomeryContext& ctx, const BigInt& base, std::size_t max_exp_bits);
-
-  BigInt pow(const BigInt& exp) const;
-  // Montgomery-domain result, for callers that keep accumulating products.
-  std::vector<std::uint64_t> pow_mont(const BigInt& exp) const;
-
-  std::size_t max_exp_bits() const { return digits_ * window_; }
-  unsigned window() const { return window_; }
-
- private:
-  const MontgomeryContext* ctx_;
-  unsigned window_;
-  std::size_t digits_;
-  std::vector<std::vector<std::uint64_t>> powers_;  // base^(2^(window_*j)), Montgomery form
-};
 
 namespace detail {
 
 // Strategy planning, exposed so tests (and DESIGN.md's crossover table) can
 // pin which kernel a given shape selects.
-enum class MultiExpKind { kStraus, kPippenger, kFixedBase };
+enum class MultiExpKind { kStraus, kPippenger };
 struct MultiExpPlan {
   MultiExpKind kind;
   unsigned window;  // w in [1, 10]
@@ -78,9 +55,6 @@ struct MultiExpPlan {
 // `count` bases, `columns` independent exponent columns, exponents of at
 // most `max_bits` bits.
 MultiExpPlan plan_multi_exp(std::size_t count, std::size_t columns, std::size_t max_bits);
-
-// Window size minimizing the per-exponentiation cost of a fixed-base comb.
-unsigned plan_fixed_base_window(std::size_t max_bits);
 
 }  // namespace detail
 

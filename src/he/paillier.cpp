@@ -183,12 +183,15 @@ void PaillierPrivateKey::check_ciphertext(const BigInt& c) const {
 }
 
 // CRT decryption. The two half-size modexps run under the constant-time
-// MontgomeryContext::pow with the fixed secret exponents p-1 and q-1; the
-// surrounding L-function divisions and the CRT recombination are exact
-// divisions/reductions by the fixed key moduli, whose Knuth-D cost is
-// determined by the (per-key-constant) operand widths. Residual per-value
-// timing jitter (qhat corrections) is smoke-checked by the dudect harness
-// in tests/ct_harness_test.cpp.
+// MontgomeryContext::pow with the fixed secret exponents p-1 and q-1. The
+// arithmetic after them takes the same steps for every plaintext: up is
+// 1 + L_p * p with L_p in [0, p), so (up + p^2) / p = L_p + p lies in
+// [p, 2p) and stays L_p mod p, and crt_combine keeps its operands nonzero
+// too. A zero plaintext would otherwise reach BigInt's zero-operand early
+// exits in each of these steps. What remains value-dependent are Knuth-D's
+// quotient corrections in the divisions by the fixed key moduli and a limb
+// more or less where a value crosses a limb boundary, smoke-checked by the
+// dudect harness in tests/ct_harness_test.cpp.
 BigInt PaillierPrivateKey::decrypt(const BigInt& c) const {
   obs::count(obs::Op::kPaillierDecrypt);
   check_ciphertext(c);
@@ -200,9 +203,9 @@ BigInt PaillierPrivateKey::decrypt(const BigInt& c) const {
     throw CryptoError("Paillier decrypt: invalid ciphertext");
   }
   const BigInt up = mont_p2_.pow(cp, ep_);
-  const BigInt mp = bignum::mod_mul((up - BigInt(1)) / p_, hp_, p_);
+  const BigInt mp = bignum::mod_mul((up + p2_) / p_, hp_, p_);
   const BigInt uq = mont_q2_.pow(cq, eq_);
-  const BigInt mq = bignum::mod_mul((uq - BigInt(1)) / q_, hq_, q_);
+  const BigInt mq = bignum::mod_mul((uq + q2_) / q_, hq_, q_);
   return bignum::crt_combine(mp, p_, mq, q_, pinv_q_);
 }
 

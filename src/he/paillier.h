@@ -81,7 +81,7 @@ class PaillierPublicKey {
   bignum::BigInt mul_scalar_sum(std::span<const bignum::BigInt> cts,
                                 std::span<const bignum::BigInt> scalars) const;
   // Column-wise batch of the above: out[c] = E(sum_i scalars[i][c] * a_i).
-  // Window/comb tables are shared across columns and the columns fan out
+  // Straus window tables are shared across columns and the columns fan out
   // across the global thread pool — the cPIR server fold kernel.
   std::vector<bignum::BigInt> mul_scalar_sum_matrix(
       std::span<const bignum::BigInt> cts,

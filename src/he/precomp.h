@@ -31,27 +31,14 @@
 // no refill in flight it falls back to computing the factor synchronously
 // (still in stream order — the fallback serializes on the pool mutex).
 // Refill fans its modexps out across the global ThreadPool (SPFE_THREADS).
-//
-// FixedBaseCache: process-wide cache of constant-time fixed-base comb
-// tables keyed by (modulus, base, max exponent bits), so repeated
-// exponentiations of a fixed public base under secret exponents (the OT
-// group generator) pay the table build once per process instead of a full
-// square-and-multiply chain per call. Evaluation is constant time in the
-// exponent value: every 4-bit window is processed with a masked full-table
-// lookup and an unconditional Montgomery multiply, mirroring
-// MontgomeryContext::pow (results are byte-identical to it).
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <tuple>
 
 #include "bignum/bigint.h"
-#include "bignum/modarith.h"
 #include "crypto/prg.h"
 #include "he/paillier.h"
 
@@ -109,52 +96,6 @@ class PaillierRandomnessPool {
   bool refill_inflight_ = false;
   crypto::Prg prg_;
   PoolStats stats_;
-};
-
-// Constant-time fixed-base comb table: per 4-bit window j it stores
-// base^(d * 16^j) for d in [0, 16), all in Montgomery form. pow() processes
-// ceil(bit_length/4) windows, each with a masked full-table lookup and an
-// unconditional mont_mul — no squarings, no zero-digit skips — so it is
-// safe for secret exponents and returns exactly MontgomeryContext::pow's
-// canonical result. The table owns its MontgomeryContext copy.
-class CtFixedBaseTable {
- public:
-  CtFixedBaseTable(const bignum::BigInt& modulus, const bignum::BigInt& base,
-                   std::size_t max_exp_bits);
-
-  // base^exp mod modulus; exp in [0, 2^max_exp_bits). Byte-identical to
-  // MontgomeryContext(modulus).pow(base, exp). Constant time in the
-  // exponent value (its bit length is public by policy, as in pow).
-  bignum::BigInt pow(const bignum::BigInt& exp) const;
-
-  std::size_t max_exp_bits() const { return windows_ * 4; }
-
- private:
-  bignum::MontgomeryContext ctx_;
-  std::size_t windows_;
-  // window_[j] holds 16 contiguous entries of ctx_.limbs() limbs each.
-  std::vector<std::vector<std::uint64_t>> window_;
-};
-
-// Process-wide cache of CtFixedBaseTable keyed by (modulus, base, max exp
-// bits). First get() for a key builds the table (kFbTableBuild, with a
-// "precomp.fbtable_build" span); later gets share it (kFbTableHit).
-class FixedBaseCache {
- public:
-  static FixedBaseCache& global();
-
-  std::shared_ptr<const CtFixedBaseTable> get(const bignum::BigInt& modulus,
-                                              const bignum::BigInt& base,
-                                              std::size_t max_exp_bits);
-
-  std::size_t size() const;
-  void clear();  // tests only
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::tuple<bignum::BigInt, bignum::BigInt, std::size_t>,
-           std::shared_ptr<const CtFixedBaseTable>>
-      tables_;
 };
 
 // Optional bundle of client-side precomputation handles threaded through

@@ -55,7 +55,9 @@ enum class Op : std::uint8_t {
   kRobustRetry,         // robust-star attempts beyond the first
   kMultiexpStraus,      // multi-exp planner picked the Straus kernel
   kMultiexpPippenger,   // multi-exp planner picked the Pippenger kernel
-  kMultiexpFixedBase,   // multi-exp planner picked the fixed-base comb
+  kMultiexpFixedBase,   // no multi-exp kernel counts it (the planner picks
+                        // Straus or Pippenger), so `bignum.multiexp_fixed_base`
+                        // reads 0
   kPoolHit,             // randomness pool draw served from stock
   kPoolMiss,            // pool draw computed synchronously (pool empty)
   kPoolRefill,          // offline pool refill batches completed

@@ -28,7 +28,7 @@ SchnorrGroup::SchnorrGroup(BigInt p, BigInt g)
     throw InvalidArgument("SchnorrGroup: generator not a quadratic residue");
   }
   // Exponents are drawn from [0, q); the cached comb covers that width.
-  g_table_ = he::FixedBaseCache::global().get(p_, g_, q_.bit_length());
+  g_table_ = bignum::FixedBaseCache::global().get(p_, g_, q_.bit_length());
 }
 
 BigInt SchnorrGroup::exp(const BigInt& base, const BigInt& e) const { return mont_.pow(base, e); }

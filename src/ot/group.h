@@ -14,7 +14,6 @@
 #include "bignum/modarith.h"
 #include "common/bytes.h"
 #include "crypto/prg.h"
-#include "he/precomp.h"
 
 namespace spfe::ot {
 
@@ -29,7 +28,7 @@ class SchnorrGroup {
   std::size_t element_bytes() const { return (p_.bit_length() + 7) / 8; }
 
   bignum::BigInt exp(const bignum::BigInt& base, const bignum::BigInt& e) const;
-  // g^e via the process-wide fixed-base comb table (he/precomp.h), built
+  // g^e via the process-wide fixed-base comb table (bignum/modarith.h), built
   // once per (p, g) and shared by every group instance — Naor–Pinkas setup
   // does many g-exponentiations with secret exponents against one fixed
   // generator. Falls back to the generic constant-time pow for exponents
@@ -54,7 +53,7 @@ class SchnorrGroup {
   bignum::BigInt q_;
   bignum::BigInt g_;
   bignum::MontgomeryContext mont_;
-  std::shared_ptr<const he::CtFixedBaseTable> g_table_;  // cached comb for g
+  std::shared_ptr<const bignum::CtFixedBaseTable> g_table_;  // cached comb for g
 };
 
 }  // namespace spfe::ot

@@ -215,7 +215,8 @@ SelectedShares input_selection_poly_mask_server_key(
 
     const BigInt blind_bound = (BigInt(m) * BigInt(p) * BigInt(p)) << kStatBits;
     // The coefficient ciphertexts are fixed across j, so all m evaluations
-    // form one base-major matrix multi-exp (comb tables shared across j).
+    // form one base-major matrix multi-exp (Straus window tables shared
+    // across j).
     // The sums consume no PRG, so drawing them up front leaves the per-j
     // E(0)/rho/E(rho) draw order untouched.
     std::vector<std::vector<BigInt>> exps(m, std::vector<BigInt>(m));

