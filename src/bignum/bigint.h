@@ -90,9 +90,10 @@ class BigInt {
 
   // Limb access for algorithms layered on top (Montgomery, field ops).
   const std::vector<std::uint64_t>& limbs() const { return mag_; }
+  // Value from little-endian magnitude limbs (trailing zero limbs dropped).
+  static BigInt from_limbs(std::vector<std::uint64_t> limbs, bool negative);
 
  private:
-  static BigInt from_limbs(std::vector<std::uint64_t> limbs, bool negative);
   void normalize();
   // Magnitude comparison helpers ignore sign.
   static int cmp_mag(const BigInt& a, const BigInt& b);

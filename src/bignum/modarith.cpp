@@ -13,56 +13,64 @@ namespace {
 
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
-using Window = std::array<std::vector<u64>, 16>;
 
-// Canonicalizing step shared by mont_mul and mont_reduce: t holds k+1 limbs
-// (t[k] is the overflow limb) with value < 2n; subtract n iff t >= n. The
-// decision comes from a full trial subtraction (no early exit) and the
-// subtraction itself applies the mask-selected modulus, so neither the
-// comparison nor the reduction branches on the secret residue.
+// Canonicalizing step of mont_mul and mont_sqr: (top, t) is a (k+1)-limb
+// value below 2n, t its low k limbs and top (0 or 1) its overflow limb;
+// writes it mod n to out (which may alias t). The decision comes from a
+// full trial subtraction (no early exit) and the subtraction itself applies
+// the mask-selected modulus, so neither the comparison nor the reduction
+// branches on the secret residue.
 // SPFE_CT_BEGIN(mont_cond_sub_modulus)
-void ct_cond_sub_modulus(u64* /*secret*/ t, const u64* n, std::size_t k) {
+void ct_cond_sub_modulus(std::span<u64> out, std::span<const u64> /*secret*/ t,
+                         u64 /*secret*/ top, std::span<const u64> n) {
+  const std::size_t k = n.size();
   u64 borrow = 0;
   for (std::size_t i = 0; i < k; ++i) {
     const u128 d = static_cast<u128>(t[i]) - n[i] - borrow;
     borrow = static_cast<u64>(d >> 64) & 1;
   }
-  const u64 ge = common::ct_is_nonzero_u64(t[k]) | common::ct_is_zero_u64(borrow);
+  const u64 ge = common::ct_is_nonzero_u64(top) | common::ct_is_zero_u64(borrow);
   borrow = 0;
   for (std::size_t i = 0; i < k; ++i) {
     const u128 d = static_cast<u128>(t[i]) - (ge & n[i]) - borrow;
-    t[i] = static_cast<u64>(d);
+    out[i] = static_cast<u64>(d);
     borrow = static_cast<u64>(d >> 64) & 1;
   }
 }
 // SPFE_CT_END
 
-// Masked 4-bit window lookup: scans all 16 table entries and accumulates the
+// Masked 4-bit window lookup from a 16-entry table of k-limb values (entry
+// e at limbs [e * k, (e + 1) * k)): scans all 16 entries and accumulates the
 // one matching `digit` under an equality mask, so the memory access pattern
 // is independent of the secret exponent digit.
 // SPFE_CT_BEGIN(mont_table_lookup)
-void ct_lookup_window(const Window& table, u64 /*secret*/ digit, std::vector<u64>& out) {
+void ct_lookup_window(std::span<const u64> table, u64 /*secret*/ digit, std::span<u64> out) {
   const std::size_t k = out.size();
   for (std::size_t i = 0; i < k; ++i) out[i] = 0;
   for (std::size_t e = 0; e < 16; ++e) {
     const u64 m = common::ct_eq_u64(e, digit);
-    const std::vector<u64>& entry = table[e];
-    for (std::size_t i = 0; i < k; ++i) out[i] |= m & entry[i];
+    for (std::size_t i = 0; i < k; ++i) out[i] |= m & table[e * k + i];
   }
 }
 // SPFE_CT_END
 
 // b^0..b^15 in Montgomery form (even entries by squaring, odd ones by a
-// multiply): the window table of MontgomeryContext::pow and each window of
-// CtFixedBaseTable. b itself is not secret (ciphertexts, generators).
-Window build_window(const MontgomeryContext& ctx, const std::vector<u64>& b) {
-  Window table;
-  table[0] = ctx.mont_one();
-  table[1] = b;
+// multiply) into the 16 k-limb entries of `table`: the window table of
+// MontgomeryContext::pow and each window of CtFixedBaseTable. b itself is
+// not secret (ciphertexts, generators).
+void build_window(const MontgomeryContext& ctx, std::span<const u64> b, std::span<u64> table,
+                  std::span<u64> scratch) {
+  const std::size_t k = ctx.limbs();
+  const auto entry = [&](std::size_t i) { return table.subspan(i * k, k); };
+  std::copy(ctx.mont_one().begin(), ctx.mont_one().end(), entry(0).begin());
+  std::copy(b.begin(), b.end(), entry(1).begin());
   for (std::size_t i = 2; i < 16; ++i) {
-    table[i] = (i % 2 == 0) ? ctx.mont_sqr(table[i / 2]) : ctx.mont_mul(table[i - 1], b);
+    if (i % 2 == 0) {
+      ctx.mont_sqr(entry(i), entry(i / 2), scratch);
+    } else {
+      ctx.mont_mul(entry(i), entry(i - 1), b, scratch);
+    }
   }
-  return table;
 }
 
 }  // namespace
@@ -175,31 +183,39 @@ MontgomeryContext::MontgomeryContext(const BigInt& modulus) : modulus_(modulus) 
   const BigInt one_m = (BigInt(1) << (64 * k)).mod_floor(modulus);
   one_ = one_m.limbs();
   one_.resize(k, 0);
+  unit_.assign(k, 0);
+  unit_[0] = 1;
 }
 
-// CIOS Montgomery multiplication: returns REDC(a * b) with a, b of size k.
-// Branch-free over the operand values: carries and borrows are extracted
-// arithmetically and the final canonicalization is mask-selected.
-std::vector<u64> MontgomeryContext::mont_mul(const std::vector<u64>& /*secret*/ a,
-                                             const std::vector<u64>& /*secret*/ b) const {
+// CIOS Montgomery multiplication: r = REDC(a * b) with a, b of k limbs.
+// Each row adds a[i] * b and then m * n, shifting one limb out; the row's
+// two top limbs live in locals and the other k in scratch, and r is written
+// only by the final subtraction, so it may alias a or b. Branch-free over
+// the operand values: carries and borrows are extracted arithmetically and
+// the final canonicalization is mask-selected.
+void MontgomeryContext::mont_mul(std::span<u64> r, std::span<const u64> /*secret*/ a,
+                                 std::span<const u64> /*secret*/ b,
+                                 std::span<u64> scratch) const {
   const std::size_t k = n_.size();
-  std::vector<u64> t(k + 2, 0);
+  const std::span<u64> t = scratch.first(k);
   // SPFE_CT_BEGIN(mont_mul)
+  for (std::size_t j = 0; j < k; ++j) t[j] = 0;
+  u64 t_k = 0;  // limb k of the running value; its limb k + 1 is t_k1
   for (std::size_t i = 0; i < k; ++i) {
     // t += a[i] * b
+    const u64 ai = a[i];
     u64 carry = 0;
     for (std::size_t j = 0; j < k; ++j) {
-      const u128 s = static_cast<u128>(a[i]) * b[j] + t[j] + carry;
+      const u128 s = static_cast<u128>(ai) * b[j] + t[j] + carry;
       t[j] = static_cast<u64>(s);
       carry = static_cast<u64>(s >> 64);
     }
-    u128 s = static_cast<u128>(t[k]) + carry;
-    t[k] = static_cast<u64>(s);
-    t[k + 1] = static_cast<u64>(s >> 64);
+    u128 s = static_cast<u128>(t_k) + carry;
+    t_k = static_cast<u64>(s);
+    const u64 t_k1 = static_cast<u64>(s >> 64);
 
     // m = t[0] * n0_inv mod 2^64; t += m * n; t >>= 64
     const u64 m = t[0] * n0_inv_;
-    carry = 0;
     {
       const u128 s0 = static_cast<u128>(m) * n_[0] + t[0];
       carry = static_cast<u64>(s0 >> 64);
@@ -209,54 +225,28 @@ std::vector<u64> MontgomeryContext::mont_mul(const std::vector<u64>& /*secret*/ 
       t[j - 1] = static_cast<u64>(sj);
       carry = static_cast<u64>(sj >> 64);
     }
-    s = static_cast<u128>(t[k]) + carry;
+    s = static_cast<u128>(t_k) + carry;
     t[k - 1] = static_cast<u64>(s);
-    t[k] = t[k + 1] + static_cast<u64>(s >> 64);
-    t[k + 1] = 0;
+    t_k = t_k1 + static_cast<u64>(s >> 64);
   }
-  ct_cond_sub_modulus(t.data(), n_.data(), k);
+  ct_cond_sub_modulus(r, t, t_k, n_);
   // SPFE_CT_END
-  t.resize(k);
-  return t;
 }
 
-// SOS Montgomery reduction: t is the 2k-limb product; k rounds each zero the
-// lowest remaining limb by adding m * n, then the top k limbs are the result.
-// The per-round carry is always propagated to the top of the buffer (adding
-// zero where it has died out), so the round cost never depends on how far a
-// secret-value-dependent carry happens to travel.
-std::vector<u64> MontgomeryContext::mont_reduce(std::vector<u64> /*secret*/ t) const {
+// Squares with each cross product computed once and doubled, then reduces
+// the 2k-limb square by SOS: k rounds each zero the lowest remaining limb by
+// adding m * n. A round's carry out of its top limb is held in one running
+// word and added in the next round, one limb higher, so no round carries to
+// the top of the buffer. Zero limbs are NOT skipped and every loop count is
+// fixed by k: the cost must not depend on the secret operand value. r is
+// written only by the final subtraction, so it may alias a.
+void MontgomeryContext::mont_sqr(std::span<u64> r, std::span<const u64> /*secret*/ a,
+                                 std::span<u64> scratch) const {
   const std::size_t k = n_.size();
-  t.resize(2 * k + 1, 0);  // slack limb for the propagated carries
-  // SPFE_CT_BEGIN(mont_reduce)
-  for (std::size_t i = 0; i < k; ++i) {
-    const u64 m = t[i] * n0_inv_;
-    u64 carry = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const u128 s = static_cast<u128>(m) * n_[j] + t[i + j] + carry;
-      t[i + j] = static_cast<u64>(s);
-      carry = static_cast<u64>(s >> 64);
-    }
-    for (std::size_t idx = i + k; idx < 2 * k + 1; ++idx) {
-      const u128 s = static_cast<u128>(t[idx]) + carry;
-      t[idx] = static_cast<u64>(s);
-      carry = static_cast<u64>(s >> 64);
-    }
-  }
-  std::vector<u64> out(t.begin() + static_cast<std::ptrdiff_t>(k),
-                       t.begin() + static_cast<std::ptrdiff_t>(2 * k + 1));
-  ct_cond_sub_modulus(out.data(), n_.data(), k);
-  // SPFE_CT_END
-  out.resize(k);
-  return out;
-}
-
-std::vector<u64> MontgomeryContext::mont_sqr(const std::vector<u64>& /*secret*/ a) const {
-  const std::size_t k = n_.size();
-  // Square with each cross product computed once and doubled. Zero limbs are
-  // NOT skipped: the row cost must not depend on the secret operand value.
-  std::vector<u64> t(2 * k, 0);
+  const std::span<u64> t = scratch.first(2 * k);
+  const std::span<const u64> t_high = t.subspan(k);
   // SPFE_CT_BEGIN(mont_sqr)
+  for (std::size_t i = 0; i < 2 * k; ++i) t[i] = 0;
   for (std::size_t i = 0; i < k; ++i) {
     const u64 ai = a[i];
     u64 carry = 0;
@@ -283,30 +273,36 @@ std::vector<u64> MontgomeryContext::mont_sqr(const std::vector<u64>& /*secret*/ 
     t[2 * i + 1] = static_cast<u64>(s);
     carry = static_cast<u64>(s >> 64);
   }
-  const std::vector<u64> red = mont_reduce(std::move(t));
+  u64 top = 0;  // carry into limb i + k, held over from round i - 1
+  for (std::size_t i = 0; i < k; ++i) {
+    const u64 m = t[i] * n0_inv_;
+    carry = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const u128 s = static_cast<u128>(m) * n_[j] + t[i + j] + carry;
+      t[i + j] = static_cast<u64>(s);
+      carry = static_cast<u64>(s >> 64);
+    }
+    const u128 s = static_cast<u128>(t[i + k]) + carry + top;
+    t[i + k] = static_cast<u64>(s);
+    top = static_cast<u64>(s >> 64);
+  }
+  ct_cond_sub_modulus(r, t_high, top, n_);
   // SPFE_CT_END
-  return red;
 }
 
 std::vector<u64> MontgomeryContext::to_mont(const BigInt& a) const {
-  std::vector<u64> al = a.mod_floor(modulus_).limbs();
-  al.resize(n_.size(), 0);
-  return mont_mul(al, r2_);
+  const BigInt reduced = a.mod_floor(modulus_);
+  std::vector<u64> out(n_.size(), 0);  // exactly k limbs, as every stored value
+  std::copy(reduced.limbs().begin(), reduced.limbs().end(), out.begin());
+  std::vector<u64> scratch(scratch_limbs());
+  mont_mul(out, out, r2_, scratch);
+  return out;
 }
 
-BigInt MontgomeryContext::from_mont(const std::vector<u64>& a) const {
-  std::vector<u64> one(n_.size(), 0);
-  one[0] = 1;
-  const std::vector<u64> res = mont_mul(a, one);
-  BigInt out;
-  // Reconstruct via bytes to reuse normalization.
-  Bytes be(res.size() * 8);
-  for (std::size_t i = 0; i < res.size(); ++i) {
-    for (int b = 0; b < 8; ++b) {
-      be[be.size() - 1 - (8 * i + b)] = static_cast<std::uint8_t>(res[i] >> (8 * b));
-    }
-  }
-  return BigInt::from_bytes_be(be);
+BigInt MontgomeryContext::from_mont(std::span<const u64> a, std::span<u64> scratch) const {
+  std::vector<u64> out(n_.size());
+  mont_mul(out, a, unit_, scratch);
+  return BigInt::from_limbs(std::move(out), false);
 }
 
 // base^exp via a 4-bit fixed window. Constant time in the exponent *value*:
@@ -314,53 +310,69 @@ BigInt MontgomeryContext::from_mont(const std::vector<u64>& a) const {
 // multiply by the Montgomery identity), and the table entry is fetched with
 // a masked full-table scan. The exponent's bit length is public by policy
 // (it is a key/modulus size, fixed per context — see DESIGN.md), so the
-// window count may depend on it.
+// window count may depend on it. The window table, the accumulator, the
+// looked-up entry and the kernels' scratch share one buffer.
 BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& /*secret*/ exp) const {
   if (exp.is_negative()) throw InvalidArgument("MontgomeryContext::pow: negative exponent");
   obs::count(obs::Op::kModExp);
   if (exp.is_zero()) return BigInt(1).mod_floor(modulus_);
 
-  const Window table = build_window(*this, to_mont(base));
+  const std::size_t k = n_.size();
+  std::vector<u64> buf(18 * k + scratch_limbs());
+  const std::span<u64> table = std::span(buf).first(16 * k);
+  const std::span<u64> acc = std::span(buf).subspan(16 * k, k);
+  const std::span<u64> entry = std::span(buf).subspan(17 * k, k);
+  const std::span<u64> scratch = std::span(buf).subspan(18 * k);
+  build_window(*this, to_mont(base), table, scratch);
+  std::copy(one_.begin(), one_.end(), acc.begin());
 
   const std::size_t bits = exp.bit_length();
   const std::size_t windows = (bits + 3) / 4;
   const std::vector<u64>& el = exp.limbs();
-  std::vector<u64> acc = one_;
-  std::vector<u64> entry(n_.size());
   // SPFE_CT_BEGIN(mont_pow)
   for (std::size_t w = windows; w-- > 0;) {
     if (w + 1 != windows) {  // window position is public, not the digit
-      acc = mont_sqr(acc);
-      acc = mont_sqr(acc);
-      acc = mont_sqr(acc);
-      acc = mont_sqr(acc);
+      mont_sqr(acc, acc, scratch);
+      mont_sqr(acc, acc, scratch);
+      mont_sqr(acc, acc, scratch);
+      mont_sqr(acc, acc, scratch);
     }
     // 4-bit windows never straddle a 64-bit limb; the limb index depends
     // only on the public window position.
     const u64 digit = (el[(4 * w) / 64] >> ((4 * w) % 64)) & 0xf;
     ct_lookup_window(table, digit, entry);
-    acc = mont_mul(acc, entry);
+    mont_mul(acc, acc, entry, scratch);
   }
   // SPFE_CT_END
-  return from_mont(acc);
+  return from_mont(acc, scratch);
 }
 
 // --- CtFixedBaseTable --------------------------------------------------------
 
 CtFixedBaseTable::CtFixedBaseTable(const BigInt& modulus, const BigInt& base,
                                    std::size_t max_exp_bits)
-    : ctx_(modulus), windows_((std::max<std::size_t>(max_exp_bits, 1) + 3) / 4) {
+    : ctx_(modulus) {
+  const std::size_t k = ctx_.limbs();
+  const std::size_t count = (std::max<std::size_t>(max_exp_bits, 1) + 3) / 4;
+  windows_.resize(count * 16 * k);
   // Comb anchors g_j = base^(16^j): a serial squaring chain, then each
   // window's 16 entries g_j^d fill independently across the thread pool.
-  std::vector<std::vector<u64>> anchors(windows_.size());
-  anchors[0] = ctx_.to_mont(base);
-  for (std::size_t j = 1; j < anchors.size(); ++j) {
-    std::vector<u64> p = anchors[j - 1];
-    for (int s = 0; s < 4; ++s) p = ctx_.mont_sqr(p);
-    anchors[j] = std::move(p);
+  std::vector<u64> anchors = ctx_.to_mont(base);
+  anchors.resize(count * k);
+  {
+    std::vector<u64> scratch(ctx_.scratch_limbs());
+    const std::span<u64> all(anchors);
+    for (std::size_t j = 1; j < count; ++j) {
+      const std::span<u64> g = all.subspan(j * k, k);
+      ctx_.mont_sqr(g, all.subspan((j - 1) * k, k), scratch);
+      for (int s = 1; s < 4; ++s) ctx_.mont_sqr(g, g, scratch);
+    }
   }
-  common::parallel_for(windows_.size(),
-                       [&](std::size_t j) { windows_[j] = build_window(ctx_, anchors[j]); });
+  common::parallel_for(count, [&](std::size_t j) {
+    std::vector<u64> scratch(ctx_.scratch_limbs());
+    build_window(ctx_, std::span<const u64>(anchors).subspan(j * k, k),
+                 std::span(windows_).subspan(j * 16 * k, 16 * k), scratch);
+  });
 }
 
 BigInt CtFixedBaseTable::pow(const BigInt& /*secret*/ exp) const {
@@ -374,9 +386,14 @@ BigInt CtFixedBaseTable::pow(const BigInt& /*secret*/ exp) const {
   obs::count(obs::Op::kModExp);
   if (exp.is_zero()) return BigInt(1).mod_floor(ctx_.modulus());
   const std::size_t used = (bits + 3) / 4;  // public, as in pow
+  const std::size_t k = ctx_.limbs();
   const std::vector<u64>& el = exp.limbs();
-  std::vector<u64> acc = ctx_.mont_one();
-  std::vector<u64> entry(ctx_.limbs());
+  std::vector<u64> buf(2 * k + ctx_.scratch_limbs());
+  const std::span<u64> acc = std::span(buf).first(k);
+  const std::span<u64> entry = std::span(buf).subspan(k, k);
+  const std::span<u64> scratch = std::span(buf).subspan(2 * k);
+  std::copy(ctx_.mont_one().begin(), ctx_.mont_one().end(), acc.begin());
+  const std::span<const u64> windows(windows_);
   // Every window pays one masked full-table scan and one unconditional
   // multiply (digit 0 multiplies by the Montgomery identity) — no squarings
   // and no value-dependent skips.
@@ -385,11 +402,11 @@ BigInt CtFixedBaseTable::pow(const BigInt& /*secret*/ exp) const {
     // 4-bit windows never straddle a limb; the limb index is the public
     // window position.
     const u64 digit = (el[(4 * j) / 64] >> ((4 * j) % 64)) & 0xf;
-    ct_lookup_window(windows_[j], digit, entry);
-    acc = ctx_.mont_mul(acc, entry);
+    ct_lookup_window(windows.subspan(j * 16 * k, 16 * k), digit, entry);
+    ctx_.mont_mul(acc, acc, entry, scratch);
   }
   // SPFE_CT_END
-  return ctx_.from_mont(acc);
+  return ctx_.from_mont(acc, scratch);
 }
 
 // --- FixedBaseCache ----------------------------------------------------------

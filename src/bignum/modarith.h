@@ -3,16 +3,18 @@
 //
 // `MontgomeryContext` caches per-modulus constants so repeated modexps with
 // the same modulus (the hot path in Paillier and OT) avoid per-call setup.
+// Its product and squaring kernels work in place on caller-owned limb
+// buffers, so an exponentiation allocates once, not once per product.
 // `CtFixedBaseTable` is its fixed-base twin for a base raised to many
 // secret exponents (the OT group generator), and `FixedBaseCache` shares
 // those tables process-wide.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -63,32 +65,39 @@ class MontgomeryContext {
 
   // Montgomery-domain primitives (exposed for the multi-exponentiation
   // engine in multiexp.h and for benchmarking the ablation against
-  // divmod-based reduction).
+  // divmod-based reduction). Values are k = limbs() limbs. The kernels write
+  // k limbs to `r`, which may alias either input, and use `scratch`
+  // (scratch_limbs() limbs, disjoint from the operands) for their
+  // intermediates: callers allocate it once per exponentiation or
+  // multi-exp column, never once per product.
   std::vector<std::uint64_t> to_mont(const BigInt& a) const;
-  BigInt from_mont(const std::vector<std::uint64_t>& a) const;
-  std::vector<std::uint64_t> mont_mul(const std::vector<std::uint64_t>& a,
-                                      const std::vector<std::uint64_t>& b) const;
-  // REDC(a * a): squares with symmetric cross terms (~2x fewer limb
-  // multiplies than mont_mul(a, a)), then runs a separate reduction pass.
-  std::vector<std::uint64_t> mont_sqr(const std::vector<std::uint64_t>& a) const;
+  BigInt from_mont(std::span<const std::uint64_t> a, std::span<std::uint64_t> scratch) const;
+  // r = REDC(a * b), CIOS: the reduction interleaved with the product rows.
+  void mont_mul(std::span<std::uint64_t> r, std::span<const std::uint64_t> a,
+                std::span<const std::uint64_t> b, std::span<std::uint64_t> scratch) const;
+  // r = REDC(a * a): squares with symmetric cross terms (~2x fewer limb
+  // multiplies than mont_mul(a, a)), then reduces the 2k-limb square in an
+  // SOS pass that keeps one running carry word.
+  void mont_sqr(std::span<std::uint64_t> r, std::span<const std::uint64_t> a,
+                std::span<std::uint64_t> scratch) const;
   // Montgomery form of 1 — the multiplicative identity for mont_mul.
   const std::vector<std::uint64_t>& mont_one() const { return one_; }
   std::size_t limbs() const { return n_.size(); }
+  std::size_t scratch_limbs() const { return 2 * n_.size(); }
 
  private:
-  // Montgomery reduction of a double-width (2k-limb) product into [0, n).
-  std::vector<std::uint64_t> mont_reduce(std::vector<std::uint64_t> t) const;
-
   BigInt modulus_;
   std::vector<std::uint64_t> n_;       // modulus limbs
   std::uint64_t n0_inv_;               // -n^{-1} mod 2^64
   std::vector<std::uint64_t> r2_;      // R^2 mod n (Montgomery form of R)
   std::vector<std::uint64_t> one_;     // Montgomery form of 1 (R mod n)
+  std::vector<std::uint64_t> unit_;    // plain 1 in k limbs: from_mont's REDC(a * 1)
 };
 
 // Constant-time fixed-base comb: for every 4-bit window j it stores
 // base^(d * 16^j), d in [0, 16), in Montgomery form, built like the window
-// table of MontgomeryContext::pow. pow() processes ceil(bit_length/4)
+// table of MontgomeryContext::pow (16 entries of exactly k limbs each, all
+// windows in one buffer). pow() processes ceil(bit_length/4)
 // windows, each with pow's masked full-table lookup and an unconditional
 // mont_mul — no squarings, no zero-digit skips — so it is safe for secret
 // exponents and returns exactly MontgomeryContext::pow's canonical result.
@@ -102,11 +111,11 @@ class CtFixedBaseTable {
   // exponent value (its bit length is public by policy, as in pow).
   BigInt pow(const BigInt& exp) const;
 
-  std::size_t max_exp_bits() const { return windows_.size() * 4; }
+  std::size_t max_exp_bits() const { return windows_.size() / (16 * ctx_.limbs()) * 4; }
 
  private:
   MontgomeryContext ctx_;
-  std::vector<std::array<std::vector<std::uint64_t>, 16>> windows_;
+  std::vector<std::uint64_t> windows_;  // window j's entry d at (16 * j + d) * k
 };
 
 // Process-wide cache of CtFixedBaseTable keyed by (modulus, base, max exp

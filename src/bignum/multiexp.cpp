@@ -1,6 +1,7 @@
 #include "bignum/multiexp.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -10,7 +11,7 @@ namespace spfe::bignum {
 namespace {
 
 using u64 = std::uint64_t;
-using MontVec = std::vector<u64>;
+using MontVec = std::vector<u64>;  // Montgomery-form limbs, k per value
 
 // Relative cost of a Montgomery squaring vs a full multiplication: mont_sqr
 // computes each cross product once and reduces in a separate pass.
@@ -37,75 +38,105 @@ unsigned digit_at(const BigInt& /*secret*/ e, std::size_t window_index, unsigned
 }
 // SPFE_CT_END
 
-// Window table for one base: table[d - 1] = base^d for d in [1, 2^w).
-// Even entries come from mont_sqr, odd ones from one mont_mul.
-std::vector<MontVec> build_window_table(const MontgomeryContext& ctx, const MontVec& base,
-                                        unsigned w) {
-  std::vector<MontVec> table((std::size_t(1) << w) - 1);
-  table[0] = base;
-  for (std::size_t d = 2; d <= table.size(); ++d) {
-    table[d - 1] = (d % 2 == 0) ? ctx.mont_sqr(table[d / 2 - 1])
-                                : ctx.mont_mul(table[d - 2], base);
+// acc *= v in Montgomery form, where an unset acc stands for the identity
+// (so leading identity factors cost nothing).
+void mul_into(const MontgomeryContext& ctx, std::span<u64> acc, bool& set,
+              std::span<const u64> v, std::span<u64> scratch) {
+  if (set) {
+    ctx.mont_mul(acc, acc, v, scratch);
+  } else {
+    std::copy(v.begin(), v.end(), acc.begin());
+    set = true;
+  }
+}
+
+// Window table for one base: entry d - 1 = base^d for d in [1, 2^w), each k
+// limbs in one buffer. Even entries come from mont_sqr, odd ones from one
+// mont_mul.
+MontVec build_window_table(const MontgomeryContext& ctx, std::span<const u64> base, unsigned w) {
+  const std::size_t k = ctx.limbs();
+  const std::size_t entries = (std::size_t(1) << w) - 1;
+  MontVec table(entries * k);
+  std::vector<u64> scratch(ctx.scratch_limbs());
+  const auto entry = [&](std::size_t d) { return std::span(table).subspan((d - 1) * k, k); };
+  std::copy(base.begin(), base.end(), entry(1).begin());
+  for (std::size_t d = 2; d <= entries; ++d) {
+    if (d % 2 == 0) {
+      ctx.mont_sqr(entry(d), entry(d / 2), scratch);
+    } else {
+      ctx.mont_mul(entry(d), entry(d - 1), base, scratch);
+    }
   }
   return table;
 }
 
 // One column of Straus interleaving over the base range [i0, i1): a single
 // squaring chain shared by the range's bases, window lookups from the
-// (column-shared) per-base tables. An empty accumulator stands for the
-// identity so leading zero windows are free. Ranges let a wide-count,
-// narrow-column fold (the depth >= 2 cPIR levels) split one column across
-// several partitions; partition products combine exactly because modular
-// multiplication is associative.
-MontVec straus_column(const MontgomeryContext& ctx, const std::vector<std::vector<MontVec>>& tables,
-                      std::span<const BigInt> bases_exps_col, std::size_t windows, unsigned w,
-                      std::size_t i0, std::size_t i1) {
-  MontVec acc;
+// (column-shared) per-base tables. Writes the range's product to acc and
+// returns false if it is the identity (acc then holds nothing). Ranges let
+// a wide-count, narrow-column fold (the depth >= 2 cPIR levels) split one
+// column across several partitions; partition products combine exactly
+// because modular multiplication is associative.
+bool straus_column(const MontgomeryContext& ctx, const std::vector<MontVec>& tables,
+                   std::span<const BigInt> bases_exps_col, std::size_t windows, unsigned w,
+                   std::size_t i0, std::size_t i1, std::span<u64> acc) {
+  const std::size_t k = ctx.limbs();
+  std::vector<u64> scratch(ctx.scratch_limbs());
+  bool set = false;
   for (std::size_t j = windows; j-- > 0;) {
-    if (!acc.empty()) {
-      for (unsigned s = 0; s < w; ++s) acc = ctx.mont_sqr(acc);
+    if (set) {
+      for (unsigned s = 0; s < w; ++s) ctx.mont_sqr(acc, acc, scratch);
     }
     for (std::size_t i = i0; i < i1; ++i) {
       if (tables[i].empty()) continue;  // base unused (all-zero exponent row)
       const unsigned d = digit_at(bases_exps_col[i], j, w);
       if (d == 0) continue;
-      acc = acc.empty() ? tables[i][d - 1] : ctx.mont_mul(acc, tables[i][d - 1]);
+      mul_into(ctx, acc, set, std::span(tables[i]).subspan((d - 1) * k, k), scratch);
     }
   }
-  return acc;
+  return set;
 }
 
 // One column of Pippenger bucketing: per window, bases fall into 2^w - 1
 // buckets by digit; sum_d d * bucket[d] (in the exponent) is evaluated with
 // the running-product trick in at most 2 * (2^w - 1) multiplications.
-MontVec pippenger_column(const MontgomeryContext& ctx, const std::vector<MontVec>& mont_bases,
-                         std::span<const BigInt> bases_exps_col, std::size_t windows, unsigned w,
-                         std::size_t i0, std::size_t i1) {
-  MontVec acc;
-  std::vector<MontVec> bucket(std::size_t(1) << w);
+// Writes and returns like straus_column.
+bool pippenger_column(const MontgomeryContext& ctx, const std::vector<MontVec>& mont_bases,
+                      std::span<const BigInt> bases_exps_col, std::size_t windows, unsigned w,
+                      std::size_t i0, std::size_t i1, std::span<u64> acc) {
+  const std::size_t k = ctx.limbs();
+  const std::size_t slots = std::size_t(1) << w;
+  // Buckets 1..2^w - 1 at (d - 1) * k, then running, wsum and the kernels'
+  // scratch, in one buffer.
+  std::vector<u64> buf((slots + 1) * k + ctx.scratch_limbs());
+  const std::span<u64> all(buf);
+  const auto bucket = [&](std::size_t d) { return all.subspan((d - 1) * k, k); };
+  const std::span<u64> running = all.subspan((slots - 1) * k, k);
+  const std::span<u64> wsum = all.subspan(slots * k, k);
+  const std::span<u64> scratch = all.subspan((slots + 1) * k);
+  const auto filled = std::make_unique<bool[]>(slots);
+  bool set = false;
   for (std::size_t j = windows; j-- > 0;) {
-    if (!acc.empty()) {
-      for (unsigned s = 0; s < w; ++s) acc = ctx.mont_sqr(acc);
+    if (set) {
+      for (unsigned s = 0; s < w; ++s) ctx.mont_sqr(acc, acc, scratch);
     }
-    for (auto& b : bucket) b.clear();
+    std::fill_n(filled.get(), slots, false);
     for (std::size_t i = i0; i < i1; ++i) {
       if (mont_bases[i].empty()) continue;
       const unsigned d = digit_at(bases_exps_col[i], j, w);
       if (d == 0) continue;
-      bucket[d] = bucket[d].empty() ? mont_bases[i] : ctx.mont_mul(bucket[d], mont_bases[i]);
+      mul_into(ctx, bucket(d), filled[d], mont_bases[i], scratch);
     }
     // running = prod_{e >= d} bucket[e]; multiplying it into the window sum
     // once per d yields prod_d bucket[d]^d.
-    MontVec running, wsum;
-    for (std::size_t d = bucket.size(); d-- > 1;) {
-      if (!bucket[d].empty()) {
-        running = running.empty() ? bucket[d] : ctx.mont_mul(running, bucket[d]);
-      }
-      if (!running.empty()) wsum = wsum.empty() ? running : ctx.mont_mul(wsum, running);
+    bool running_set = false, wsum_set = false;
+    for (std::size_t d = slots; d-- > 1;) {
+      if (filled[d]) mul_into(ctx, running, running_set, bucket(d), scratch);
+      if (running_set) mul_into(ctx, wsum, wsum_set, running, scratch);
     }
-    if (!wsum.empty()) acc = acc.empty() ? std::move(wsum) : ctx.mont_mul(acc, wsum);
+    if (wsum_set) mul_into(ctx, acc, set, wsum, scratch);
   }
-  return acc;
+  return set;
 }
 
 // Partition count for the column fan-out. A depth >= 2 cPIR fold collapses
@@ -121,18 +152,21 @@ std::size_t column_partitions(std::size_t count, std::size_t columns) {
   return std::min(count, (threads + columns - 1) / columns);
 }
 
-// Folds each column's partition products (Montgomery form; empty = identity)
-// in ascending partition order.
-void combine_partials(const MontgomeryContext& ctx, std::vector<MontVec>& partials,
-                      std::size_t columns, std::size_t parts, std::vector<BigInt>& out) {
+// Folds each column's partition products (k limbs per cell; an unset cell
+// is the identity) in ascending partition order.
+void combine_partials(const MontgomeryContext& ctx, std::span<const u64> partials,
+                      const std::vector<char>& partial_set, std::size_t columns,
+                      std::size_t parts, std::vector<BigInt>& out) {
+  const std::size_t k = ctx.limbs();
   common::parallel_for(columns, [&](std::size_t c) {
-    MontVec acc;
-    for (std::size_t p = 0; p < parts; ++p) {
-      MontVec& part = partials[c * parts + p];
-      if (part.empty()) continue;
-      acc = acc.empty() ? std::move(part) : ctx.mont_mul(acc, part);
+    std::vector<u64> buf(k + ctx.scratch_limbs());
+    const std::span<u64> acc = std::span(buf).first(k);
+    const std::span<u64> scratch = std::span(buf).subspan(k);
+    bool set = false;
+    for (std::size_t cell = c * parts; cell < (c + 1) * parts; ++cell) {
+      if (partial_set[cell]) mul_into(ctx, acc, set, partials.subspan(cell * k, k), scratch);
     }
-    if (!acc.empty()) out[c] = ctx.from_mont(acc);
+    if (set) out[c] = ctx.from_mont(acc, scratch);
   });
 }
 
@@ -196,13 +230,18 @@ std::vector<BigInt> multi_pow_matrix(const MontgomeryContext& ctx, std::span<con
   const unsigned w = plan.window;
   const std::size_t windows = (max_bits + w - 1) / w;
   const std::size_t parts = column_partitions(count, columns);
-  std::vector<MontVec> partials(columns * parts);
+  const std::size_t k = ctx.limbs();
+  std::vector<u64> partials(columns * parts * k);
+  std::vector<char> partial_set(columns * parts, 0);
   const auto cell_range = [&](std::size_t cell, std::size_t& c, std::size_t& i0,
                               std::size_t& i1) {
     c = cell / parts;
     const std::size_t p = cell % parts;
     i0 = p * count / parts;
     i1 = (p + 1) * count / parts;
+  };
+  const auto cell_acc = [&](std::size_t cell) {
+    return std::span(partials).subspan(cell * k, k);
   };
 
   std::vector<MontVec> mont_bases(count);
@@ -211,7 +250,7 @@ std::vector<BigInt> multi_pow_matrix(const MontgomeryContext& ctx, std::span<con
   });
 
   if (plan.kind == detail::MultiExpKind::kStraus) {
-    std::vector<std::vector<MontVec>> tables(count);
+    std::vector<MontVec> tables(count);
     common::parallel_for(count, [&](std::size_t i) {
       if (used[i]) tables[i] = build_window_table(ctx, mont_bases[i], w);
     });
@@ -220,9 +259,9 @@ std::vector<BigInt> multi_pow_matrix(const MontgomeryContext& ctx, std::span<con
       cell_range(cell, c, i0, i1);
       std::vector<BigInt> col(count);
       for (std::size_t i = i0; i < i1; ++i) col[i] = exps[i][c];
-      partials[cell] = straus_column(ctx, tables, col, windows, w, i0, i1);
+      partial_set[cell] = straus_column(ctx, tables, col, windows, w, i0, i1, cell_acc(cell));
     });
-    combine_partials(ctx, partials, columns, parts, out);
+    combine_partials(ctx, partials, partial_set, columns, parts, out);
     return out;
   }
 
@@ -231,9 +270,9 @@ std::vector<BigInt> multi_pow_matrix(const MontgomeryContext& ctx, std::span<con
     cell_range(cell, c, i0, i1);
     std::vector<BigInt> col(count);
     for (std::size_t i = i0; i < i1; ++i) col[i] = exps[i][c];
-    partials[cell] = pippenger_column(ctx, mont_bases, col, windows, w, i0, i1);
+    partial_set[cell] = pippenger_column(ctx, mont_bases, col, windows, w, i0, i1, cell_acc(cell));
   });
-  combine_partials(ctx, partials, columns, parts, out);
+  combine_partials(ctx, partials, partial_set, columns, parts, out);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "bignum/bigint.h"
 #include "bignum/modarith.h"
@@ -233,19 +234,38 @@ TEST(ModArith, ModPowEvenModulus) {
 
 TEST(ModArith, MontgomeryMatchesPlainPow) {
   crypto::Prg prg("mont");
-  for (int trial = 0; trial < 20; ++trial) {
-    BigInt m = BigInt::random_bits(prg, 256);
-    if (!m.is_odd()) m += BigInt(1);
-    const MontgomeryContext ctx(m);
-    const BigInt base = BigInt::random_below(prg, m);
-    const BigInt exp = BigInt::random_bits(prg, 64);
-    // Reference: naive square-and-multiply with divmod reduction.
+  // Reference: naive square-and-multiply with divmod reduction.
+  const auto plain_pow = [](const BigInt& base, const BigInt& exp, const BigInt& m) {
     BigInt expect(1);
     for (std::size_t i = exp.bit_length(); i-- > 0;) {
       expect = mod_mul(expect, expect, m);
       if (exp.bit(i)) expect = mod_mul(expect, base, m);
     }
-    EXPECT_EQ(ctx.pow(base, exp), expect);
+    return expect;
+  };
+  // (modulus bits, exponent bits, random trials): the first shape is the
+  // original sweep, the others the widths the workloads exponentiate at.
+  struct Shape {
+    std::size_t mod_bits, exp_bits;
+    int trials;
+  };
+  for (const Shape s : {Shape{256, 64, 20}, Shape{256, 256, 4}, Shape{512, 256, 4},
+                        Shape{512, 512, 4}, Shape{1024, 512, 4}}) {
+    BigInt m = BigInt::random_bits(prg, s.mod_bits);
+    if (!m.is_odd()) m += BigInt(1);
+    const MontgomeryContext ctx(m);
+    std::vector<BigInt> exps;
+    for (int trial = 0; trial < s.trials; ++trial) {
+      exps.push_back(BigInt::random_bits(prg, s.exp_bits));
+    }
+    // All-0xf (every window digit 15) and sparse (top and bottom bits).
+    exps.push_back((BigInt(1) << s.exp_bits) - BigInt(1));
+    exps.push_back((BigInt(1) << (s.exp_bits - 1)) + BigInt(1));
+    for (const BigInt& exp : exps) {
+      const BigInt base = BigInt::random_below(prg, m);
+      EXPECT_EQ(ctx.pow(base, exp), plain_pow(base, exp, m))
+          << "mod_bits=" << s.mod_bits << " exp=" << exp.to_hex();
+    }
   }
 }
 

@@ -119,12 +119,23 @@ BigInt random_bigint_below(crypto::Prg& prg, const BigInt& bound) {
   return BigInt::from_bytes_be({buf.data(), buf.size()}).mod_floor(bound);
 }
 
-// 256-bit odd modulus shared by the Montgomery experiments.
-BigInt make_modulus(crypto::Prg& prg) {
-  std::vector<std::uint8_t> buf(32);
+// Full-width odd modulus (256 bits unless asked) for the Montgomery
+// experiments.
+BigInt make_modulus(crypto::Prg& prg, std::size_t bits = 256) {
+  std::vector<std::uint8_t> buf(bits / 8);
   prg.fill(buf.data(), buf.size());
-  buf[0] |= 0x80;   // full width
-  buf[31] |= 0x01;  // odd
+  buf.front() |= 0x80;  // full width
+  buf.back() |= 0x01;   // odd
+  return BigInt::from_bytes_be({buf.data(), buf.size()});
+}
+
+// Uniform exponent with exactly `bits` bits (the top one set): the bit
+// length is public by policy, so the experiments must not vary it between
+// classes.
+BigInt full_width_exponent(crypto::Prg& prg, std::size_t bits) {
+  std::vector<std::uint8_t> buf(bits / 8);
+  prg.fill(buf.data(), buf.size());
+  buf[0] |= 0x80;
   return BigInt::from_bytes_be({buf.data(), buf.size()});
 }
 
@@ -149,13 +160,20 @@ TEST(CtHarness, MontMulFixedVsRandom) {
   const std::size_t k = n.limbs().size();
   constexpr int kReps = 64;
   std::vector<std::uint64_t> a;
+  std::vector<std::uint64_t> out(k), scratch(ctx.scratch_limbs());
   const auto result = run_experiment(
       prg,
-      [&](int cls) { a = cls == 0 ? sparse_operand(k, 3) : dense_operand(prg, n, k); },
+      [&](int cls) {
+        // Both classes draw a dense operand, so the untimed staging does the
+        // same allocations and leaves the caches alike: under ASan, staging
+        // only the random class read as |t| = 30-44 on these in-place kernels.
+        const std::vector<std::uint64_t> dense = dense_operand(prg, n, k);
+        a = cls == 0 ? sparse_operand(k, 3) : dense;
+      },
       [&] {
         std::uint64_t acc = 0;
         for (int r = 0; r < kReps; ++r) {
-          const std::vector<std::uint64_t> out = ctx.mont_mul(a, a);
+          ctx.mont_mul(out, a, a, scratch);
           acc ^= out[0];
         }
         return acc;
@@ -172,13 +190,17 @@ TEST(CtHarness, MontSqrFixedVsRandom) {
   const std::size_t k = n.limbs().size();
   constexpr int kReps = 64;
   std::vector<std::uint64_t> a;
+  std::vector<std::uint64_t> out(k), scratch(ctx.scratch_limbs());
   const auto result = run_experiment(
       prg,
-      [&](int cls) { a = cls == 0 ? sparse_operand(k, 2) : dense_operand(prg, n, k); },
+      [&](int cls) {
+        const std::vector<std::uint64_t> dense = dense_operand(prg, n, k);  // as above
+        a = cls == 0 ? sparse_operand(k, 2) : dense;
+      },
       [&] {
         std::uint64_t acc = 0;
         for (int r = 0; r < kReps; ++r) {
-          const std::vector<std::uint64_t> out = ctx.mont_sqr(a);
+          ctx.mont_sqr(out, a, scratch);
           acc ^= out[0];
         }
         return acc;
@@ -186,6 +208,40 @@ TEST(CtHarness, MontSqrFixedVsRandom) {
   EXPECT_LT(std::abs(result.t), kSmokeThreshold)
       << "mont_sqr timing distinguishes sparse vs random operands: t=" << result.t
       << " fixed=" << result.mean_fixed << "ns random=" << result.mean_random << "ns";
+}
+
+// MontgomeryContext::pow with a secret full-width exponent at the widths
+// the workloads exponentiate at: the CRT halves mod p (256 bits) and mod p²
+// (512 bits) of a 512-bit Paillier key, with 256-bit exponents. A fixed
+// exponent and fresh random ones of the same bit length must be
+// indistinguishable; a zero-digit skip or an unmasked window index would
+// separate them.
+TEST(CtHarness, MontgomeryPowFixedVsRandom) {
+  crypto::Prg prg("ct-harness-mont-pow");
+  constexpr std::size_t kExpBits = 256;
+  for (const std::size_t mod_bits : {256u, 512u}) {
+    const BigInt n = make_modulus(prg, mod_bits);
+    const bignum::MontgomeryContext ctx(n);
+    const BigInt base = random_bigint_below(prg, n);
+    const BigInt fixed_exp = full_width_exponent(prg, kExpBits);
+    constexpr int kReps = 4;
+    BigInt e;
+    const auto result = run_experiment(
+        prg,
+        [&](int cls) {
+          const BigInt fresh = full_width_exponent(prg, kExpBits);  // staged alike
+          e = cls == 0 ? fixed_exp : fresh;
+        },
+        [&] {
+          std::uint64_t acc = 0;
+          for (int r = 0; r < kReps; ++r) acc ^= ctx.pow(base, e).low_u64();
+          return acc;
+        });
+    EXPECT_LT(std::abs(result.t), kSmokeThreshold)
+        << "pow timing distinguishes fixed vs random exponents at " << mod_bits
+        << " bits: t=" << result.t << " fixed=" << result.mean_fixed
+        << "ns random=" << result.mean_random << "ns";
+  }
 }
 
 TEST(CtHarness, CtEqBytesEqualVsRandom) {
@@ -270,19 +326,11 @@ TEST(CtHarness, FixedBaseTablePowFixedVsRandom) {
   const BigInt n = make_modulus(prg);
   constexpr std::size_t kExpBits = 256;
   const bignum::CtFixedBaseTable table(n, BigInt(5), kExpBits);
-  // Both classes use full-width exponents: the bit length is public by
-  // policy, so the experiment must not vary it between classes.
-  const auto full_width_exp = [&] {
-    std::vector<std::uint8_t> buf(kExpBits / 8);
-    prg.fill(buf.data(), buf.size());
-    buf[0] |= 0x80;
-    return BigInt::from_bytes_be({buf.data(), buf.size()});
-  };
-  const BigInt fixed_exp = full_width_exp();
+  const BigInt fixed_exp = full_width_exponent(prg, kExpBits);
   constexpr int kReps = 4;
   BigInt e;
   const auto result = run_experiment(
-      prg, [&](int cls) { e = cls == 0 ? fixed_exp : full_width_exp(); },
+      prg, [&](int cls) { e = cls == 0 ? fixed_exp : full_width_exponent(prg, kExpBits); },
       [&] {
         std::uint64_t acc = 0;
         for (int r = 0; r < kReps; ++r) acc ^= table.pow(e).low_u64();

@@ -32,25 +32,97 @@ BigInt naive_multi_pow(std::span<const BigInt> bases, std::span<const BigInt> ex
 
 // ---- MontgomeryContext::mont_sqr -------------------------------------------
 
+using Limbs = std::vector<std::uint64_t>;
+
+// Moduli whose top limb is all ones, where a reduction's carries run
+// furthest: 2^(64k) - 1 for every k, and 2^(64k) - 2^64 + 1 for k >= 2.
+std::vector<BigInt> carry_boundary_moduli() {
+  std::vector<BigInt> out;
+  for (const std::size_t k : {1u, 2u, 4u, 8u, 16u, 33u, 64u}) {
+    const BigInt r = BigInt(1) << (64 * k);
+    out.push_back(r - BigInt(1));
+    if (k >= 2) out.push_back(r - (BigInt(1) << 64) + BigInt(1));
+  }
+  return out;
+}
+
+// x as exactly k limbs.
+Limbs limbs_of(const BigInt& x, std::size_t k) {
+  Limbs v = x.limbs();
+  v.resize(k, 0);
+  return v;
+}
+
+// Operands {0, 1, n - 1, R mod n, random} of a k-limb modulus n.
+std::vector<BigInt> edge_operands(crypto::Prg& prg, const BigInt& n) {
+  const BigInt r_mod_n = (BigInt(1) << (64 * n.limbs().size())).mod_floor(n);
+  return {BigInt(0), BigInt(1), n - BigInt(1), r_mod_n, BigInt::random_below(prg, n)};
+}
+
 TEST(MontSqr, MatchesMontMul) {
   crypto::Prg prg("mont-sqr");
+  std::vector<BigInt> moduli;
   for (const std::size_t bits : {64u, 128u, 512u, 1024u, 2050u}) {
-    const BigInt m = random_odd_modulus(prg, bits);
+    moduli.push_back(random_odd_modulus(prg, bits));
+  }
+  for (const BigInt& m : carry_boundary_moduli()) moduli.push_back(m);
+  for (const BigInt& m : moduli) {
     const MontgomeryContext ctx(m);
-    for (int it = 0; it < 8; ++it) {
-      const BigInt a = BigInt::random_below(prg, m);
-      const auto am = ctx.to_mont(a);
-      EXPECT_EQ(ctx.mont_sqr(am), ctx.mont_mul(am, am)) << "bits=" << bits;
-      EXPECT_EQ(ctx.from_mont(ctx.mont_sqr(am)), mod_mul(a, a, m)) << "bits=" << bits;
+    const std::size_t k = ctx.limbs();
+    Limbs sq(k), prod(k), scratch(ctx.scratch_limbs());
+    std::vector<BigInt> operands = edge_operands(prg, m);
+    for (int it = 0; it < 8; ++it) operands.push_back(BigInt::random_below(prg, m));
+    for (const BigInt& a : operands) {
+      const Limbs am = ctx.to_mont(a);
+      ctx.mont_sqr(sq, am, scratch);
+      ctx.mont_mul(prod, am, am, scratch);
+      EXPECT_EQ(sq, prod) << "bits=" << m.bit_length();
+      EXPECT_EQ(ctx.from_mont(sq, scratch), mod_mul(a, a, m)) << "bits=" << m.bit_length();
     }
   }
 }
 
+// The kernels on raw limbs: REDC(a * b) = a * b * R^-1 mod n for every pair
+// of edge operands, written to a separate buffer, over one input and over
+// both inputs.
 TEST(MontSqr, EdgeValues) {
-  const BigInt m = BigInt::from_string("1000000000000000000000000000057");
-  const MontgomeryContext ctx(m);
-  for (const BigInt& a : {BigInt(0), BigInt(1), m - BigInt(1)}) {
-    EXPECT_EQ(ctx.from_mont(ctx.mont_sqr(ctx.to_mont(a))), mod_mul(a, a, m));
+  crypto::Prg prg("mont-sqr-edge");
+  std::vector<BigInt> moduli = {BigInt::from_string("1000000000000000000000000000057")};
+  for (const BigInt& m : carry_boundary_moduli()) moduli.push_back(m);
+  for (const BigInt& n : moduli) {
+    const MontgomeryContext ctx(n);
+    const std::size_t k = ctx.limbs();
+    const BigInt r_inv = mod_inverse(BigInt(1) << (64 * k), n);
+    const auto redc = [&](const BigInt& a, const BigInt& b) {
+      return mod_mul(mod_mul(a, b, n), r_inv, n);
+    };
+    const auto value = [](const Limbs& v) { return BigInt::from_limbs(v, false); };
+    Limbs out(k), scratch(ctx.scratch_limbs());
+    const std::vector<BigInt> operands = edge_operands(prg, n);
+    for (const BigInt& a : operands) {
+      const Limbs al = limbs_of(a, k);
+      EXPECT_EQ(ctx.from_mont(ctx.to_mont(a), scratch), a) << "n=" << n.to_hex();
+      ctx.mont_sqr(out, al, scratch);
+      EXPECT_EQ(value(out), redc(a, a)) << "sqr n=" << n.to_hex() << " a=" << a.to_hex();
+      Limbs both = al;
+      ctx.mont_sqr(both, both, scratch);
+      EXPECT_EQ(value(both), redc(a, a)) << "sqr aliased n=" << n.to_hex() << " a=" << a.to_hex();
+      both = al;
+      ctx.mont_mul(both, both, both, scratch);
+      EXPECT_EQ(value(both), redc(a, a)) << "mul aliased twice n=" << n.to_hex();
+      for (const BigInt& b : operands) {
+        const Limbs bl = limbs_of(b, k);
+        ctx.mont_mul(out, al, bl, scratch);
+        EXPECT_EQ(value(out), redc(a, b)) << "mul n=" << n.to_hex() << " a=" << a.to_hex()
+                                          << " b=" << b.to_hex();
+        Limbs first = al;
+        ctx.mont_mul(first, first, bl, scratch);
+        EXPECT_EQ(value(first), redc(a, b)) << "mul aliased to a, n=" << n.to_hex();
+        Limbs second = bl;
+        ctx.mont_mul(second, al, second, scratch);
+        EXPECT_EQ(value(second), redc(a, b)) << "mul aliased to b, n=" << n.to_hex();
+      }
+    }
   }
 }
 

@@ -67,7 +67,7 @@ const std::unordered_set<std::string>& structural_names() {
 const std::unordered_set<std::string>& audited_names() {
   static const std::unordered_set<std::string> kSet = {
       // Montgomery kernels, each an SPFE_CT region of its own.
-      "mont_mul", "mont_sqr", "mont_reduce",
+      "mont_mul", "mont_sqr",
       // Limb access: the limbs of a secret are secret.
       "limbs",
       // SecretBool factories and mask-driven selects.
